@@ -47,12 +47,22 @@ def _load(path: Optional[str]) -> dict:
         return json.load(fh)
 
 
-def _default_jobs() -> int:
+def _resolve_jobs(flag: Optional[int]) -> int:
+    """Worker count from --jobs, else from CONHOCH_JOBS, else 1.  Read
+    when a command runs, so a bad value is an input error like any
+    other."""
+    if flag is not None:
+        if flag < 1:
+            raise ValueError(f"--jobs must be at least 1 (got {flag})")
+        return flag
     env = os.environ.get("CONHOCH_JOBS", "1")
     try:
-        return max(1, int(env))
+        jobs = int(env)
     except ValueError:
-        return 1
+        jobs = None
+    if jobs is None or jobs < 1:
+        raise ValueError(f"CONHOCH_JOBS must be a positive integer (got {env!r})")
+    return jobs
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kmax", type=int, default=3)
         p.add_argument("--cmax", type=int, default=2)
         p.add_argument("--degree", type=int, choices=(0, 1, 2), default=2)
-        p.add_argument("--jobs", type=int, default=_default_jobs())
+        p.add_argument("--jobs", type=int, default=None)
         p.add_argument("--reps", action="store_true",
                        help="include class representatives in slice rows")
         p.add_argument("--format", choices=("json", "table"), default="json")
@@ -379,6 +389,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.jobs = _resolve_jobs(args.jobs)
         model = _parse_model(args.model)
         result = _HANDLERS[args.command](model, args)
     except (ConhochError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -6,8 +6,23 @@ the finite-dimensional (arity, K, c) windows.  Within a window both
 gradings refine further: the differential never touches coefficients, so
 every computation splits into independent blocks, one per coefficient
 monomial.  Tagged slice bases consist of monomial chains (the tagged
-subspaces are monomially spanned on the flat model), ranks come from
-fraction-free elimination, and every solve is exact.
+subspaces are monomially spanned on the flat model).
+
+Two more facts make the blocks small and few:
+
+* Letter-content blocks.  The differential only splits slot words, so
+  it keeps the multiset of letters across all slots (the letter
+  content).  Each per-coefficient block is therefore block-diagonal
+  over letter contents, and :func:`_image_columns` builds one integer
+  sparse column per domain word straight from the shuffles.
+* The (d, t) rank cache.  Which words lie in a tagged window depends on
+  the coefficient monomial only through its distribution and normal
+  unit counts (d, t), so the rank of the differential on a tagged
+  (arity, K) window is cached per (model, arity, K, tag, d, t) and
+  shared by every coefficient monomial with those counts.
+
+Ranks and solves go through the sparse exact kernel of
+:mod:`conhoch.linalg`; no step is modular or floating point.
 
 The main entry points:
 
@@ -33,13 +48,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (NotCocycleError, NotConstraintError, NotWobsError,
                      PreconditionError, SolveFailureError)
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, sparse_rank, sparse_solve
 from .model import FlatModel, FunctionClass
 from .poly import Exponent, Poly, monomials_of_degree
-from .symbols import (MultiVector, Slots, SubspaceTag, SymbolChain,
+from .symbols import (MultiVector, Slots, SubspaceTag, SymbolChain, Word,
                       chain_membership, decompose_sym, differential_d, hkr,
                       monomial_member, mv_membership, mv_monomial_member, pr1,
-                      pr1_top, reduce_multivector)
+                      pr1_top, reduce_multivector, shuffle_pairs)
 
 SLICE_TAGS = ("total", "wobs", "null")
 
@@ -137,38 +152,67 @@ def slice_basis(slc: Slice) -> List[SymbolChain]:
 # ---------------------------------------------------------------------------
 
 
+def _letter_content(slots: Slots) -> Word:
+    """Sorted letters of all slots together.  The differential only
+    splits words, so it keeps this multiset and is block-diagonal over
+    it."""
+    return tuple(sorted(itertools.chain.from_iterable(slots)))
+
+
+@lru_cache(maxsize=None)
+def _word_splits(word: Word) -> Tuple[Tuple[Word, Word, int], ...]:
+    """The distinct (left, right) splittings of a word with their shuffle
+    multiplicities."""
+    counts: Dict[Tuple[Word, Word], int] = {}
+    for pair in shuffle_pairs(word):
+        counts[pair] = counts.get(pair, 0) + 1
+    return tuple((left, right, n) for (left, right), n in counts.items())
+
+
 def _image_columns(model: FlatModel, monomials: Sequence[Tuple[Exponent, Slots]]
-                   ) -> Tuple[List[Dict[Tuple[Exponent, Slots], Fraction]], List[Tuple[Exponent, Slots]]]:
-    """Images under the differential of the given basis monomials, as
-    sparse columns over the encountered image coordinates."""
-    columns: List[Dict[Tuple[Exponent, Slots], Fraction]] = []
-    row_order: List[Tuple[Exponent, Slots]] = []
-    seen = set()
-    for gamma, slots in monomials:
-        chain = differential_d(SymbolChain.from_term(model, slots, Poly.monomial(gamma)))
-        col: Dict[Tuple[Exponent, Slots], Fraction] = {}
-        for g2, s2, q in chain.monomials():
-            key = (g2, s2)
-            col[key] = col.get(key, Fraction(0)) + q
-            if key not in seen:
-                seen.add(key)
-                row_order.append(key)
+                   ) -> List[Dict[Slots, int]]:
+    """Images under the differential of the given basis monomials with
+    unit coefficient, as integer sparse columns keyed by image slot
+    tuples; the coefficient monomial rides along unchanged, so it does
+    not enter the columns.  The model is part of the signature the
+    callers share; the shuffles themselves do not depend on it."""
+    columns: List[Dict[Slots, int]] = []
+    for _, slots in monomials:
+        col: Dict[Slots, int] = {}
+        for i, word in enumerate(slots):
+            sign = 1 if i % 2 else -1  # (-1)^i for the 1-based slot i + 1
+            head, tail = slots[:i], slots[i + 1:]
+            for left, right, n in _word_splits(word):
+                key = head + (left, right) + tail
+                col[key] = col.get(key, 0) + sign * n
         columns.append({k: v for k, v in col.items() if v})
-    return columns, row_order
+    return columns
 
 
-def _rank_of_d(model: FlatModel, monomials: Sequence[Tuple[Exponent, Slots]]) -> int:
-    if not monomials:
-        return 0
-    columns, row_order = _image_columns(model, monomials)
-    index = {key: i for i, key in enumerate(row_order)}
-    dense = [[Fraction(0)] * len(columns) for _ in row_order]
-    for j, col in enumerate(columns):
-        for key, value in col.items():
-            dense[index[key]][j] = value
-    if not dense:
-        return 0
-    return RationalMatrix(dense, cols=len(columns)).rank()
+@lru_cache(maxsize=None)
+def _letter_blocks(model: FlatModel, arity: int, sym_degree: int, tag: str,
+                   d_units: int, t_units: int) -> Dict[Word, Tuple[Slots, ...]]:
+    """The tagged domain words of a window grouped by letter content, in
+    enumeration order within each group.  Callers must not mutate the
+    shared result."""
+    blocks: Dict[Word, List[Slots]] = {}
+    for slots in _tagged_slots_for_units(model, arity, sym_degree, tag,
+                                         d_units, t_units):
+        blocks.setdefault(_letter_content(slots), []).append(slots)
+    return {content: tuple(words) for content, words in blocks.items()}
+
+
+@lru_cache(maxsize=None)
+def _rank_of_d(model: FlatModel, arity: int, sym_degree: int, tag: str,
+               d_units: int, t_units: int) -> int:
+    """Rank of the differential on a tagged (arity, K) window for any
+    coefficient monomial with the given unit counts: the domain depends
+    on the coefficient only through them, and the differential never
+    touches it."""
+    gamma = _witness_exponent(model, d_units, t_units)
+    blocks = _letter_blocks(model, arity, sym_degree, tag, d_units, t_units)
+    return sum(sparse_rank(_image_columns(model, [(gamma, s) for s in words]))
+               for words in blocks.values())
 
 
 def matrix_of_D(domain: Slice, codomain: Slice) -> RationalMatrix:
@@ -183,16 +227,16 @@ def matrix_of_D(domain: Slice, codomain: Slice) -> RationalMatrix:
     dom = slice_monomials(domain)
     cod = slice_monomials(codomain)
     index = {key: i for i, key in enumerate(cod)}
-    entries = [[Fraction(0)] * len(dom) for _ in cod]
-    for j, (gamma, slots) in enumerate(dom):
-        chain = differential_d(
-            SymbolChain.from_term(domain.model, slots, Poly.monomial(gamma)))
-        for g2, s2, q in chain.monomials():
-            if (g2, s2) not in index:
+    zero = Fraction(0)
+    entries = [[zero] * len(dom) for _ in cod]
+    for j, ((gamma, _), col) in enumerate(zip(dom, _image_columns(domain.model, dom))):
+        for s2, value in col.items():
+            i = index.get((gamma, s2))
+            if i is None:
                 raise AssertionError(
-                    f"differential left the tagged slice at {(g2, s2)}; "
+                    f"differential left the tagged slice at {(gamma, s2)}; "
                     "the tagged subspaces would fail to form a subcomplex")
-            entries[index[(g2, s2)]][j] += q
+            entries[i][j] = Fraction(value)
     return RationalMatrix(entries, cols=len(dom))
 
 
@@ -204,7 +248,8 @@ def hh_dimension(model: FlatModel, tag: SubspaceTag, degree: int,
     differential from functions vanishes by commutativity).  Degree 2:
     kernel on tagged arity-2 chains minus the rank coming from tagged
     arity-1 chains.  Both are assembled blockwise per coefficient
-    monomial, which the differential never mixes.
+    monomial, which the differential never mixes, from the cached
+    per-(d, t) window ranks.
     """
     if degree not in (1, 2):
         raise PreconditionError("slice cohomology is computed in degrees 1 and 2")
@@ -213,15 +258,13 @@ def hh_dimension(model: FlatModel, tag: SubspaceTag, degree: int,
     total = 0
     for gamma in monomials_of_degree(model.n_total, coeff_degree):
         d, _, t = model.unit_counts(gamma)
-        words1 = _tagged_slots_for_units(model, 1, sym_degree, tag.value, d, t)
-        mon1 = [(gamma, s) for s in words1]
+        window = (sym_degree, tag.value, d, t)
+        dim1 = len(_tagged_slots_for_units(model, 1, *window))
         if degree == 1:
-            total += len(mon1) - _rank_of_d(model, mon1)
+            total += dim1 - _rank_of_d(model, 1, *window)
             continue
-        words2 = _tagged_slots_for_units(model, 2, sym_degree, tag.value, d, t)
-        mon2 = [(gamma, s) for s in words2]
-        kernel_dim = len(mon2) - _rank_of_d(model, mon2)
-        total += kernel_dim - _rank_of_d(model, mon1)
+        dim2 = len(_tagged_slots_for_units(model, 2, *window))
+        total += dim2 - _rank_of_d(model, 2, *window) - _rank_of_d(model, 1, *window)
     return total
 
 
@@ -304,40 +347,31 @@ def classified_hh2_dimension(model: FlatModel, tag: SubspaceTag,
 
 def _solve_d(rhs: SymbolChain, tag: Optional[SubspaceTag]) -> Optional[SymbolChain]:
     """Solve D(psi) = rhs for an arity rhs.arity - 1 chain, blockwise per
-    (symmetric degree, coefficient monomial).  With tag None the domain
-    is the full slice, otherwise the tagged slice.  Returns None when
-    some block has no solution."""
+    (symmetric degree, coefficient monomial) and, inside, per letter
+    content.  With tag None the domain is the full slice, otherwise the
+    tagged slice.  Basic variables are the earliest independent domain
+    columns and the others are 0, as in one solve over the whole
+    (K, coefficient) block.  Returns None when some block has no
+    solution."""
     model = rhs.model
-    blocks: Dict[Tuple[int, Exponent], Dict[Slots, Fraction]] = {}
+    tag_name = tag.value if tag is not None else "total"
+    blocks: Dict[Tuple[int, Exponent], Dict[Word, Dict[Slots, Fraction]]] = {}
     for gamma, slots, q in rhs.monomials():
         key = (sum(len(w) for w in slots), gamma)
-        blocks.setdefault(key, {})[slots] = q
+        blocks.setdefault(key, {}).setdefault(_letter_content(slots), {})[slots] = q
     solution_terms: List[Tuple[Slots, Poly]] = []
-    for (sym_degree, gamma), target in sorted(blocks.items()):
+    for (sym_degree, gamma), targets in sorted(blocks.items()):
         d, _, t = model.unit_counts(gamma)
-        tag_name = tag.value if tag is not None else "total"
-        domain_words = _tagged_slots_for_units(model, rhs.arity - 1, sym_degree,
-                                               tag_name, d, t)
-        domain = [(gamma, s) for s in domain_words]
-        columns, row_order = _image_columns(model, domain)
-        index = {key[1]: i for i, key in enumerate(row_order)}
-        extra = [s for s in target if s not in index]
-        for s in extra:
-            index[s] = len(index)
-        nrows = len(index)
-        dense = [[Fraction(0)] * len(columns) for _ in range(nrows)]
-        for j, col in enumerate(columns):
-            for (g2, s2), value in col.items():
-                dense[index[s2]][j] = value
-        vec = [Fraction(0)] * nrows
-        for s, q in target.items():
-            vec[index[s]] = q
-        solution = RationalMatrix(dense, cols=len(columns)).solve(vec)
-        if solution is None:
-            return None
-        for j, q in enumerate(solution):
-            if q:
-                solution_terms.append((domain[j][1], Poly.monomial(gamma, q)))
+        domain = _letter_blocks(model, rhs.arity - 1, sym_degree, tag_name, d, t)
+        for content, target in targets.items():
+            words = domain.get(content, ())
+            columns = _image_columns(model, [(gamma, s) for s in words])
+            solution = sparse_solve(columns, target)
+            if solution is None:
+                return None
+            for slots, q in zip(words, solution):
+                if q:
+                    solution_terms.append((slots, Poly.monomial(gamma, q)))
     return SymbolChain(model, rhs.arity - 1, solution_terms)
 
 
@@ -442,7 +476,8 @@ def decompose_2cocycle(phi: SymbolChain) -> CocycleDecomposition:
     cls = CocycleClass(bivector, normal - pr1(normal))
     rebuilt = (differential_d(potential) + hkr(bivector)
                + differential_d(cls.normal_part))
-    assert rebuilt == phi, "decomposition failed to rebuild its input"
+    if rebuilt != phi:
+        raise SolveFailureError("decomposition failed to rebuild its input")
     return CocycleDecomposition(cls, potential)
 
 

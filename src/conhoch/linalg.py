@@ -1,20 +1,35 @@
 """Exact rational linear algebra.
 
-Everything here is dense and exact.  Ranks are computed by fraction-free
-(Bareiss) Gaussian elimination on an integer-scaled copy of the matrix,
-which avoids intermediate coefficient blow-up; kernels and linear solves
-use reduced row echelon form over Fraction.  Pivoting is deterministic
-(first nonzero entry in row-major scan order), so bases of kernels and
-particular solutions are reproducible across runs.
+Two exact routes live here, and neither takes a modular or
+floating-point step:
+
+* :class:`RationalMatrix` is dense.  Its rank uses fraction-free
+  (Bareiss) Gaussian elimination on an integer-scaled copy of the
+  matrix; kernels and linear solves use reduced row echelon form over
+  Fraction.  Pivoting is deterministic (first nonzero entry in
+  row-major scan order), so bases of kernels and particular solutions
+  are reproducible across runs.
+* :func:`sparse_rank` and :func:`sparse_solve` form the sparse kernel
+  used for the differential, whose blocks are almost entirely zero.
+  A matrix is a sequence of columns, each a dict from row keys to int or
+  Fraction entries.  Each column is scaled to integers and reduced
+  against the pivot columns found so far by fraction-free integer
+  cross-multiplication (in the style of Bareiss 1968, with the common
+  content divided out instead of the previous pivot), so the pivots are
+  exactly the earliest independent columns - the basic columns of the
+  reduced row echelon form.  A solve sets every other variable to 0 and
+  therefore returns the same vector as :meth:`RationalMatrix.solve`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Vector = List[Fraction]
+Number = Union[int, Fraction]
+SparseColumn = Mapping[Hashable, Number]
 
 
 class RationalMatrix:
@@ -23,7 +38,9 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[Fraction]], cols: Optional[int] = None):
-        self.entries = [[Fraction(x) for x in row] for row in entries]
+        # Fractions are immutable, so existing ones are shared, not copied
+        self.entries = [[x if type(x) is Fraction else Fraction(x) for x in row]
+                        for row in entries]
         self.rows = len(self.entries)
         if self.rows:
             self.cols = len(self.entries[0])
@@ -139,3 +156,104 @@ class RationalMatrix:
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernel
+# ---------------------------------------------------------------------------
+
+#: a pivot: its row key, its reduced integer column and, when a solve
+#: needs it, that column as an integer combination of the input columns
+_Pivot = Tuple[Hashable, Dict[Hashable, int], Optional[Dict[int, int]]]
+
+
+def _integer_column(col: SparseColumn) -> Tuple[Dict[Hashable, int], int]:
+    """The nonzero entries of a column times the lcm of their
+    denominators, and that lcm."""
+    scale = 1
+    for x in col.values():
+        den = x.denominator
+        scale = scale * den // gcd(scale, den)
+    return {k: int(x * scale) for k, x in col.items() if x}, scale
+
+
+def _combine(a: int, x: Dict, b: int, y: Dict) -> Dict:
+    """a * x + b * y without zero entries."""
+    out = {k: a * v for k, v in x.items()} if a != 1 else dict(x)
+    for k, v in y.items():
+        w = out.get(k, 0) + b * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return out
+
+
+def _reduce(vec: Dict[Hashable, int], combo: Optional[Dict[int, int]],
+            pivots: List[_Pivot]) -> Tuple[Dict[Hashable, int], Optional[Dict[int, int]]]:
+    """Clear vec at every pivot row.  A pivot is zero at the rows of all
+    earlier pivots, so one pass in pivot order suffices; combo follows
+    every step of vec."""
+    for row, piv, piv_combo in pivots:
+        b = vec.get(row)
+        if b:
+            a = piv[row]
+            g = gcd(a, b)
+            a, b = a // g, -(b // g)
+            vec = _combine(a, vec, b, piv)
+            if combo is not None:
+                combo = _combine(a, combo, b, piv_combo)
+    return vec, combo
+
+
+def _echelon(columns: Sequence[SparseColumn], track: bool) -> Tuple[List[_Pivot], List[int]]:
+    """Pivots of the columns in input order, and each column's integer
+    scale.  With track, every pivot records its combination of the
+    scaled input columns."""
+    pivots: List[_Pivot] = []
+    scales: List[int] = []
+    for j, col in enumerate(columns):
+        vec, scale = _integer_column(col)
+        scales.append(scale)
+        vec, combo = _reduce(vec, {j: 1} if track else None, pivots)
+        if not vec:
+            continue
+        content = 0
+        for v in vec.values():
+            content = gcd(content, v)
+        if combo is not None:
+            for v in combo.values():
+                content = gcd(content, v)
+        if content != 1:
+            vec = {k: v // content for k, v in vec.items()}
+            if combo is not None:
+                combo = {k: v // content for k, v in combo.items()}
+        # the smallest entry keeps the multipliers of later steps small;
+        # ties go to the first such entry, so the choice is deterministic
+        row = min(vec, key=lambda k: abs(vec[k]))
+        pivots.append((row, vec, combo))
+    return pivots, scales
+
+
+def sparse_rank(columns: Sequence[SparseColumn]) -> int:
+    """Rank of the matrix with the given sparse columns."""
+    return len(_echelon(columns, track=False)[0])
+
+
+def sparse_solve(columns: Sequence[SparseColumn], rhs: SparseColumn) -> Optional[Vector]:
+    """One exact solution x of sum_j x[j] * columns[j] = rhs, with every
+    non-basic variable set to 0, or None when the system is
+    inconsistent."""
+    pivots, scales = _echelon(columns, track=True)
+    vec, rhs_scale = _integer_column(rhs)
+    # the key -1 carries the multiple s of the right-hand side, so that
+    # vec = s * rhs + sum_j combo[j] * column j throughout the reduction,
+    # rhs and columns taken at their integer scales
+    vec, combo = _reduce(vec, {-1: 1}, pivots)
+    if vec:
+        return None
+    s = combo.pop(-1)
+    solution = [Fraction(0)] * len(columns)
+    for j, c in combo.items():
+        solution[j] = Fraction(-c * scales[j], s * rhs_scale)
+    return solution

@@ -33,19 +33,28 @@ def poly_to_json(p: Poly) -> dict:
                       for e, c in p.sorted_terms()]}
 
 
+def _items(data: dict, key: str, what: str) -> list:
+    """The JSON array data[key]; anything else is malformed input."""
+    items = data[key]
+    if not isinstance(items, list):
+        raise ValueError(f"{what} JSON needs {key!r} to be an array")
+    return items
+
+
 def poly_from_json(data: dict, nvars: int) -> Poly:
     if not isinstance(data, dict) or "terms" not in data:
         raise ValueError("polynomial JSON needs a 'terms' array")
     terms = {}
-    for item in data["terms"]:
+    for item in _items(data, "terms", "polynomial"):
         try:
             num, den = item["coeff"]
+            coeff = Fraction(int(num), int(den))
             exp = tuple(int(e) for e in item["exp"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed polynomial term {item}: {exc}") from exc
         if len(exp) != nvars:
             raise ValueError(f"exponent {exp} does not match {nvars} variables")
-        terms[exp] = terms.get(exp, Fraction(0)) + Fraction(int(num), int(den))
+        terms[exp] = terms.get(exp, Fraction(0)) + coeff
     return Poly(nvars, terms)
 
 
@@ -60,14 +69,17 @@ def chain_from_json(data: dict, model: FlatModel) -> SymbolChain:
         raise ValueError("symbol chain JSON needs 'arity' and 'terms'")
     arity = int(data["arity"])
     terms = []
-    for item in data["terms"]:
+    for item in _items(data, "terms", "symbol chain"):
         try:
             coeff = poly_from_json(item["coeff_poly"], model.n_total)
             slots = tuple(tuple(sorted(int(i) for i in w)) for w in item["slots"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed chain term {item}: {exc}") from exc
         terms.append((slots, coeff))
-    return SymbolChain(model, arity, terms)
+    try:
+        return SymbolChain(model, arity, terms)
+    except IndexError as exc:
+        raise ValueError(f"symbol chain does not fit model {model}: {exc}") from exc
 
 
 def op_to_json(op: MultiDiffOp) -> dict:
@@ -87,7 +99,8 @@ def field_to_json(x: VectorField) -> dict:
 def field_from_json(data: dict, model: FlatModel) -> VectorField:
     if not isinstance(data, dict) or "components" not in data:
         raise ValueError("vector field JSON needs 'components'")
-    comps = [poly_from_json(c, model.n_total) for c in data["components"]]
+    comps = [poly_from_json(c, model.n_total)
+             for c in _items(data, "components", "vector field")]
     if len(comps) != model.n_total:
         raise ValueError(f"need {model.n_total} components, got {len(comps)}")
     return VectorField(model, comps)
@@ -103,14 +116,17 @@ def multivector_from_json(data: dict, model: FlatModel) -> MultiVector:
     if not isinstance(data, dict) or "degree" not in data or "terms" not in data:
         raise ValueError("multivector JSON needs 'degree' and 'terms'")
     terms = []
-    for item in data["terms"]:
+    for item in _items(data, "terms", "multivector"):
         try:
             coeff = poly_from_json(item["coeff_poly"], model.n_total)
             idx = tuple(int(i) for i in item["indices"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed multivector term {item}: {exc}") from exc
         terms.append((idx, coeff))
-    return MultiVector(model, int(data["degree"]), terms)
+    try:
+        return MultiVector(model, int(data["degree"]), terms)
+    except IndexError as exc:
+        raise ValueError(f"multivector does not fit model {model}: {exc}") from exc
 
 
 def star_to_json(star: TruncatedStar) -> dict:
@@ -120,7 +136,7 @@ def star_to_json(star: TruncatedStar) -> dict:
 def star_from_json(data: dict, model: FlatModel) -> TruncatedStar:
     if not isinstance(data, dict) or "order" not in data or "cochains" not in data:
         raise ValueError("star product JSON needs 'order' and 'cochains'")
-    cochains = [op_from_json(c, model) for c in data["cochains"]]
+    cochains = [op_from_json(c, model) for c in _items(data, "cochains", "star product")]
     if len(cochains) != int(data["order"]):
         raise ValueError("'order' does not match the number of cochains")
     return TruncatedStar(model, cochains)

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import conhoch
 from conhoch import cli
 
@@ -228,6 +230,27 @@ def test_jobs_default_from_environment(tmp_path):
     assert plain.returncode == 0
     assert result.returncode == 0
     assert result.stdout == plain.stdout
+
+
+def test_bad_worker_count_is_an_input_error(tmp_path):
+    args = ["verify-theorem", "--model", "3,2,1", "--kmax", "2", "--cmax", "0"]
+    _assert_input_error(_run(args, cwd=tmp_path, CONHOCH_JOBS="abc"))
+    _assert_input_error(_run(args, cwd=tmp_path, CONHOCH_JOBS="0"))
+    _assert_input_error(_run(args + ["--jobs", "0"], cwd=tmp_path, CONHOCH_JOBS=None))
+
+
+_ONE = {"terms": [{"coeff": [1, 1], "exp": [0, 0, 0]}]}
+
+
+@pytest.mark.parametrize("command, document", [
+    ("classify-function", {"terms": [{"coeff": [1, 0], "exp": [0, 0, 0]}]}),
+    ("classify-function", {"terms": 5}),
+    ("classify-symbol", {"arity": 1, "terms": [{"coeff_poly": _ONE, "slots": [[9]]}]}),
+], ids=["zero-denominator", "terms-not-an-array", "letter-out-of-range"])
+def test_malformed_document_is_an_input_error(tmp_path, command, document):
+    (tmp_path / "doc.json").write_text(json.dumps(document))
+    result = _run([command, "--model", "3,2,1", "--in", "doc.json"], cwd=tmp_path)
+    _assert_input_error(result)
 
 
 def test_empty_row_set_is_valid(tmp_path):

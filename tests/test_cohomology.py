@@ -6,15 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from conhoch import (CocycleClass, FlatModel, MultiVector, Slice,
+from conhoch import (CocycleClass, FlatModel, MultiVector, Poly, Slice,
                      SubspaceTag, SymbolChain, bivector_slice_basis,
                      class_maps, classified_hh2_dimension, decompose_2cocycle,
                      differential_d, find_constraint_potential, find_potential,
                      hh0_dimension, hh_dimension, hkr, matrix_of_D,
                      normal_class_basis, slice_basis)
+from conhoch import cohomology
 from conhoch.cohomology import normal_class_monomials, slice_monomials
 from conhoch.errors import (NotCocycleError, NotConstraintError,
-                            PreconditionError)
+                            PreconditionError, SolveFailureError)
 from conhoch.linalg import RationalMatrix
 
 from conftest import all_models, rand_fraction, rand_tagged_chain, var
@@ -162,8 +163,9 @@ def _naive_hh2(model, tag, K, c):
 
 
 def test_blocked_dimensions_match_naive_full_slice(m321):
+    # (3,3,1) has no normal and (3,2,0) no distribution directions
     m431 = FlatModel(4, 3, 1)
-    for model in (m321, m431):
+    for model in (m321, m431, FlatModel(3, 3, 1), FlatModel(3, 2, 0)):
         for tag in ("wobs", "null"):
             for K in (2, 3):
                 for c in (0, 1):
@@ -235,6 +237,36 @@ def test_plain_potential_exists_where_constraint_fails(m321):
     assert psi == SymbolChain.from_term(m321, [(1, 3)])
 
 
+def test_blockwise_potential_matches_one_dense_solve(m321):
+    # arity-2 domains: D has a kernel there (words of length one are
+    # primitive), so the solution depends on which columns are basic; the
+    # letter-content blocks must pick the same ones as one dense solve
+    # over the whole (K, coefficient) block, free variables 0
+    rng = random.Random(710)
+    for K, gamma in ((3, (0, 0, 1)), (3, (1, 0, 0)), (4, (0, 0, 0))):
+        domain = [s for g, s in slice_monomials(Slice(m321, 2, K, sum(gamma)))
+                  if g == gamma]
+        images = [differential_d(SymbolChain.from_term(m321, s, Poly.monomial(gamma)))
+                  for s in domain]
+        rows = {}
+        for image in images:
+            for key in image.terms:
+                rows.setdefault(key, len(rows))
+        dense = RationalMatrix(
+            [[image.coefficient(key).terms.get(gamma, Fraction(0)) for image in images]
+             for key in rows], cols=len(domain))
+        assert dense.rank() < len(domain)
+        for _ in range(3):
+            psi = SymbolChain(m321, 2, [(s, Poly.monomial(gamma, rand_fraction(rng)))
+                                        for s in rng.sample(domain, 4)])
+            phi = differential_d(psi)
+            x = dense.solve([phi.coefficient(key).terms.get(gamma, Fraction(0))
+                             for key in rows])
+            expected = SymbolChain(m321, 2, [(s, Poly.monomial(gamma, q))
+                                             for s, q in zip(domain, x)])
+            assert find_potential(phi) == expected, (K, gamma, psi)
+
+
 def test_hkr_classes_have_no_constraint_potential():
     for dims in ((3, 2, 1), (4, 3, 1), (4, 3, 2)):
         model = FlatModel(*dims)
@@ -270,6 +302,16 @@ def test_decompose_rejects_bad_input(m321):
     not_constraint = SymbolChain.from_term(m321, [(2,), (3,)])
     with pytest.raises(NotConstraintError):
         decompose_2cocycle(not_constraint)
+
+
+def test_decompose_rebuild_failure_is_typed(m321, monkeypatch):
+    # a wrong potential that passes the membership checks is still caught,
+    # by a check that python -O keeps
+    real = cohomology._solve_d
+    monkeypatch.setattr(cohomology, "_solve_d", lambda rhs, tag: real(rhs, tag).scale(2))
+    pot = SymbolChain.from_term(m321, [(1, 1)], var(m321, 2))
+    with pytest.raises(SolveFailureError, match="rebuild"):
+        decompose_2cocycle(differential_d(pot))
 
 
 def test_decompose_round_trip_randomized(m321):
