@@ -9,9 +9,10 @@ classification to infinitesimal star products compatible with
 reduction.
 """
 
-from .errors import (ConhochError, ModelMismatchError, NotClosedError,
-                     NotCocycleError, NotConstraintError, NotWobsError,
-                     PreconditionError, SolveFailureError, UnsupportedTagError)
+from .errors import (ConhochError, InvariantError, ModelMismatchError,
+                     NotClosedError, NotCocycleError, NotConstraintError,
+                     NotWobsError, PreconditionError, SolveFailureError,
+                     UnsupportedTagError)
 from .model import FlatModel, FunctionClass
 from .poly import Poly, monomials_of_degree, monomials_up_to_degree
 from .symbols import (MultiVector, SubspaceTag, SymbolChain, VectorField,
@@ -31,10 +32,10 @@ from .cohomology import (CocycleClass, CocycleDecomposition, Slice,
                          hh0_dimension, hh2_slice_report, hh_dimension,
                          matrix_of_D, normal_class_basis, slice_basis)
 from .starprod import (OMITTED_BRACKET_PREFACTOR, AssociativityViolation,
-                       TruncatedEquivalence, TruncatedStar,
-                       check_associativity, classify_infinitesimal,
-                       coisotropy_check, equivalence_report,
-                       equivalence_step, is_constraint_star,
-                       plain_equivalence_step, poisson_from_star, star_apply)
+                       TruncatedStar, associator, check_associativity,
+                       classify_infinitesimal, coisotropy_check,
+                       equivalence_report, equivalence_step,
+                       is_constraint_star, plain_equivalence_step,
+                       poisson_from_star)
 
 __version__ = "0.1.0"

@@ -385,6 +385,8 @@ def find_constraint_potential(phi: SymbolChain) -> Optional[SymbolChain]:
 
 def find_potential(phi: SymbolChain) -> Optional[SymbolChain]:
     """Exact solve of D(psi) = phi over the full (untagged) slice."""
+    if phi.arity < 2:
+        raise PreconditionError("a potential needs a chain of arity at least 2")
     if not differential_d(phi).is_zero():
         raise NotCocycleError("chain is not closed")
     return _solve_d(phi, None)

@@ -30,7 +30,7 @@ from .errors import ModelMismatchError, UnsupportedTagError
 from .model import FlatModel, FunctionClass
 from .poly import Exponent, Poly, monomials_of_degree
 from .symbols import (Slots, SubspaceTag, SymbolChain, VectorField, Word,
-                      chain_membership, differential_d)
+                      chain_membership, differential_d, vee)
 
 
 class MultiDiffOp:
@@ -202,6 +202,44 @@ def hochschild_delta(op: MultiDiffOp) -> MultiDiffOp:
                 f"coboundary of a normalized operator kept a constant slot: {key}")
         proper[key] = value
     return MultiDiffOp(SymbolChain(model, n + 1, proper))
+
+
+def _leibniz_spread(word: Word, parts: int) -> Iterator[Tuple[Tuple[Word, ...], int]]:
+    """All splittings of a derivative word over a product of ``parts``
+    factors, with the multinomial multiplicity."""
+    if parts == 1:
+        yield (word,), 1
+        return
+    for left, right, mult in _leibniz_splits(word):
+        for rest, rest_mult in _leibniz_spread(right, parts - 1):
+            yield (left,) + rest, mult * rest_mult
+
+
+def compose_symbols(outer: SymbolChain, inner: SymbolChain, slot: int) -> SymbolChain:
+    """Symbol of the Gerstenhaber composition outer o_slot inner: the
+    operator that feeds inner's arguments through argument ``slot``
+    (1-based) of outer, e.g. for two arity-2 chains slot 1 gives
+    outer(inner(f, g), h) and slot 2 gives outer(f, inner(g, h)).
+
+    The outer word at that slot acts on the inner term b * d^s1 f1 * ..
+    by the Leibniz rule: one part differentiates the coefficient b, the
+    others lengthen the inner words.  Inner words are nonempty, so no
+    constant slot appears."""
+    i = slot - 1
+    terms: Dict[Slots, Poly] = {}
+    for outer_slots, a in outer.terms.items():
+        head, tail = outer_slots[:i], outer_slots[i + 1:]
+        spreads = list(_leibniz_spread(outer_slots[i], inner.arity + 1))
+        for inner_slots, b in inner.terms.items():
+            for (on_coeff, *on_slots), mult in spreads:
+                coeff = b.partial_word(on_coeff)
+                if coeff.is_zero():
+                    continue
+                key = head + tuple(vee(s, u) for s, u in zip(inner_slots, on_slots)) + tail
+                value = a * coeff * mult
+                acc = terms.get(key)
+                terms[key] = value if acc is None else acc + value
+    return SymbolChain(outer.model, outer.arity + inner.arity - 1, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,12 @@ class SolveFailureError(ConhochError):
     happen for valid input."""
 
 
+class InvariantError(ConhochError):
+    """An identity that the mathematics guarantees failed on a computed
+    object; the message names the routine and the check.  Like
+    SolveFailureError, this must never happen for valid input."""
+
+
 class UnsupportedTagError(ConhochError):
     """A splitting subspace tag was used at an arity where it is undefined."""
 

@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .errors import NotWobsError
+from .errors import InvariantError, NotWobsError
 from .poly import Exponent, Poly, monomials_of_degree
 
 
@@ -150,8 +150,10 @@ class FlatModel:
         for exp, coeff in restricted.terms.items():
             # independence of the distribution variables is forced by the
             # observable condition; a violation would falsify the class
-            assert all(e == 0 for e in exp[: self.n_null]), \
-                f"observable function restricted to C depends on a D variable: {exp}"
+            if any(exp[: self.n_null]):
+                raise InvariantError(
+                    "reduce_function: observable function restricted to C "
+                    f"depends on a distribution variable: {exp}")
             new = exp[self.n_null : self.n_wobs]
             new = new + (0,) * (reduced_model.n_total - len(new))
             terms[new] = coeff

@@ -6,7 +6,8 @@ parameter).  Because every cochain is represented by its symbol, it
 vanishes on constants automatically, so f * 1 = f = 1 * f holds by
 construction.
 
-Implemented here: order-by-order associativity defects, the constraint
+Implemented here: exact order-by-order associativity (the associator
+as a symbol chain built from Gerstenhaber compositions), the constraint
 property (every cochain observable), extraction of the first-order
 antisymmetric bracket and its compatibility with the embedded
 submanifold (coisotropy), the order-(k+1) equivalence solvers (plain and
@@ -28,8 +29,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from .cohomology import (CocycleClass, decompose_2cocycle,
                          find_constraint_potential, find_potential)
-from .diffops import MultiDiffOp, monomial_argument_tuples
-from .errors import NotClosedError, NotConstraintError, PreconditionError
+from .diffops import (MultiDiffOp, apply_to_monomials, compose_symbols,
+                      monomial_argument_tuples)
+from .errors import (InvariantError, NotClosedError, NotConstraintError,
+                     PreconditionError)
 from .model import FlatModel
 from .poly import Poly
 from .symbols import (MultiVector, SubspaceTag, SymbolChain, chain_membership,
@@ -66,23 +69,6 @@ class TruncatedStar:
         return [f * g] + [c.apply([f, g]) for c in self.cochains]
 
 
-class TruncatedEquivalence:
-    """Formal equivalence transformation truncated at a finite order."""
-
-    def __init__(self, model: FlatModel, maps: Sequence[MultiDiffOp]):
-        for s in maps:
-            if s.model != model:
-                raise PreconditionError("map over a different model")
-            if s.arity != 1:
-                raise PreconditionError("equivalence maps have one argument")
-        self.model = model
-        self.maps = list(maps)
-
-    @property
-    def order(self) -> int:
-        return len(self.maps)
-
-
 @dataclass
 class AssociativityViolation:
     """Witness of an associativity defect at a given order."""
@@ -90,10 +76,6 @@ class AssociativityViolation:
     order: int
     arguments: Tuple[Poly, Poly, Poly]
     defect: Poly
-
-
-def star_apply(star: TruncatedStar, f: Poly, g: Poly) -> List[Poly]:
-    return star.apply(f, g)
 
 
 def _associativity_defect(star: TruncatedStar, order: int,
@@ -111,24 +93,58 @@ def _associativity_defect(star: TruncatedStar, order: int,
     return defect
 
 
+def associator(star: TruncatedStar, order: int) -> SymbolChain:
+    """Symbol of the order-r coefficient of (f*g)*h - f*(g*h), an arity-3
+    chain.  The two terms with C_0 (the pointwise product) make up minus
+    the Hochschild coboundary of C_r, whose symbol is -D(C_r); the rest
+    are Gerstenhaber compositions:
+
+        A_r = -D(C_r) + sum_{p+q=r; p,q>=1} (C_p o_1 C_q - C_p o_2 C_q)."""
+    if not 1 <= order <= star.order:
+        raise PreconditionError(f"no order-{order} cochain in a star of order {star.order}")
+    chain = -differential_d(star.cochain(order).symbol)
+    for p in range(1, order):
+        outer = star.cochain(p).symbol
+        inner = star.cochain(order - p).symbol
+        chain = chain + compose_symbols(outer, inner, 1) - compose_symbols(outer, inner, 2)
+    return chain
+
+
+def _witness(star: TruncatedStar, order: int,
+             chain: SymbolChain) -> AssociativityViolation:
+    """First monomial triple, in evaluation-window order, on which the
+    nonzero associator chain does not vanish.  A term of the chain with
+    minimal words is nonzero on the monomials of its own words, so the
+    search ends within total degree chain.max_total_order().  The
+    reported defect is evaluated directly from the cochains."""
+    window = chain.max_total_order()
+    op = MultiDiffOp(chain)
+    for args in monomial_argument_tuples(star.model, 3, window):
+        if apply_to_monomials(op, args):
+            polys = tuple(Poly.monomial(e) for e in args)
+            defect = _associativity_defect(star, order, *polys)
+            if defect.is_zero():
+                raise InvariantError(
+                    f"order-{order} associator is nonzero at {args} "
+                    "but the defect evaluated from the cochains vanishes")
+            return AssociativityViolation(order, polys, defect)
+    raise InvariantError(f"nonzero order-{order} associator vanishes on "
+                         f"every monomial triple up to total degree {window}")
+
+
 def check_associativity(star: TruncatedStar,
                         up_to: Optional[int] = None) -> Optional[AssociativityViolation]:
-    """Expand the associator order by order on all monomial triples up to
-    the sufficiency degree; None when no violation is found.  At order
-    one the defect is minus the coboundary of C_1, so the symbol-level
-    closedness of C_1 is the authoritative equivalent (asserted against
-    each other in the test suite)."""
+    """Decide associativity exactly, order by order: the lowest order whose
+    associator chain is nonzero is violated, with a witness triple; None
+    when every order up to ``up_to`` (default: the truncation order)
+    vanishes identically."""
     up_to = star.order if up_to is None else up_to
     if up_to > star.order:
         raise PreconditionError("cannot check beyond the truncation order")
-    max_order = max((c.symbol.max_total_order() for c in star.cochains), default=0)
-    window = max_order + 2
     for order in range(1, up_to + 1):
-        for args in monomial_argument_tuples(star.model, 3, window):
-            polys = tuple(Poly.monomial(e) for e in args)
-            defect = _associativity_defect(star, order, *polys)
-            if not defect.is_zero():
-                return AssociativityViolation(order, polys, defect)
+        chain = associator(star, order)
+        if not chain.is_zero():
+            return _witness(star, order, chain)
     return None
 
 
@@ -189,33 +205,36 @@ def _check_equivalence_preconditions(a: TruncatedStar, b: TruncatedStar, k: int)
         raise PreconditionError(f"star products must be associative to order {k + 1}")
 
 
+def _solve_equivalence(a: TruncatedStar, b: TruncatedStar, k: int,
+                       constraint: bool) -> Optional[MultiDiffOp]:
+    diff = _orderwise_difference(a, b, k + 1)
+    if diff.is_zero():
+        return MultiDiffOp.zero(a.model, 1)
+    solution = find_constraint_potential(diff) if constraint else find_potential(diff)
+    return None if solution is None else MultiDiffOp(solution)
+
+
 def equivalence_step(a: TruncatedStar, b: TruncatedStar, k: int) -> Optional[MultiDiffOp]:
     """Solve for the constraint equivalence map at order k+1 of two
     constraint star products agreeing up to order k: an observable S
     with coboundary C_{k+1} - C'_{k+1}.  None exactly when the
     difference is not constraint-exact."""
     _check_equivalence_preconditions(a, b, k)
-    diff = _orderwise_difference(a, b, k + 1)
-    if diff.is_zero():
-        return MultiDiffOp.zero(a.model, 1)
-    solution = find_constraint_potential(diff)
-    return None if solution is None else MultiDiffOp(solution)
+    return _solve_equivalence(a, b, k, constraint=True)
 
 
 def plain_equivalence_step(a: TruncatedStar, b: TruncatedStar, k: int) -> Optional[MultiDiffOp]:
     """Same solve without the observable restriction on S."""
     _check_equivalence_preconditions(a, b, k)
-    diff = _orderwise_difference(a, b, k + 1)
-    if diff.is_zero():
-        return MultiDiffOp.zero(a.model, 1)
-    solution = find_potential(diff)
-    return None if solution is None else MultiDiffOp(solution)
+    return _solve_equivalence(a, b, k, constraint=False)
 
 
 def equivalence_report(a: TruncatedStar, b: TruncatedStar, k: int) -> dict:
-    """Plain and constraint order-(k+1) equivalence in one record."""
-    plain = plain_equivalence_step(a, b, k)
-    constraint = equivalence_step(a, b, k)
+    """Plain and constraint order-(k+1) equivalence in one record; the
+    preconditions are checked once for both solves."""
+    _check_equivalence_preconditions(a, b, k)
+    plain = _solve_equivalence(a, b, k, constraint=False)
+    constraint = _solve_equivalence(a, b, k, constraint=True)
     return {
         "order": k + 1,
         "plain_equivalent": plain is not None,

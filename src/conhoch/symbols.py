@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import ModelMismatchError, NotWobsError, UnsupportedTagError
+from .errors import (InvariantError, ModelMismatchError, NotWobsError,
+                     UnsupportedTagError)
 from .model import FlatModel
 from .poly import Exponent, Poly
 
@@ -740,7 +741,7 @@ def decompose_tensor2(chain: SymbolChain) -> Tensor2Decomposition:
     slot words avoid distribution letters with at least one normal
     letter.  For null inputs, additionally split off the part whose
     coefficients vanish on C; the remainder then lies in the null
-    complement block (asserted)."""
+    complement block (checked)."""
     if chain.arity != 2:
         raise ValueError("decompose_tensor2 acts on arity-2 chains")
     model = chain.model
@@ -754,7 +755,9 @@ def decompose_tensor2(chain: SymbolChain) -> Tensor2Decomposition:
         (tnw if is_that else fw).append((slots, Poly.monomial(gamma, q)))
     fw_chain = SymbolChain(model, 2, fw)
     tnw_chain = SymbolChain(model, 2, tnw)
-    assert chain_membership(tnw_chain, SubspaceTag.TOTAL_NOT_WOBS)
+    if not chain_membership(tnw_chain, SubspaceTag.TOTAL_NOT_WOBS):
+        raise InvariantError("decompose_tensor2: the complement part "
+                             f"{tnw_chain!r} is not in the total_not_wobs block")
 
     van_chain = nnv_chain = None
     if chain_membership(chain, SubspaceTag.NULL):
@@ -767,7 +770,10 @@ def decompose_tensor2(chain: SymbolChain) -> Tensor2Decomposition:
         nnv_chain = SymbolChain(model, 2, nnv)
         # for genuine null chains the C-coefficient remainder lies in the
         # null complement block; anything else would contradict nullness
-        assert chain_membership(nnv_chain, SubspaceTag.NULL_NOT_VAN)
+        if not chain_membership(nnv_chain, SubspaceTag.NULL_NOT_VAN):
+            raise InvariantError("decompose_tensor2: the C-coefficient part "
+                                 f"{nnv_chain!r} of a null chain is not in the "
+                                 "null_not_van block")
     return Tensor2Decomposition(fw_chain, tnw_chain, van_chain, nnv_chain)
 
 
@@ -792,7 +798,10 @@ def reduce_multivector(x: MultiVector, tag: SubspaceTag = SubspaceTag.WOBS) -> M
         for exp, q in restricted.terms.items():
             # observability forces the surviving coefficients to be
             # constant along the distribution on C
-            assert all(e == 0 for e in exp[: model.n_null])
+            if any(exp[: model.n_null]):
+                raise InvariantError(
+                    f"reduce_multivector: the {idx} coefficient of an observable "
+                    f"multivector restricted to C depends on a distribution variable: {exp}")
             new = exp[model.n_null : model.n_wobs]
             new = new + (0,) * (reduced.n_total - len(new))
             new_terms[new] = q

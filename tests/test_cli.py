@@ -185,6 +185,27 @@ def test_delta_command_reproduces_counterexample(tmp_path):
     assert all(t["coeff_poly"]["terms"][0]["coeff"] == [-1, 1] for t in data["terms"])
 
 
+def test_star_check_reports_high_order_violation(tmp_path):
+    # C1 = D(d1 v d1 v d1), C2 = 0 on (1,1,0): associative at order one,
+    # not at order two, where the associator has total order 6
+    one = {"terms": [{"coeff": [1, 1], "exp": [0]}]}
+    minus_three = {"terms": [{"coeff": [-3, 1], "exp": [0]}]}
+    star = {"order": 2, "cochains": [
+        {"symbol": {"arity": 2, "terms": [
+            {"coeff_poly": minus_three, "slots": [[1], [1, 1]]},
+            {"coeff_poly": minus_three, "slots": [[1, 1], [1]]}]}},
+        {"symbol": {"arity": 2, "terms": []}}]}
+    (tmp_path / "star.json").write_text(json.dumps(star))
+    result = _run(["star-check", "--model", "1,1,0", "--in", "star.json"],
+                  cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    data = json.loads(result.stdout)
+    assert data["associative"] is False
+    assert data["violation"]["order"] == 2
+    assert data["violation"]["defect"]["terms"] != []
+    assert '"associative": false' in result.stdout
+
+
 def test_classify_field_command(tmp_path):
     zero = {"terms": []}
     field = {"components": [zero,

@@ -237,6 +237,14 @@ def test_plain_potential_exists_where_constraint_fails(m321):
     assert psi == SymbolChain.from_term(m321, [(1, 3)])
 
 
+def test_potential_of_an_arity_one_chain_is_a_precondition_error(m321):
+    # a closed arity-1 chain has no arity-0 potential to solve for
+    chain = SymbolChain.from_term(m321, [(1,)])
+    assert differential_d(chain).is_zero()
+    with pytest.raises(PreconditionError):
+        find_potential(chain)
+
+
 def test_blockwise_potential_matches_one_dense_solve(m321):
     # arity-2 domains: D has a kernel there (words of length one are
     # primitive), so the solution depends on which columns are basic; the

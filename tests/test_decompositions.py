@@ -8,8 +8,8 @@ import pytest
 from conhoch import (FlatModel, Poly, SubspaceTag, SymbolChain,
                      chain_membership, decompose_sym, decompose_tensor2,
                      differential_d, in_function_span_wobs, reduce_multivector)
-from conhoch import MultiVector
-from conhoch.errors import NotWobsError
+from conhoch import MultiVector, symbols
+from conhoch.errors import InvariantError, NotWobsError
 
 from conftest import rand_chain, rand_tagged_chain, var
 
@@ -80,6 +80,15 @@ def test_decompose_tensor2_round_trip(m321):
         if dec.vanishing_part is not None:
             assert dec.vanishing_part + dec.null_not_van_part == chain
             assert chain_membership(dec.null_not_van_part, SubspaceTag.NULL_NOT_VAN)
+
+
+def test_decompose_tensor2_block_check_is_typed(m321, monkeypatch):
+    # the complement-block check survives python -O and names what failed
+    real = symbols.chain_membership
+    monkeypatch.setattr(symbols, "chain_membership", lambda chain, tag: (
+        False if tag is SubspaceTag.TOTAL_NOT_WOBS else real(chain, tag)))
+    with pytest.raises(InvariantError, match="decompose_tensor2.*total_not_wobs"):
+        decompose_tensor2(SymbolChain.from_term(m321, [(3,), (2,)]))
 
 
 def test_decompose_tensor2_null_inputs_split_fully(m321):

@@ -5,14 +5,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conhoch import (MultiDiffOp, MultiVector, Poly, SubspaceTag,
-                     SymbolChain, TruncatedStar, check_associativity,
-                     chain_membership, classify_infinitesimal,
-                     coisotropy_check, differential_d, equivalence_report,
-                     equivalence_step, hkr, is_constraint_star,
-                     plain_equivalence_step, poisson_from_star, star_apply)
+from conhoch import (FlatModel, MultiDiffOp, MultiVector, Poly, SubspaceTag,
+                     SymbolChain, TruncatedStar, associator,
+                     check_associativity, chain_membership,
+                     classify_infinitesimal, coisotropy_check,
+                     differential_d, equivalence_report, equivalence_step,
+                     hkr, is_constraint_star, plain_equivalence_step,
+                     poisson_from_star)
+from conhoch import starprod
 from conhoch.cohomology import normal_class_basis
+from conhoch.diffops import monomial_argument_tuples
 from conhoch.errors import NotClosedError, NotConstraintError, PreconditionError
 
 from conftest import rand_fraction, rand_tagged_chain, var
@@ -25,19 +29,19 @@ def _hkr_star(model, indices):
 def test_star_apply_examples(m321):
     x1, x3 = var(m321, 1), var(m321, 3)
     mu0 = TruncatedStar(m321, [])
-    assert star_apply(mu0, x1, x3) == [x1 * x3]
+    assert mu0.apply(x1, x3) == [x1 * x3]
 
     star = _hkr_star(m321, (1, 3))
-    assert star_apply(star, x1, x3) == [x1 * x3, Poly.constant(3, Fraction(1, 2))]
-    assert star_apply(star, x3, x1) == [x1 * x3, Poly.constant(3, Fraction(-1, 2))]
+    assert star.apply(x1, x3) == [x1 * x3, Poly.constant(3, Fraction(1, 2))]
+    assert star.apply(x3, x1) == [x1 * x3, Poly.constant(3, Fraction(-1, 2))]
 
 
 def test_unit_is_neutral(m321):
     star = _hkr_star(m321, (1, 3))
     one = Poly.constant(3, 1)
     f = var(m321, 1) * var(m321, 2)
-    assert star_apply(star, f, one) == [f, Poly.zero(3)]
-    assert star_apply(star, one, f) == [f, Poly.zero(3)]
+    assert star.apply(f, one) == [f, Poly.zero(3)]
+    assert star.apply(one, f) == [f, Poly.zero(3)]
 
 
 def test_associativity_examples(m321):
@@ -80,15 +84,94 @@ def test_order_one_defect_is_the_coboundary(m321):
             assert functional.defect == -delta.apply([f, g, h])
 
 
-def test_truncated_equivalence_container(m321):
-    from conhoch import TruncatedEquivalence
+def _sampled_window(star: TruncatedStar, order: int) -> int:
+    """Evaluation window that separates order-r associators: the largest
+    ord C_p + ord C_q over p + q = r, with ord C_0 = 0."""
+    orders = [0] + [c.symbol.max_total_order() for c in star.cochains]
+    return max(orders[p] + orders[order - p] for p in range(order + 1))
 
-    s1 = MultiDiffOp(SymbolChain.from_term(m321, [(1, 1)], var(m321, 2)))
-    eq = TruncatedEquivalence(m321, [s1])
-    assert eq.order == 1 and eq.maps[0] == s1
+
+def _sampled_defects(star: TruncatedStar, order: int):
+    """Test-only oracle: the order-r associator evaluated from the
+    cochains on every monomial triple of the window, in window order."""
+    for args in monomial_argument_tuples(star.model, 3, _sampled_window(star, order)):
+        polys = tuple(Poly.monomial(e) for e in args)
+        yield polys, starprod._associativity_defect(star, order, *polys)
+
+
+def _item3_star() -> TruncatedStar:
+    # C1 = D(d1 v d1 v d1) is closed, so order one is associative; with
+    # C2 = 0 the order-2 associator is C1 o_1 C1 - C1 o_2 C1, of order 6
+    r = FlatModel(1, 1, 0)
+    c1 = MultiDiffOp(differential_d(SymbolChain.from_term(r, [(1, 1, 1)])))
+    return TruncatedStar(r, [c1, MultiDiffOp.zero(r, 2)])
+
+
+def test_associativity_beyond_the_old_sampling_window():
+    star = _item3_star()
+    violation = check_associativity(star)
+    assert violation is not None and violation.order == 2
+    assert not violation.defect.is_zero()
+    x1 = Poly.variable(1, 1)
+    assert starprod._associativity_defect(star, 2, x1, x1, x1 ** 4) == Poly.constant(1, -216)
+    # order one alone is associative
+    assert check_associativity(star, 1) is None
+
+
+def test_associator_at_order_one_is_minus_the_differential(m321):
+    rng = random.Random(803)
+    from conftest import rand_chain
+    for _ in range(10):
+        c1 = rand_chain(rng, m321, 2, 3, 1)
+        star = TruncatedStar(m321, [MultiDiffOp(c1)])
+        assert associator(star, 1) == -differential_d(c1)
     with pytest.raises(PreconditionError):
-        TruncatedEquivalence(m321, [MultiDiffOp(SymbolChain.from_term(
-            m321, [(1,), (2,)]))])
+        associator(TruncatedStar(m321, []), 1)
+
+
+def _cochains(model: FlatModel, max_word: int, max_order: int):
+    """Small random arity-2 cochains: at most two terms, words of length
+    up to max_word, total order up to max_order, monomial coefficients
+    of degree at most one."""
+    n = model.n_total
+    word = st.lists(st.integers(1, n), min_size=1, max_size=max_word).map(
+        lambda w: tuple(sorted(w)))
+    exponent = st.integers(0, n).map(
+        lambda i: tuple(int(j == i) for j in range(1, n + 1)))
+    scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    term = st.tuples(word, word, exponent, scalar).filter(
+        lambda t: len(t[0]) + len(t[1]) <= max_order)
+    return st.lists(term, max_size=2).map(lambda ts: MultiDiffOp(SymbolChain(
+        model, 2, [((w1, w2), Poly.monomial(e, q)) for w1, w2, e, q in ts])))
+
+
+@pytest.mark.parametrize("model, max_word, max_order", [
+    (FlatModel(1, 1, 0), 3, 4),
+    (FlatModel(3, 2, 1), 2, 3),
+])
+def test_symbolic_associator_matches_sampled(model, max_word, max_order):
+    # the exact associator chain and the oracle agree as operators on a
+    # window that separates them, so the exact check reports the same
+    # first violation as the sampled one
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(c1=_cochains(model, max_word, max_order), c2=_cochains(model, max_word, max_order))
+    def check(c1, c2):
+        star = TruncatedStar(model, [c1, c2])
+        expected = None
+        for order in (1, 2):
+            op = MultiDiffOp(associator(star, order))
+            for polys, defect in _sampled_defects(star, order):
+                assert op.apply(list(polys)) == defect, (order, polys)
+                if expected is None and not defect.is_zero():
+                    expected = (order, polys, defect)
+        violation = check_associativity(star)
+        if expected is None:
+            assert violation is None
+        else:
+            assert (violation.order, violation.arguments, violation.defect) == expected
+
+    check()
 
 
 def test_is_constraint_star(m321):
