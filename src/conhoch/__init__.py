@@ -7,35 +7,58 @@ coordinate distribution on it), classifies the degree-2 classes by an
 observable bivector plus symmetric normal-word data, and applies the
 classification to infinitesimal star products compatible with
 reduction.
+
+The public names below are loaded on first access (PEP 562), so a
+command that needs only the decoders does not import the cohomology or
+star-product modules.
 """
 
-from .errors import (ConhochError, InvariantError, ModelMismatchError,
-                     NotClosedError, NotCocycleError, NotConstraintError,
-                     NotWobsError, PreconditionError, SolveFailureError,
-                     UnsupportedTagError)
-from .model import FlatModel, FunctionClass
-from .poly import Poly, monomials_of_degree, monomials_up_to_degree
-from .symbols import (MultiVector, SubspaceTag, SymbolChain, VectorField,
-                      bracket, chain_membership, chain_vee, decompose_sym,
-                      decompose_tensor2, differential_d, hkr,
-                      in_function_span_wobs, monomial_member, mv_membership,
-                      pr1, pr1_top, reduce_multivector, shuffle_coproduct,
-                      vee, vee_collapse, vf_membership, wedge)
-from .diffops import (FlatConnection, MultiDiffOp, SymCovTensor,
-                      chain_map_check, hochschild_delta, op_membership,
-                      op_membership_functional, sym_cov_derivative)
-from .linalg import RationalMatrix
-from .cohomology import (CocycleClass, CocycleDecomposition, Slice,
-                         bivector_slice_basis, class_maps,
-                         classified_hh2_dimension, decompose_2cocycle,
-                         find_constraint_potential, find_potential,
-                         hh0_dimension, hh2_slice_report, hh_dimension,
-                         matrix_of_D, normal_class_basis, slice_basis)
-from .starprod import (OMITTED_BRACKET_PREFACTOR, AssociativityViolation,
-                       TruncatedStar, associator, check_associativity,
-                       classify_infinitesimal, coisotropy_check,
-                       equivalence_report, equivalence_step,
-                       is_constraint_star, plain_equivalence_step,
-                       poisson_from_star)
+from importlib import import_module
 
+_EXPORTS = {
+    "errors": ("ConhochError", "InvariantError", "ModelMismatchError",
+               "NotClosedError", "NotCocycleError", "NotConstraintError",
+               "NotWobsError", "PreconditionError", "SolveFailureError",
+               "UnsupportedTagError"),
+    "model": ("FlatModel", "FunctionClass"),
+    "poly": ("Poly", "monomials_of_degree", "monomials_up_to_degree"),
+    "symbols": ("MultiVector", "SubspaceTag", "SymbolChain", "VectorField",
+                "bracket", "chain_membership", "chain_vee", "decompose_sym",
+                "decompose_tensor2", "differential_d", "hkr",
+                "in_function_span_wobs", "monomial_member", "mv_membership",
+                "pr1", "pr1_top", "reduce_multivector", "shuffle_coproduct",
+                "vee", "vee_collapse", "vf_membership", "wedge"),
+    "diffops": ("FlatConnection", "MultiDiffOp", "SymCovTensor",
+                "chain_map_check", "hochschild_delta", "op_membership",
+                "op_membership_functional", "sym_cov_derivative"),
+    "linalg": ("RationalMatrix",),
+    "cohomology": ("CocycleClass", "CocycleDecomposition", "Slice",
+                   "bivector_slice_basis", "class_maps",
+                   "classified_hh2_dimension", "decompose_2cocycle",
+                   "find_constraint_potential", "find_potential",
+                   "hh0_dimension", "hh2_slice_report", "hh_dimension",
+                   "matrix_of_D", "normal_class_basis", "slice_basis"),
+    "starprod": ("OMITTED_BRACKET_PREFACTOR", "AssociativityViolation",
+                 "TruncatedStar", "associator", "check_associativity",
+                 "classify_infinitesimal", "coisotropy_check",
+                 "equivalence_report", "equivalence_step",
+                 "is_constraint_star", "plain_equivalence_step",
+                 "poisson_from_star"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

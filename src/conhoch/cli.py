@@ -6,6 +6,10 @@ exits 0 on success, 1 on input errors and 2 when a verification command
 found a mismatch.  Slice jobs of verify-theorem and hh-dim can fan out
 over a worker pool (--jobs, default from CONHOCH_JOBS); results are
 merged in slice-key order, so output is identical for every pool width.
+
+Each command imports only the modules it runs: the handlers import
+cohomology, starprod and diffops when called, and the pool is imported
+only when more than one worker is used.
 """
 
 from __future__ import annotations
@@ -15,11 +19,9 @@ import json
 import os
 import sys
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import List, Optional, Sequence
 
-from . import cohomology, serialize, starprod
-from .diffops import hochschild_delta, op_membership
+from . import serialize
 from .errors import ConhochError
 from .model import FlatModel
 from .poly import Poly
@@ -158,6 +160,7 @@ def _write(text: str, out: Optional[str]) -> None:
 
 
 def _hh2_job(args) -> dict:
+    from . import cohomology
     dims, tag_value, sym_degree, coeff_degree, with_reps = args
     model = FlatModel(*dims)
     report = cohomology.hh2_slice_report(model, SubspaceTag(tag_value),
@@ -182,6 +185,7 @@ def _hh2_job(args) -> dict:
 def _run_slice_jobs(jobs: List[tuple], workers: int) -> List[dict]:
     if workers <= 1 or len(jobs) <= 1:
         return [_hh2_job(j) for j in jobs]
+    from multiprocessing import Pool
     with Pool(processes=min(workers, len(jobs))) as pool:
         return pool.map(_hh2_job, jobs)
 
@@ -212,12 +216,14 @@ def _cmd_classify_symbol(model, args) -> dict:
 
 
 def _cmd_classify_operator(model, args) -> dict:
+    from .diffops import op_membership
     op = serialize.op_from_json(_load(args.infile), model)
     return {"wobs": op_membership(op, SubspaceTag.WOBS),
             "null": op_membership(op, SubspaceTag.NULL)}
 
 
 def _cmd_delta(model, args) -> dict:
+    from .diffops import hochschild_delta
     op = serialize.op_from_json(_load(args.infile), model)
     return serialize.op_to_json(hochschild_delta(op))
 
@@ -243,6 +249,7 @@ def _hh_rows(model, tags: List[str], kmax: int, cmax: int, workers: int,
 
 
 def _cmd_hh_dim(model, args) -> dict:
+    from . import cohomology
     tag = SubspaceTag(args.tag or "wobs")
     if args.degree == 2:
         return {"rows": _hh_rows(model, [tag.value], args.kmax, args.cmax,
@@ -270,6 +277,7 @@ def _cmd_verify_theorem(model, args) -> dict:
 
 
 def _cmd_decompose_cocycle(model, args) -> dict:
+    from . import cohomology
     chain = serialize.chain_from_json(_load(args.infile), model)
     dec = cohomology.decompose_2cocycle(chain)
     ambient, reduced = cohomology.class_maps(dec.cocycle_class)
@@ -283,6 +291,7 @@ def _cmd_decompose_cocycle(model, args) -> dict:
 
 
 def _cmd_find_potential(model, args) -> dict:
+    from . import cohomology
     chain = serialize.chain_from_json(_load(args.infile), model)
     psi = cohomology.find_constraint_potential(chain)
     return {"has_constraint_potential": psi is not None,
@@ -290,6 +299,7 @@ def _cmd_find_potential(model, args) -> dict:
 
 
 def _cmd_star_check(model, args) -> dict:
+    from . import starprod
     star = serialize.star_from_json(_load(args.infile), model)
     violation = starprod.check_associativity(star)
     result = {"constraint": starprod.is_constraint_star(star),
@@ -304,6 +314,7 @@ def _cmd_star_check(model, args) -> dict:
 
 
 def _cmd_star_equiv(model, args) -> dict:
+    from . import starprod
     data = _load(args.infile)
     try:
         a = serialize.star_from_json(data["star"], model)
@@ -320,6 +331,7 @@ def _cmd_star_equiv(model, args) -> dict:
 
 
 def _cmd_classify_star(model, args) -> dict:
+    from . import starprod
     star = serialize.star_from_json(_load(args.infile), model)
     if star.order < 1:
         raise ValueError("classification needs a first-order cochain")
@@ -368,20 +380,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conhoch",
         description="Exact constraint Hochschild cohomology on flat models")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--model", required=True, metavar="nT,nW,n0")
-        p.add_argument("--in", dest="infile", default=None, metavar="FILE")
-        p.add_argument("--out", dest="outfile", default=None, metavar="FILE")
-        p.add_argument("--tag", choices=[t.value for t in SubspaceTag], default=None)
-        p.add_argument("--kmax", type=int, default=3)
-        p.add_argument("--cmax", type=int, default=2)
-        p.add_argument("--degree", type=int, choices=(0, 1, 2), default=2)
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--reps", action="store_true",
-                       help="include class representatives in slice rows")
-        p.add_argument("--format", choices=("json", "table"), default="json")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--model", required=True, metavar="nT,nW,n0")
+    parser.add_argument("--in", dest="infile", default=None, metavar="FILE")
+    parser.add_argument("--out", dest="outfile", default=None, metavar="FILE")
+    parser.add_argument("--tag", choices=[t.value for t in SubspaceTag], default=None)
+    parser.add_argument("--kmax", type=int, default=3)
+    parser.add_argument("--cmax", type=int, default=2)
+    parser.add_argument("--degree", type=int, choices=(0, 1, 2), default=2)
+    parser.add_argument("--jobs", type=int, default=None)
+    parser.add_argument("--reps", action="store_true",
+                        help="include class representatives in slice rows")
+    parser.add_argument("--format", choices=("json", "table"), default="json")
     return parser
 
 

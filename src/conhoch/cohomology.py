@@ -41,12 +41,11 @@ The main entry points:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import (NotCocycleError, NotConstraintError, NotWobsError,
+from .errors import (InvariantError, NotCocycleError, NotConstraintError,
                      PreconditionError, SolveFailureError)
 from .linalg import RationalMatrix, sparse_rank, sparse_solve
 from .model import FlatModel, FunctionClass
@@ -59,23 +58,28 @@ from .symbols import (MultiVector, Slots, SubspaceTag, SymbolChain, Word,
 SLICE_TAGS = ("total", "wobs", "null")
 
 
-@dataclass(frozen=True)
-class Slice:
-    """A finite-dimensional window of the symbol complex: fixed arity,
-    total symmetric degree, homogeneous coefficient degree and tag.
-    The differential maps the (n, K, c) slice into (n+1, K, c)."""
-
+class _SliceFields(NamedTuple):
     model: FlatModel
     arity: int
     sym_degree: int
     coeff_degree: int
     tag: str = "total"
 
-    def __post_init__(self):
+
+class Slice(_SliceFields):
+    """A finite-dimensional window of the symbol complex: fixed arity,
+    total symmetric degree, homogeneous coefficient degree and tag.
+    The differential maps the (n, K, c) slice into (n+1, K, c)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.arity < 1 or self.sym_degree < 1 or self.coeff_degree < 0:
             raise ValueError("invalid slice parameters")
         if self.tag not in SLICE_TAGS:
             raise ValueError(f"slice tag must be one of {SLICE_TAGS}")
+        return self
 
 
 def _positive_compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
@@ -217,8 +221,8 @@ def _rank_of_d(model: FlatModel, arity: int, sym_degree: int, tag: str,
 
 def matrix_of_D(domain: Slice, codomain: Slice) -> RationalMatrix:
     """Matrix of the differential between two tagged slices, in the
-    deterministic monomial bases.  Asserts that every image lies inside
-    the codomain slice (the tagged subcomplex property)."""
+    deterministic monomial bases.  An image outside the codomain slice
+    would break the tagged subcomplex property and raises InvariantError."""
     if (codomain.model != domain.model or codomain.arity != domain.arity + 1
             or codomain.sym_degree != domain.sym_degree
             or codomain.coeff_degree != domain.coeff_degree
@@ -233,8 +237,8 @@ def matrix_of_D(domain: Slice, codomain: Slice) -> RationalMatrix:
         for s2, value in col.items():
             i = index.get((gamma, s2))
             if i is None:
-                raise AssertionError(
-                    f"differential left the tagged slice at {(gamma, s2)}; "
+                raise InvariantError(
+                    f"matrix_of_D: differential left the tagged slice at {(gamma, s2)}; "
                     "the tagged subspaces would fail to form a subcomplex")
             entries[i][j] = Fraction(value)
     return RationalMatrix(entries, cols=len(dom))
@@ -406,20 +410,25 @@ def _require_closed_constraint(phi: SymbolChain) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CocycleClass:
-    """Representative of a degree-2 class: an observable bivector plus a
-    chain of distribution words with one normal letter each."""
-
+class _ClassFields(NamedTuple):
     bivector: MultiVector
     normal_part: SymbolChain
 
-    def __post_init__(self):
+
+class CocycleClass(_ClassFields):
+    """Representative of a degree-2 class: an observable bivector plus a
+    chain of distribution words with one normal letter each."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.bivector.degree != 2 or self.normal_part.arity != 1:
             raise ValueError("need a bivector and an arity-1 chain")
         if not mv_membership(self.bivector, SubspaceTag.WOBS):
             raise NotConstraintError("bivector is not observable")
         _validate_normal_part(self.normal_part)
+        return self
 
 
 def _validate_normal_part(psi: SymbolChain) -> None:
@@ -438,8 +447,7 @@ def _validate_normal_part(psi: SymbolChain) -> None:
             raise ValueError("normal-part coefficients must only use variables on C")
 
 
-@dataclass
-class CocycleDecomposition:
+class CocycleDecomposition(NamedTuple):
     """Exact splitting phi = D(potential) + hkr(bivector) + D(normal part)
     of a closed observable 2-chain."""
 
@@ -486,11 +494,7 @@ def decompose_2cocycle(phi: SymbolChain) -> CocycleDecomposition:
 def class_maps(cls: CocycleClass) -> Tuple[MultiVector, MultiVector]:
     """The two morphisms out of an observable degree-2 class: the ambient
     bivector, and its image on the reduced model."""
-    try:
-        reduced = reduce_multivector(cls.bivector)
-    except NotWobsError:  # pragma: no cover - CocycleClass already validates
-        raise
-    return cls.bivector, reduced
+    return cls.bivector, reduce_multivector(cls.bivector)
 
 
 # ---------------------------------------------------------------------------

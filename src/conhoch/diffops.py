@@ -21,12 +21,11 @@ cross-check between the two routes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-from .errors import ModelMismatchError, UnsupportedTagError
+from .errors import InvariantError, ModelMismatchError, UnsupportedTagError
 from .model import FlatModel, FunctionClass
 from .poly import Exponent, Poly, monomials_of_degree
 from .symbols import (Slots, SubspaceTag, SymbolChain, VectorField, Word,
@@ -111,8 +110,7 @@ class FlatConnection:
         return VectorField(self.model, [x.apply(comp) for comp in y.components])
 
 
-@dataclass
-class SymCovTensor:
+class SymCovTensor(NamedTuple):
     """Symmetrized k-th covariant derivative of a function; for the flat
     connection the entry at a sorted index multiset is the corresponding
     iterated partial derivative."""
@@ -171,7 +169,7 @@ def hochschild_delta(op: MultiDiffOp) -> MultiDiffOp:
     expanded on symbols via the Leibniz rule.  The expansion passes
     through terms with an empty derivative slot (plain multiplication by
     one argument); these cancel in the total because the operator
-    vanishes on constants, which is asserted.
+    vanishes on constants (checked: InvariantError otherwise).
     """
     n = op.arity
     model = op.model
@@ -198,8 +196,8 @@ def hochschild_delta(op: MultiDiffOp) -> MultiDiffOp:
     proper: Dict[Slots, Poly] = {}
     for key, value in augmented.items():
         if any(len(w) == 0 for w in key):
-            raise AssertionError(
-                f"coboundary of a normalized operator kept a constant slot: {key}")
+            raise InvariantError("hochschild_delta: coboundary of a normalized "
+                                 f"operator kept a constant slot: {key}")
         proper[key] = value
     return MultiDiffOp(SymbolChain(model, n + 1, proper))
 

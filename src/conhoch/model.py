@@ -20,8 +20,7 @@ the reduced space R^{n_wobs - n_null}.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import InvariantError, NotWobsError
 from .poly import Exponent, Poly, monomials_of_degree
@@ -39,19 +38,24 @@ class FunctionClass(enum.Enum):
         return order[other] <= order[self]
 
 
-@dataclass(frozen=True)
-class FlatModel:
-    """Dimension triple (n_total, n_wobs, n_null) of a flat constraint model."""
-
+class _Dimensions(NamedTuple):
     n_total: int
     n_wobs: int
     n_null: int
 
-    def __post_init__(self):
+
+class FlatModel(_Dimensions):
+    """Dimension triple (n_total, n_wobs, n_null) of a flat constraint model."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.n_total >= self.n_wobs >= self.n_null >= 0):
             raise ValueError(f"need n_total >= n_wobs >= n_null >= 0, got {self}")
         if self.n_total < 1:
             raise ValueError("n_total must be at least 1")
+        return self
 
     # -- index blocks (1-based, inclusive ranges) -------------------------
 

@@ -18,8 +18,9 @@ labels x1..xn used throughout the package.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]

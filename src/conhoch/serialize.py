@@ -9,12 +9,15 @@ raise ValueError on malformed input (the CLI maps that to exit code 1).
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .diffops import MultiDiffOp
 from .model import FlatModel
 from .poly import Poly
-from .starprod import TruncatedStar
 from .symbols import MultiVector, SymbolChain, VectorField
+
+if TYPE_CHECKING:  # the operator and star decoders import these on first use
+    from .diffops import MultiDiffOp
+    from .starprod import TruncatedStar
 
 
 def model_to_json(model: FlatModel) -> dict:
@@ -87,6 +90,7 @@ def op_to_json(op: MultiDiffOp) -> dict:
 
 
 def op_from_json(data: dict, model: FlatModel) -> MultiDiffOp:
+    from .diffops import MultiDiffOp
     if not isinstance(data, dict) or "symbol" not in data:
         raise ValueError("operator JSON needs a 'symbol'")
     return MultiDiffOp(chain_from_json(data["symbol"], model))
@@ -134,6 +138,7 @@ def star_to_json(star: TruncatedStar) -> dict:
 
 
 def star_from_json(data: dict, model: FlatModel) -> TruncatedStar:
+    from .starprod import TruncatedStar
     if not isinstance(data, dict) or "order" not in data or "cochains" not in data:
         raise ValueError("star product JSON needs 'order' and 'cochains'")
     cochains = [op_from_json(c, model) for c in _items(data, "cochains", "star product")]
@@ -145,10 +150,6 @@ def star_from_json(data: dict, model: FlatModel) -> TruncatedStar:
 # -- human-readable rendering -------------------------------------------------
 
 
-def poly_str(p: Poly) -> str:
-    return str(p)
-
-
 def chain_str(chain: SymbolChain) -> str:
     """Pretty form in the canonical term order, e.g. -1 d1(x)d3."""
     if chain.is_zero():
@@ -156,15 +157,5 @@ def chain_str(chain: SymbolChain) -> str:
     parts = []
     for slots, coeff in chain.sorted_terms():
         words = "(x)".join("v".join(f"d{i}" for i in w) for w in slots)
-        parts.append(f"({coeff}) {words}")
-    return "  +  ".join(parts)
-
-
-def multivector_str(x: MultiVector) -> str:
-    if x.is_zero():
-        return "0"
-    parts = []
-    for idx, coeff in sorted(x.terms.items()):
-        words = "^".join(f"d{i}" for i in idx)
         parts.append(f"({coeff}) {words}")
     return "  +  ".join(parts)

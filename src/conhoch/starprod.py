@@ -23,9 +23,8 @@ closedness, equivalence or classification, which are all linear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .cohomology import (CocycleClass, decompose_2cocycle,
                          find_constraint_potential, find_potential)
@@ -69,8 +68,7 @@ class TruncatedStar:
         return [f * g] + [c.apply([f, g]) for c in self.cochains]
 
 
-@dataclass
-class AssociativityViolation:
+class AssociativityViolation(NamedTuple):
     """Witness of an associativity defect at a given order."""
 
     order: int

@@ -32,9 +32,9 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (InvariantError, ModelMismatchError, NotWobsError,
                      UnsupportedTagError)
@@ -720,8 +720,7 @@ def decompose_sym(chain: SymbolChain) -> Tuple[SymbolChain, SymbolChain]:
     return (SymbolChain(model, 1, w_terms), SymbolChain(model, 1, t_terms))
 
 
-@dataclass
-class Tensor2Decomposition:
+class Tensor2Decomposition(NamedTuple):
     """Canonical splitting of an arity-2 chain.
 
     ``function_wobs_part`` + ``total_not_wobs_part`` always rebuild the

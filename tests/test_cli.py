@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import conhoch
-from conhoch import cli
+from conhoch import cli, cohomology
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -58,6 +58,47 @@ def test_child_imports_package_under_test(tmp_path):
     child = Path(result.stdout.strip()).resolve()
     assert child == Path(conhoch.__file__).resolve(), \
         f"CLI child imports {child}, tests import {conhoch.__file__}"
+
+
+def test_cli_import_loads_only_the_decoders(tmp_path):
+    # start-up guard: the pool, dataclasses (and its inspect) and the
+    # cohomology, star-product and operator modules load only in the
+    # commands that run them
+    code = ("import json, sys; before = set(sys.modules); import conhoch.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    result = _python(["-c", code], cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    loaded = set(json.loads(result.stdout))
+    assert {"conhoch.cli", "conhoch.serialize", "conhoch.symbols"} <= loaded
+    heavy = {"multiprocessing", "dataclasses", "inspect", "conhoch.cohomology",
+             "conhoch.starprod", "conhoch.diffops"}
+    assert not heavy & loaded, sorted(heavy & loaded)
+
+
+def test_lazy_exports_resolve(tmp_path):
+    # in a fresh interpreter, `import *` binds every public name, each the
+    # object getattr returns, and unknown names still raise AttributeError
+    code = ("import json; from conhoch import *; import conhoch; print(json.dumps(["
+            "conhoch.__all__, [n for n in conhoch.__all__ "
+            "if globals().get(n) is not getattr(conhoch, n)], "
+            "hasattr(conhoch, 'no_such_name')]))")
+    result = _python(["-c", code], cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    names, unbound, bogus = json.loads(result.stdout)
+    assert names == conhoch.__all__ and len(set(names)) == len(names) > 0
+    assert unbound == [] and bogus is False
+    assert all(getattr(conhoch, name) is not None for name in names)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["no-such-command", "--model", "3,2,1"], "invalid choice: 'no-such-command'"),
+    (["verify-theorem"], "the following arguments are required: --model"),
+], ids=["unknown-command", "missing-model"])
+def test_usage_error_exits_two(tmp_path, args, message):
+    result = _run(args, cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("usage: conhoch") and message in result.stderr
+    assert result.stdout == ""
 
 
 def _readme_files_and_commands():
@@ -131,7 +172,7 @@ def test_exit_code_one_on_malformed_input(tmp_path):
 
 
 def test_exit_code_two_on_verification_mismatch(monkeypatch, capsys):
-    real = cli.cohomology.hh2_slice_report
+    real = cohomology.hh2_slice_report
 
     def skewed(model, tag, K, c, with_representatives=False):
         report = real(model, tag, K, c, with_representatives=with_representatives)
@@ -139,7 +180,7 @@ def test_exit_code_two_on_verification_mismatch(monkeypatch, capsys):
         report["match"] = False
         return report
 
-    monkeypatch.setattr(cli.cohomology, "hh2_slice_report", skewed)
+    monkeypatch.setattr(cohomology, "hh2_slice_report", skewed)
     rc = cli.main(["verify-theorem", "--model", "3,2,1", "--kmax", "2",
                    "--cmax", "0", "--jobs", "1"])
     assert rc == 2

@@ -14,7 +14,7 @@ from conhoch import (CocycleClass, FlatModel, MultiVector, Poly, Slice,
                      normal_class_basis, slice_basis)
 from conhoch import cohomology
 from conhoch.cohomology import normal_class_monomials, slice_monomials
-from conhoch.errors import (NotCocycleError, NotConstraintError,
+from conhoch.errors import (InvariantError, NotCocycleError, NotConstraintError,
                             PreconditionError, SolveFailureError)
 from conhoch.linalg import RationalMatrix
 
@@ -73,6 +73,15 @@ def test_matrix_of_d_two_shuffle_entries(m321):
 def test_matrix_of_d_rejects_bad_codomain(m321):
     with pytest.raises(PreconditionError):
         matrix_of_D(Slice(m321, 1, 2, 0, "wobs"), Slice(m321, 2, 3, 0, "wobs"))
+
+
+def test_matrix_of_d_escape_is_typed(m321, monkeypatch):
+    # an image of symmetric degree 3 lies outside the K = 2 codomain; the
+    # subcomplex check must be a typed error that python -O keeps
+    monkeypatch.setattr(cohomology, "_image_columns",
+                        lambda model, monomials: [{((1,), (1, 1)): 1} for _ in monomials])
+    with pytest.raises(InvariantError, match="matrix_of_D: differential left"):
+        matrix_of_D(Slice(m321, 1, 2, 0, "wobs"), Slice(m321, 2, 2, 0, "wobs"))
 
 
 def test_tagged_slices_form_subcomplex():
