@@ -30,8 +30,7 @@ _EXPORTS = {
                 "vee", "vee_collapse", "vf_membership", "wedge"),
     "diffops": ("FlatConnection", "MultiDiffOp", "SymCovTensor",
                 "chain_map_check", "hochschild_delta", "op_membership",
-                "op_membership_functional", "sym_cov_derivative"),
-    "linalg": ("RationalMatrix",),
+                "sym_cov_derivative"),
     "cohomology": ("CocycleClass", "CocycleDecomposition", "Slice",
                    "bivector_slice_basis", "class_maps",
                    "classified_hh2_dimension", "decompose_2cocycle",

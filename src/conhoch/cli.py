@@ -46,7 +46,10 @@ def _load(path: Optional[str]) -> dict:
     if path is None:
         raise ValueError("this command needs --in FILE")
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return data
 
 
 def _resolve_jobs(flag: Optional[int]) -> int:
@@ -78,8 +81,7 @@ def emit_report(result: dict, fmt: str = "json") -> str:
     if fmt == "json":
         return json.dumps(result, indent=2, sort_keys=True) + "\n"
     if isinstance(result, dict) and (
-            ("arity" in result and "terms" in result)
-            or ("degree" in result and "terms" in result)
+            (("arity" in result or "degree" in result) and "terms" in result)
             or set(result) == {"symbol"} or set(result) == {"terms"}):
         return _cell(result) + "\n"
     rows = result.get("rows")
@@ -106,26 +108,18 @@ def _pretty_poly(data: dict) -> str:
     return str(Poly(nvars, {tuple(t["exp"]): Fraction(*t["coeff"]) for t in terms}))
 
 
-def _pretty_chain(data: dict) -> str:
-    terms = data.get("terms", [])
-    if not terms:
-        return "0"
+def _pretty_terms(data: dict) -> str:
+    """Terms of a symbol chain (slot words joined by (x), letters by v)
+    or of a multivector (indices joined by ^), each as (coefficient)
+    words, joined by +."""
     parts = []
-    for t in terms:
-        words = "(x)".join("v".join(f"d{i}" for i in w) for w in t["slots"])
+    for t in data["terms"]:
+        if "slots" in t:
+            words = "(x)".join("v".join(f"d{i}" for i in w) for w in t["slots"])
+        else:
+            words = "^".join(f"d{i}" for i in t["indices"])
         parts.append(f"({_pretty_poly(t['coeff_poly'])}) {words}")
-    return "  +  ".join(parts)
-
-
-def _pretty_multivector(data: dict) -> str:
-    terms = data.get("terms", [])
-    if not terms:
-        return "0"
-    parts = []
-    for t in terms:
-        words = "^".join(f"d{i}" for i in t["indices"])
-        parts.append(f"({_pretty_poly(t['coeff_poly'])}) {words}")
-    return "  +  ".join(parts)
+    return "  +  ".join(parts) or "0"
 
 
 def _cell(value) -> str:
@@ -134,10 +128,8 @@ def _cell(value) -> str:
     if isinstance(value, dict):
         if "symbol" in value and isinstance(value["symbol"], dict):
             return _cell(value["symbol"])
-        if "arity" in value and "terms" in value:
-            return _pretty_chain(value)
-        if "degree" in value and "terms" in value:
-            return _pretty_multivector(value)
+        if ("arity" in value or "degree" in value) and "terms" in value:
+            return _pretty_terms(value)
         if set(value) == {"terms"}:
             return _pretty_poly(value)
         return json.dumps(value, sort_keys=True)
@@ -319,7 +311,7 @@ def _cmd_star_equiv(model, args) -> dict:
     try:
         a = serialize.star_from_json(data["star"], model)
         b = serialize.star_from_json(data["star_prime"], model)
-        agree_to = int(data.get("agree_to", 0))
+        agree_to = serialize.json_integer(data.get("agree_to", 0), "'agree_to'")
     except KeyError as exc:
         raise ValueError(f"star-equiv input needs 'star' and 'star_prime': {exc}") from exc
     report = starprod.equivalence_report(a, b, agree_to)

@@ -14,7 +14,9 @@ Two more facts make the blocks small and few:
   it keeps the multiset of letters across all slots (the letter
   content).  Each per-coefficient block is therefore block-diagonal
   over letter contents, and :func:`_image_columns` builds one integer
-  sparse column per domain word straight from the shuffles.
+  sparse column per domain word with
+  :func:`~conhoch.symbols.unit_differential`, the same expansion that
+  :func:`~conhoch.symbols.differential_d` applies to every term.
 * The (d, t) rank cache.  Which words lie in a tagged window depends on
   the coefficient monomial only through its distribution and normal
   unit counts (d, t), so the rank of the differential on a tagged
@@ -47,13 +49,13 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (InvariantError, NotCocycleError, NotConstraintError,
                      PreconditionError, SolveFailureError)
-from .linalg import RationalMatrix, sparse_rank, sparse_solve
+from .linalg import sparse_rank, sparse_solve
 from .model import FlatModel, FunctionClass
 from .poly import Exponent, Poly, monomials_of_degree
 from .symbols import (MultiVector, Slots, SubspaceTag, SymbolChain, Word,
                       chain_membership, decompose_sym, differential_d, hkr,
                       monomial_member, mv_membership, mv_monomial_member, pr1,
-                      pr1_top, reduce_multivector, shuffle_pairs)
+                      pr1_top, reduce_multivector, unit_differential)
 
 SLICE_TAGS = ("total", "wobs", "null")
 
@@ -163,16 +165,6 @@ def _letter_content(slots: Slots) -> Word:
     return tuple(sorted(itertools.chain.from_iterable(slots)))
 
 
-@lru_cache(maxsize=None)
-def _word_splits(word: Word) -> Tuple[Tuple[Word, Word, int], ...]:
-    """The distinct (left, right) splittings of a word with their shuffle
-    multiplicities."""
-    counts: Dict[Tuple[Word, Word], int] = {}
-    for pair in shuffle_pairs(word):
-        counts[pair] = counts.get(pair, 0) + 1
-    return tuple((left, right, n) for (left, right), n in counts.items())
-
-
 def _image_columns(model: FlatModel, monomials: Sequence[Tuple[Exponent, Slots]]
                    ) -> List[Dict[Slots, int]]:
     """Images under the differential of the given basis monomials with
@@ -180,17 +172,7 @@ def _image_columns(model: FlatModel, monomials: Sequence[Tuple[Exponent, Slots]]
     tuples; the coefficient monomial rides along unchanged, so it does
     not enter the columns.  The model is part of the signature the
     callers share; the shuffles themselves do not depend on it."""
-    columns: List[Dict[Slots, int]] = []
-    for _, slots in monomials:
-        col: Dict[Slots, int] = {}
-        for i, word in enumerate(slots):
-            sign = 1 if i % 2 else -1  # (-1)^i for the 1-based slot i + 1
-            head, tail = slots[:i], slots[i + 1:]
-            for left, right, n in _word_splits(word):
-                key = head + (left, right) + tail
-                col[key] = col.get(key, 0) + sign * n
-        columns.append({k: v for k, v in col.items() if v})
-    return columns
+    return [unit_differential(slots) for _, slots in monomials]
 
 
 @lru_cache(maxsize=None)
@@ -219,29 +201,32 @@ def _rank_of_d(model: FlatModel, arity: int, sym_degree: int, tag: str,
                for words in blocks.values())
 
 
-def matrix_of_D(domain: Slice, codomain: Slice) -> RationalMatrix:
+def matrix_of_D(domain: Slice, codomain: Slice) -> List[Dict[int, int]]:
     """Matrix of the differential between two tagged slices, in the
-    deterministic monomial bases.  An image outside the codomain slice
-    would break the tagged subcomplex property and raises InvariantError."""
+    deterministic monomial bases, as the sparse integer columns that
+    :func:`~conhoch.linalg.sparse_rank` takes: one dict per domain
+    monomial, keyed by row index in ``slice_monomials(codomain)``.  An
+    image outside the codomain slice would break the tagged subcomplex
+    property and raises InvariantError."""
     if (codomain.model != domain.model or codomain.arity != domain.arity + 1
             or codomain.sym_degree != domain.sym_degree
             or codomain.coeff_degree != domain.coeff_degree
             or codomain.tag != domain.tag):
         raise PreconditionError("codomain must be the domain slice with arity + 1")
     dom = slice_monomials(domain)
-    cod = slice_monomials(codomain)
-    index = {key: i for i, key in enumerate(cod)}
-    zero = Fraction(0)
-    entries = [[zero] * len(dom) for _ in cod]
-    for j, ((gamma, _), col) in enumerate(zip(dom, _image_columns(domain.model, dom))):
+    index = {key: i for i, key in enumerate(slice_monomials(codomain))}
+    columns: List[Dict[int, int]] = []
+    for (gamma, _), col in zip(dom, _image_columns(domain.model, dom)):
+        rows: Dict[int, int] = {}
         for s2, value in col.items():
             i = index.get((gamma, s2))
             if i is None:
                 raise InvariantError(
                     f"matrix_of_D: differential left the tagged slice at {(gamma, s2)}; "
                     "the tagged subspaces would fail to form a subcomplex")
-            entries[i][j] = Fraction(value)
-    return RationalMatrix(entries, cols=len(dom))
+            rows[i] = value
+        columns.append(rows)
+    return columns
 
 
 def hh_dimension(model: FlatModel, tag: SubspaceTag, degree: int,

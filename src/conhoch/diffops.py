@@ -23,10 +23,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, NamedTuple, Sequence, Tuple
 
 from .errors import InvariantError, ModelMismatchError, UnsupportedTagError
-from .model import FlatModel, FunctionClass
+from .model import FlatModel
 from .poly import Exponent, Poly, monomials_of_degree
 from .symbols import (Slots, SubspaceTag, SymbolChain, VectorField, Word,
                       chain_membership, differential_d, vee)
@@ -241,7 +241,7 @@ def compose_symbols(outer: SymbolChain, inner: SymbolChain, slot: int) -> Symbol
 
 
 # ---------------------------------------------------------------------------
-# functional evaluation windows and the chain-map check
+# evaluation on monomial arguments and the chain-map check
 # ---------------------------------------------------------------------------
 
 
@@ -297,31 +297,12 @@ def apply_to_monomials(op: MultiDiffOp, args: Sequence[Exponent]) -> Dict[Expone
     return result
 
 
-def operators_equal_on_window(a: MultiDiffOp, b: MultiDiffOp,
-                              max_total_degree: int) -> bool:
-    """Compare two operators by evaluating on every tuple of monomials up
-    to the given total degree."""
-    if a.arity != b.arity or a.model != b.model:
-        return False
-    for args in monomial_argument_tuples(a.model, a.arity, max_total_degree):
-        if apply_to_monomials(a, args) != apply_to_monomials(b, args):
-            return False
-    return True
-
-
-def sufficiency_degree(chain: SymbolChain) -> int:
-    """Evaluation-degree window that separates operators of the given
-    order and coefficient degree: max operator order + coefficient
-    degree + 1."""
-    return chain.max_total_order() + max(chain.max_coeff_degree(), 0) + 1
-
-
 def chain_map_check(phi: SymbolChain) -> bool:
-    """Verify Op(D phi) = delta(Op(phi)) as operators, by evaluating both
-    sides on all monomial tuples up to the sufficiency degree."""
-    lhs = MultiDiffOp(differential_d(phi))
-    rhs = hochschild_delta(MultiDiffOp(phi))
-    return operators_equal_on_window(lhs, rhs, sufficiency_degree(phi))
+    """Verify Op(D phi) = delta(Op(phi)) exactly, on symbols: a normalized
+    multi-differential operator is determined by its symbol (Hochschild,
+    Kostant and Rosenberg 1962; Gerstenhaber 1963), and both sides are
+    symbols already."""
+    return differential_d(phi) == hochschild_delta(MultiDiffOp(phi)).symbol
 
 
 # ---------------------------------------------------------------------------
@@ -335,34 +316,3 @@ def op_membership(op: MultiDiffOp, tag: SubspaceTag) -> bool:
     if tag not in (SubspaceTag.WOBS, SubspaceTag.NULL):
         raise UnsupportedTagError("operators carry only wobs/null tags")
     return chain_membership(op.symbol, tag)
-
-
-def op_membership_functional(op: MultiDiffOp, tag: SubspaceTag,
-                             max_degree: int = 4) -> bool:
-    """Independent functional oracle for operator membership: test the
-    defining conditions on the monomial bases of the function classes
-    up to the given per-argument degree.
-
-    Observable operators send observable arguments to observables and
-    send any tuple with a null argument (others observable) to nulls;
-    null operators send observable tuples to nulls.
-    """
-    if tag not in (SubspaceTag.WOBS, SubspaceTag.NULL):
-        raise UnsupportedTagError("operators carry only wobs/null tags")
-    model = op.model
-    wobs_monomials: List[Poly] = []
-    for degree in range(1, max_degree + 1):
-        wobs_monomials.extend(model.function_slice_basis(FunctionClass.WOBS, degree))
-    for args in itertools.product(wobs_monomials, repeat=op.arity):
-        value = op.apply(list(args))
-        value_class = model.classify_function(value)
-        if tag is SubspaceTag.NULL:
-            if not FunctionClass.NULL.contains(value_class):
-                return False
-            continue
-        if not FunctionClass.WOBS.contains(value_class):
-            return False
-        if any(model.classify_function(f) is FunctionClass.NULL for f in args):
-            if not FunctionClass.NULL.contains(value_class):
-                return False
-    return True

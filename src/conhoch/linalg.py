@@ -1,24 +1,22 @@
 """Exact rational linear algebra.
 
-Two exact routes live here, and neither takes a modular or
-floating-point step:
+:func:`sparse_rank` and :func:`sparse_solve` form the library's only
+eliminator, used for the differential, whose blocks are almost entirely
+zero.  A matrix is a sequence of columns, each a dict from row keys to
+int or Fraction entries.  Each column is scaled to integers and reduced
+against the pivot columns found so far by fraction-free integer
+cross-multiplication (in the style of Bareiss 1968, with the common
+content divided out instead of the previous pivot), so the pivots are
+exactly the earliest independent columns - the basic columns of the
+reduced row echelon form.  A solve sets every other variable to 0.  No
+step is modular or floating point.
 
-* :class:`RationalMatrix` is dense.  Its rank uses fraction-free
-  (Bareiss) Gaussian elimination on an integer-scaled copy of the
-  matrix; kernels and linear solves use reduced row echelon form over
-  Fraction.  Pivoting is deterministic (first nonzero entry in
-  row-major scan order), so bases of kernels and particular solutions
-  are reproducible across runs.
-* :func:`sparse_rank` and :func:`sparse_solve` form the sparse kernel
-  used for the differential, whose blocks are almost entirely zero.
-  A matrix is a sequence of columns, each a dict from row keys to int or
-  Fraction entries.  Each column is scaled to integers and reduced
-  against the pivot columns found so far by fraction-free integer
-  cross-multiplication (in the style of Bareiss 1968, with the common
-  content divided out instead of the previous pivot), so the pivots are
-  exactly the earliest independent columns - the basic columns of the
-  reduced row echelon form.  A solve sets every other variable to 0 and
-  therefore returns the same vector as :meth:`RationalMatrix.solve`.
+:class:`RationalMatrix` is the dense reference that the tests compare
+the sparse kernel against: Bareiss rank on an integer-scaled copy, and
+solves through the reduced row echelon form over Fraction, with the
+same first-nonzero pivoting and free variables set to 0.  No library
+code uses it.  It stays in this module, rather than in the tests, only
+because the benchmark's tracer wraps its methods by name.
 """
 
 from __future__ import annotations
@@ -33,7 +31,8 @@ SparseColumn = Mapping[Hashable, Number]
 
 
 class RationalMatrix:
-    """Dense matrix with Fraction entries."""
+    """Dense matrix with Fraction entries: the test reference for the
+    sparse kernel."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -49,26 +48,15 @@ class RationalMatrix:
         else:
             self.cols = cols if cols is not None else 0
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Fraction]], rows: int) -> "RationalMatrix":
-        entries = [[Fraction(col[r]) for col in columns] for r in range(rows)]
-        return cls(entries, cols=len(columns))
-
-    def column(self, j: int) -> Vector:
-        return [self.entries[i][j] for i in range(self.rows)]
-
-    def _integer_copy(self) -> List[List[int]]:
-        out = []
+    def rank(self) -> int:
+        """Rank via fraction-free Bareiss elimination over the integers,
+        on a copy with each row scaled by the lcm of its denominators."""
+        m = []
         for row in self.entries:
             denom_lcm = 1
             for x in row:
                 denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-            out.append([int(x * denom_lcm) for x in row])
-        return out
-
-    def rank(self) -> int:
-        """Rank via fraction-free Bareiss elimination over the integers."""
-        m = self._integer_copy()
+            m.append([int(x * denom_lcm) for x in row])
         rows, cols = self.rows, self.cols
         rank = 0
         prev = 1
@@ -120,25 +108,6 @@ class RationalMatrix:
                 break
         return m, pivots
 
-    def kernel_basis(self) -> List[Vector]:
-        """Basis of the right kernel, one vector per free column, with the
-        free variable set to 1 (deterministic order)."""
-        rref, pivots = self.rref()
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            vec = [Fraction(0)] * self.cols
-            vec[free] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                vec[pc] = -rref[r][free]
-            basis.append(vec)
-        return basis
-
-    def nullity(self) -> int:
-        return self.cols - self.rank()
-
     def solve(self, rhs: Sequence[Fraction]) -> Optional[Vector]:
         """One exact solution of A x = rhs (free variables set to 0), or
         None when the system is inconsistent."""
@@ -153,9 +122,6 @@ class RationalMatrix:
         for r, pc in enumerate(pivots):
             solution[pc] = rref[r][self.cols]
         return solution
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}x{self.cols})"
 
 
 # ---------------------------------------------------------------------------

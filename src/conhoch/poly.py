@@ -121,12 +121,6 @@ class Poly:
         """Terms in canonical order: graded lexicographic, largest first."""
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
 
-    def homogeneous_part(self, degree: int) -> "Poly":
-        return Poly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == degree})
-
-    def homogeneous_degrees(self) -> List[int]:
-        return sorted({sum(e) for e in self.terms})
-
     def coefficient(self, exp: Exponent) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
 

@@ -20,13 +20,25 @@ if TYPE_CHECKING:  # the operator and star decoders import these on first use
     from .starprod import TruncatedStar
 
 
+def json_integer(value, what: str) -> int:
+    """An integer field of a JSON document: a JSON integer, or a number
+    with an integral value such as 2.0.  Booleans, strings, fractional
+    numbers and infinities are malformed input."""
+    if type(value) is int:  # not bool, a subclass of int
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def model_to_json(model: FlatModel) -> dict:
     return {"n_total": model.n_total, "n_wobs": model.n_wobs, "n_null": model.n_null}
 
 
 def model_from_json(data: dict) -> FlatModel:
     try:
-        return FlatModel(int(data["n_total"]), int(data["n_wobs"]), int(data["n_null"]))
+        return FlatModel(*(json_integer(data[key], key)
+                           for key in ("n_total", "n_wobs", "n_null")))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model: {exc}") from exc
 
@@ -51,8 +63,9 @@ def poly_from_json(data: dict, nvars: int) -> Poly:
     for item in _items(data, "terms", "polynomial"):
         try:
             num, den = item["coeff"]
-            coeff = Fraction(int(num), int(den))
-            exp = tuple(int(e) for e in item["exp"])
+            coeff = Fraction(json_integer(num, "a coefficient"),
+                             json_integer(den, "a coefficient"))
+            exp = tuple(json_integer(e, "an exponent") for e in item["exp"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed polynomial term {item}: {exc}") from exc
         if len(exp) != nvars:
@@ -70,12 +83,13 @@ def chain_to_json(chain: SymbolChain) -> dict:
 def chain_from_json(data: dict, model: FlatModel) -> SymbolChain:
     if not isinstance(data, dict) or "arity" not in data or "terms" not in data:
         raise ValueError("symbol chain JSON needs 'arity' and 'terms'")
-    arity = int(data["arity"])
+    arity = json_integer(data["arity"], "'arity'")
     terms = []
     for item in _items(data, "terms", "symbol chain"):
         try:
             coeff = poly_from_json(item["coeff_poly"], model.n_total)
-            slots = tuple(tuple(sorted(int(i) for i in w)) for w in item["slots"])
+            slots = tuple(tuple(sorted(json_integer(i, "a slot letter") for i in w))
+                          for w in item["slots"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed chain term {item}: {exc}") from exc
         terms.append((slots, coeff))
@@ -123,12 +137,12 @@ def multivector_from_json(data: dict, model: FlatModel) -> MultiVector:
     for item in _items(data, "terms", "multivector"):
         try:
             coeff = poly_from_json(item["coeff_poly"], model.n_total)
-            idx = tuple(int(i) for i in item["indices"])
+            idx = tuple(json_integer(i, "an index") for i in item["indices"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed multivector term {item}: {exc}") from exc
         terms.append((idx, coeff))
     try:
-        return MultiVector(model, int(data["degree"]), terms)
+        return MultiVector(model, json_integer(data["degree"], "'degree'"), terms)
     except IndexError as exc:
         raise ValueError(f"multivector does not fit model {model}: {exc}") from exc
 
@@ -142,20 +156,7 @@ def star_from_json(data: dict, model: FlatModel) -> TruncatedStar:
     if not isinstance(data, dict) or "order" not in data or "cochains" not in data:
         raise ValueError("star product JSON needs 'order' and 'cochains'")
     cochains = [op_from_json(c, model) for c in _items(data, "cochains", "star product")]
-    if len(cochains) != int(data["order"]):
+    if len(cochains) != json_integer(data["order"], "'order'"):
         raise ValueError("'order' does not match the number of cochains")
     return TruncatedStar(model, cochains)
 
-
-# -- human-readable rendering -------------------------------------------------
-
-
-def chain_str(chain: SymbolChain) -> str:
-    """Pretty form in the canonical term order, e.g. -1 d1(x)d3."""
-    if chain.is_zero():
-        return "0"
-    parts = []
-    for slots, coeff in chain.sorted_terms():
-        words = "(x)".join("v".join(f"d{i}" for i in w) for w in slots)
-        parts.append(f"({coeff}) {words}")
-    return "  +  ".join(parts)

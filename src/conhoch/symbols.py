@@ -34,6 +34,7 @@ import itertools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (InvariantError, ModelMismatchError, NotWobsError,
@@ -341,14 +342,9 @@ class SymbolChain:
         return SymbolChain(self.model, self.arity,
                            {k: v * q for k, v in self.terms.items()})
 
-    def mul_poly(self, f: Poly) -> "SymbolChain":
-        return SymbolChain(self.model, self.arity,
-                           {k: v * f for k, v in self.terms.items()})
-
     def tensor(self, other: "SymbolChain") -> "SymbolChain":
         """Concatenation of tensor slots (coefficients multiply)."""
         _same_model(self.model, other.model)
-        out: Dict[Slots, Poly] = {}
         terms = []
         for sa, ca in self.terms.items():
             for sb, cb in other.terms.items():
@@ -373,9 +369,6 @@ class SymbolChain:
 
     def sym_degrees(self) -> List[int]:
         return sorted({sum(len(w) for w in s) for s in self.terms})
-
-    def max_slot_order(self) -> int:
-        return max((len(w) for s in self.terms for w in s), default=0)
 
     def max_total_order(self) -> int:
         return max((sum(len(w) for w in s) for s in self.terms), default=0)
@@ -469,17 +462,39 @@ def shuffle_coproduct(model: FlatModel, word: Sequence[int],
     return SymbolChain(model, 2, terms)
 
 
+@lru_cache(maxsize=None)
+def _word_splits(word: Word) -> Tuple[Tuple[Word, Word, int], ...]:
+    """The distinct (left, right) splittings of a word with their shuffle
+    multiplicities."""
+    counts: Dict[Tuple[Word, Word], int] = {}
+    for pair in shuffle_pairs(word):
+        counts[pair] = counts.get(pair, 0) + 1
+    return tuple((left, right, n) for (left, right), n in counts.items())
+
+
+def unit_differential(slots: Slots) -> Dict[Slots, int]:
+    """The differential of the monomial chain with these slot words and
+    unit coefficient, as integer coefficients keyed by image slot tuples.
+    Splitting slot i (1-based) gives a shorter word at position i than
+    splitting any later slot, so no two splittings share a key and no
+    entry cancels."""
+    out: Dict[Slots, int] = {}
+    for i, word in enumerate(slots):
+        sign = 1 if i % 2 else -1  # (-1)^i for the 1-based slot i + 1
+        head, tail = slots[:i], slots[i + 1:]
+        for left, right, n in _word_splits(word):
+            out[head + (left, right) + tail] = sign * n
+    return out
+
+
 def differential_d(chain: SymbolChain) -> SymbolChain:
     """The tensor differential: alternating sum over slots of the reduced
     shuffle coproduct, with sign (-1)^i at slot i (1-based).  Raises the
     arity by one and preserves total symmetric degree and coefficients."""
     out_terms: List[Tuple[Slots, Poly]] = []
     for slots, coeff in chain.terms.items():
-        for i, word in enumerate(slots, start=1):
-            sign = -1 if i % 2 else 1
-            for left, right in shuffle_pairs(word):
-                new_slots = slots[: i - 1] + (left, right) + slots[i:]
-                out_terms.append((new_slots, coeff * sign))
+        for image, n in unit_differential(slots).items():
+            out_terms.append((image, coeff * n))
     return SymbolChain(chain.model, chain.arity + 1, out_terms)
 
 
@@ -632,19 +647,15 @@ def in_function_span_wobs(chain: SymbolChain) -> bool:
     """Membership in the span of observable chains with arbitrary smooth
     (polynomial) prefactors: the observable condition with the
     distribution-variable restriction on the coefficient waived (the
-    prefactor absorbs those variables).  Together with the prolonged
+    prefactor absorbs those variables), so each monomial is tested as if
+    its coefficient had no distribution units.  Together with the prolonged
     normal block this space decomposes the whole slice, monomial by
     monomial."""
     model = chain.model
-    for gamma, slots, _ in chain.monomials():
-        _, _, t = model.unit_counts(gamma)
-        profiles = [_slot_profile(model, w) for w in slots]
-        if t >= 1 or any(nd >= 1 and nt == 0 for nd, _, nt in profiles):
-            continue
-        if all(nt == 0 for _, _, nt in profiles):
-            continue
-        return False
-    return True
+    return all(_tensor_member(0, model.unit_counts(gamma)[2],
+                              tuple(_slot_profile(model, w) for w in slots),
+                              SubspaceTag.WOBS)
+               for gamma, slots, _ in chain.monomials())
 
 
 def vf_membership(x: VectorField, tag: SubspaceTag) -> bool:

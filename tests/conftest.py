@@ -71,6 +71,9 @@ def rand_word(rng: random.Random, model: FlatModel, length: int) -> Tuple[int, .
 def rand_chain(rng: random.Random, model: FlatModel, arity: int,
                max_sym_degree: int, max_coeff_degree: int,
                n_terms: int = 2) -> SymbolChain:
+    if max_sym_degree < arity:
+        raise ValueError(f"every one of {arity} slots needs symmetric degree >= 1, "
+                         f"so max_sym_degree {max_sym_degree} is too small")
     terms = []
     for _ in range(n_terms):
         lengths = [rng.randint(1, max(1, max_sym_degree - arity + 1))

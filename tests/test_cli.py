@@ -283,6 +283,12 @@ def test_reduce_multivector_command(tmp_path):
     assert data["kind"] == "multivector"
     assert data["reduced_model"] == {"n_total": 2, "n_wobs": 2, "n_null": 0}
     assert data["result"]["terms"][0]["indices"] == [1, 2]
+    table = _run(["reduce", "--model", "4,3,1", "--in", "biv.json", "--format", "table"],
+                 cwd=tmp_path)
+    assert table.returncode == 0
+    assert table.stdout == ('kind: multivector\n'
+                            'reduced_model: {"n_null": 0, "n_total": 2, "n_wobs": 2}\n'
+                            'result: (1) d1^d2\n')
 
 
 def test_jobs_default_from_environment(tmp_path):
@@ -308,9 +314,24 @@ _ONE = {"terms": [{"coeff": [1, 1], "exp": [0, 0, 0]}]}
     ("classify-function", {"terms": [{"coeff": [1, 0], "exp": [0, 0, 0]}]}),
     ("classify-function", {"terms": 5}),
     ("classify-symbol", {"arity": 1, "terms": [{"coeff_poly": _ONE, "slots": [[9]]}]}),
-], ids=["zero-denominator", "terms-not-an-array", "letter-out-of-range"])
+    ("bigd", {"arity": None, "terms": []}),
+    ("bigd", {"arity": [1], "terms": []}),
+    ("bigd", {"arity": 1, "terms": [{"coeff_poly": _ONE, "slots": [[1.5]]}]}),
+    ("hkr", {"degree": None, "terms": []}),
+    ("star-check", {"order": [1], "cochains": []}),
+    ("classify-function", '{"terms": [{"coeff": [1e400, 1], "exp": [0, 0, 0]}]}'),
+    ("classify-function", '{"terms": [{"coeff": [1, 1], "exp": [1e400, 0, 0]}]}'),
+    ("reduce", 5),
+    ("star-equiv", {"star": {"order": 0, "cochains": []},
+                    "star_prime": {"order": 0, "cochains": []}, "agree_to": None}),
+], ids=["zero-denominator", "terms-not-an-array", "letter-out-of-range",
+        "arity-null", "arity-array", "fractional-letter", "degree-null",
+        "order-array", "coefficient-1e400", "exponent-1e400",
+        "document-not-an-object", "agree-to-null"])
 def test_malformed_document_is_an_input_error(tmp_path, command, document):
-    (tmp_path / "doc.json").write_text(json.dumps(document))
+    # a str is the document's raw text, for numbers json.dumps cannot write
+    text = document if isinstance(document, str) else json.dumps(document)
+    (tmp_path / "doc.json").write_text(text)
     result = _run([command, "--model", "3,2,1", "--in", "doc.json"], cwd=tmp_path)
     _assert_input_error(result)
 

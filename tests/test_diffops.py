@@ -4,14 +4,16 @@ chain-map identity between the two independent routes."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conhoch import (FlatConnection, FlatModel, MultiDiffOp, Poly, SubspaceTag,
                      SymbolChain, chain_map_check, differential_d,
-                     hochschild_delta, op_membership, op_membership_functional,
-                     sym_cov_derivative, vf_membership)
-from conhoch.diffops import operators_equal_on_window, sufficiency_degree
+                     hochschild_delta, op_membership, sym_cov_derivative,
+                     vf_membership)
 
-from conftest import rand_chain, rand_field_in_class, var
+from conftest import all_models, rand_chain, rand_field_in_class, var
+from reference import (op_membership_functional, operators_equal_on_window,
+                       sufficiency_degree)
 
 
 def test_sym_cov_derivative_examples(m321):
@@ -120,6 +122,35 @@ def test_chain_map_randomized_symbol_level(m321):
     for _ in range(100):
         chain = rand_chain(rng, m321, rng.randint(1, 2), 3, 2)
         assert hochschild_delta(MultiDiffOp(chain)).symbol == differential_d(chain)
+
+
+@st.composite
+def chains(draw, max_arity=3, max_sym_degree=4):
+    """A random chain of arity 1..max_arity on a model with at most four
+    coordinates: up to three terms, total symmetric degree at most
+    max_sym_degree, monomial coefficients of degree at most one."""
+    model = draw(st.sampled_from(all_models(4)))
+    arity = draw(st.integers(1, max_arity))
+    n = model.n_total
+    word = st.lists(st.integers(1, n), min_size=1, max_size=max_sym_degree - arity + 1)
+    slots = st.lists(word, min_size=arity, max_size=arity).filter(
+        lambda ws: sum(map(len, ws)) <= max_sym_degree)
+    exponent = st.integers(0, n).map(lambda i: tuple(int(j == i) for j in range(1, n + 1)))
+    scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    terms = draw(st.lists(st.tuples(slots, exponent, scalar), max_size=3))
+    return SymbolChain(model, arity, [(tuple(tuple(sorted(w)) for w in ws),
+                                       Poly.monomial(e, q)) for ws, e, q in terms])
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains())
+def test_differentials_square_to_zero_and_commute(chain):
+    # D o D = 0, delta o delta = 0 and Op(D phi) = delta(Op phi), each
+    # decided exactly on symbols
+    assert differential_d(differential_d(chain)).is_zero()
+    op = MultiDiffOp(chain)
+    assert hochschild_delta(hochschild_delta(op)).is_zero()
+    assert chain_map_check(chain)
 
 
 def test_functional_window_separates_operators(m321):

@@ -9,12 +9,13 @@ import pytest
 from conhoch import (FlatModel, FunctionClass, MultiDiffOp, MultiVector, Poly,
                      SubspaceTag, SymbolChain, VectorField, bracket,
                      chain_membership, monomial_member, mv_membership,
-                     op_membership_functional, vf_membership)
+                     vf_membership)
 from conhoch.errors import UnsupportedTagError
 from conhoch.poly import monomials_up_to_degree
 from conhoch.symbols import mv_monomial_member
 
 from conftest import all_models, monomial_field, rand_poly, var
+from reference import op_membership_functional
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""JSON round trips for every interface object."""
+"""JSON round trips for every interface object, and the decoders on
+malformed input."""
 
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conhoch import (FlatModel, MultiDiffOp, MultiVector, Poly, SymbolChain,
-                     TruncatedStar, VectorField, hkr)
-from conhoch.serialize import (chain_from_json, chain_str, chain_to_json,
+                     TruncatedStar, VectorField, hkr, serialize)
+from conhoch.serialize import (chain_from_json, chain_to_json,
                                field_from_json, field_to_json, model_from_json,
                                model_to_json, multivector_from_json,
                                multivector_to_json, op_from_json, op_to_json,
@@ -91,8 +93,65 @@ def test_field_validation(m321):
         field_from_json({"components": [poly_to_json(Poly.zero(3))]}, m321)
 
 
-def test_chain_str_canonical_order(m321):
-    chain = (SymbolChain.from_term(m321, [(3,), (1,)], -1)
-             + SymbolChain.from_term(m321, [(1,), (3,)], -1))
-    assert chain_str(chain) == "(-1) d1(x)d3  +  (-1) d3(x)d1"
-    assert chain_str(SymbolChain.zero(m321, 2)) == "0"
+# ---------------------------------------------------------------------------
+# decoders on generated JSON
+# ---------------------------------------------------------------------------
+
+#: scalars that JSON can carry, with small integers most often; floats
+#: include fractions, infinities (1e400 parses as inf) and NaN
+_scalars = st.one_of(st.integers(-1, 4), st.integers(-1, 4), st.integers(),
+                     st.none(), st.booleans(), st.floats(), st.text(max_size=2))
+_json_values = st.recursive(
+    _scalars, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3), max_leaves=8)
+
+
+def _array_or(values):
+    return st.lists(values, max_size=3) | _scalars
+
+
+def _doc(**fields):
+    return st.fixed_dictionaries({k: v | _scalars for k, v in fields.items()})
+
+
+_poly_docs = _doc(terms=_array_or(_doc(coeff=_array_or(_scalars),
+                                       exp=_array_or(_scalars))))
+_chain_docs = _doc(arity=_scalars,
+                   terms=_array_or(_doc(coeff_poly=_poly_docs,
+                                        slots=_array_or(_array_or(_scalars)))))
+_op_docs = _doc(symbol=_chain_docs)
+_documents = st.one_of(
+    _json_values, _poly_docs, _chain_docs, _op_docs,
+    _doc(n_total=_scalars, n_wobs=_scalars, n_null=_scalars),
+    _doc(components=_array_or(_poly_docs)),
+    _doc(degree=_scalars, terms=_array_or(_doc(coeff_poly=_poly_docs,
+                                               indices=_array_or(_scalars)))),
+    _doc(order=_scalars, cochains=_array_or(_op_docs)))
+
+_M321 = FlatModel(3, 2, 1)
+_DECODER_ARGS = {"model_from_json": (), "poly_from_json": (3,)}
+_DECODERS = sorted(name for name in vars(serialize) if name.endswith("_from_json"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_DECODERS), _documents)
+def test_decoders_return_or_raise_value_error(name, document):
+    # malformed input must surface as ValueError, which the CLI reports
+    # as a one-line error, never as another exception
+    decode = getattr(serialize, name)
+    args = _DECODER_ARGS.get(name, (_M321,))
+    try:
+        decode(json.loads(json.dumps(document)), *args)
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize("value, expected", [(2, 2), (2.0, 2), (-1, -1)])
+def test_json_integer_accepts_integral_numbers(value, expected):
+    assert serialize.json_integer(value, "x") == expected
+
+
+@pytest.mark.parametrize("value", [1.5, float("inf"), float("nan"), True, None, "2", [2]])
+def test_json_integer_rejects_everything_else(value):
+    with pytest.raises(ValueError, match="x must be an integer"):
+        serialize.json_integer(value, "x")

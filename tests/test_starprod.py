@@ -16,10 +16,10 @@ from conhoch import (FlatModel, MultiDiffOp, MultiVector, Poly, SubspaceTag,
                      poisson_from_star)
 from conhoch import starprod
 from conhoch.cohomology import normal_class_basis
-from conhoch.diffops import monomial_argument_tuples
 from conhoch.errors import NotClosedError, NotConstraintError, PreconditionError
 
 from conftest import rand_fraction, rand_tagged_chain, var
+from reference import sampled_defects
 
 
 def _hkr_star(model, indices):
@@ -84,21 +84,6 @@ def test_order_one_defect_is_the_coboundary(m321):
             assert functional.defect == -delta.apply([f, g, h])
 
 
-def _sampled_window(star: TruncatedStar, order: int) -> int:
-    """Evaluation window that separates order-r associators: the largest
-    ord C_p + ord C_q over p + q = r, with ord C_0 = 0."""
-    orders = [0] + [c.symbol.max_total_order() for c in star.cochains]
-    return max(orders[p] + orders[order - p] for p in range(order + 1))
-
-
-def _sampled_defects(star: TruncatedStar, order: int):
-    """Test-only oracle: the order-r associator evaluated from the
-    cochains on every monomial triple of the window, in window order."""
-    for args in monomial_argument_tuples(star.model, 3, _sampled_window(star, order)):
-        polys = tuple(Poly.monomial(e) for e in args)
-        yield polys, starprod._associativity_defect(star, order, *polys)
-
-
 def _item3_star() -> TruncatedStar:
     # C1 = D(d1 v d1 v d1) is closed, so order one is associative; with
     # C2 = 0 the order-2 associator is C1 o_1 C1 - C1 o_2 C1, of order 6
@@ -161,7 +146,7 @@ def test_symbolic_associator_matches_sampled(model, max_word, max_order):
         expected = None
         for order in (1, 2):
             op = MultiDiffOp(associator(star, order))
-            for polys, defect in _sampled_defects(star, order):
+            for polys, defect in sampled_defects(star, order):
                 assert op.apply(list(polys)) == defect, (order, polys)
                 if expected is None and not defect.is_zero():
                     expected = (order, polys, defect)

@@ -81,6 +81,12 @@ def test_differential_squares_to_zero_randomized(m321):
         assert differential_d(differential_d(chain)).is_zero()
 
 
+def test_rand_chain_rejects_a_degree_below_the_arity(m321):
+    # each slot needs symmetric degree >= 1, so no such chain exists
+    with pytest.raises(ValueError):
+        rand_chain(random.Random(104), m321, 3, 2, 1)
+
+
 def test_differential_preserves_gradings(m321):
     rng = random.Random(102)
     for _ in range(30):
