@@ -9,8 +9,8 @@ classification to infinitesimal star products compatible with
 reduction.
 
 The public names below are loaded on first access (PEP 562), so a
-command that needs only the decoders does not import the cohomology or
-star-product modules.
+command that needs only the decoders does not import the symbol,
+cohomology or star-product modules.
 """
 
 from importlib import import_module
@@ -20,14 +20,15 @@ _EXPORTS = {
                "NotClosedError", "NotCocycleError", "NotConstraintError",
                "NotWobsError", "PreconditionError", "SolveFailureError",
                "UnsupportedTagError"),
-    "model": ("FlatModel", "FunctionClass"),
+    "model": ("FlatModel", "FunctionClass", "SubspaceTag"),
     "poly": ("Poly", "monomials_of_degree", "monomials_up_to_degree"),
-    "symbols": ("MultiVector", "SubspaceTag", "SymbolChain", "VectorField",
-                "bracket", "chain_membership", "chain_vee", "decompose_sym",
-                "decompose_tensor2", "differential_d", "hkr",
+    "symbols": ("MultiVector", "SymbolChain", "VectorField", "bracket",
+                "chain_membership", "chain_vee", "differential_d", "hkr",
                 "in_function_span_wobs", "monomial_member", "mv_membership",
-                "pr1", "pr1_top", "reduce_multivector", "shuffle_coproduct",
-                "vee", "vee_collapse", "vf_membership", "wedge"),
+                "shuffle_coproduct", "vee", "vee_collapse", "vf_membership",
+                "wedge"),
+    "decompose": ("decompose_sym", "decompose_tensor2", "pr1", "pr1_top",
+                  "reduce_multivector"),
     "diffops": ("FlatConnection", "MultiDiffOp", "SymCovTensor",
                 "chain_map_check", "hochschild_delta", "op_membership",
                 "sym_cov_derivative"),

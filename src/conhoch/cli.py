@@ -7,9 +7,13 @@ found a mismatch.  Slice jobs of verify-theorem and hh-dim can fan out
 over a worker pool (--jobs, default from CONHOCH_JOBS); results are
 merged in slice-key order, so output is identical for every pool width.
 
-Each command imports only the modules it runs: the handlers import
-cohomology, starprod and diffops when called, and the pool is imported
-only when more than one worker is used.
+Each command imports only the modules it runs.  Importing this module
+compiles only errors, model, poly and serialize (the --tag choices come
+from model.SubspaceTag); the handlers import symbols, decompose,
+diffops, cohomology and starprod when called, and the pool is imported
+only when more than one worker is used.  A write to an unwritable --out
+path and an input nested too deeply for the JSON reader are input
+errors like any other.
 """
 
 from __future__ import annotations
@@ -23,10 +27,8 @@ from typing import List, Optional, Sequence
 
 from . import serialize
 from .errors import ConhochError
-from .model import FlatModel
+from .model import FlatModel, SubspaceTag
 from .poly import Poly
-from .symbols import (SubspaceTag, chain_membership, differential_d, hkr,
-                      reduce_multivector, vf_membership)
 
 COMMANDS = ("classify-function", "classify-field", "classify-symbol",
             "classify-operator", "delta", "bigd", "hkr", "hh-dim",
@@ -46,7 +48,10 @@ def _load(path: Optional[str]) -> dict:
     if path is None:
         raise ValueError("this command needs --in FILE")
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} is nested too deeply to read") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path} must hold a JSON object")
     return data
@@ -193,12 +198,14 @@ def _cmd_classify_function(model, args) -> dict:
 
 
 def _cmd_classify_field(model, args) -> dict:
+    from .symbols import vf_membership
     x = serialize.field_from_json(_load(args.infile), model)
     return {"wobs": vf_membership(x, SubspaceTag.WOBS),
             "null": vf_membership(x, SubspaceTag.NULL)}
 
 
 def _cmd_classify_symbol(model, args) -> dict:
+    from .symbols import chain_membership
     chain = serialize.chain_from_json(_load(args.infile), model)
     if args.tag is not None:
         tag = SubspaceTag(args.tag)
@@ -221,11 +228,13 @@ def _cmd_delta(model, args) -> dict:
 
 
 def _cmd_bigd(model, args) -> dict:
+    from .symbols import differential_d
     chain = serialize.chain_from_json(_load(args.infile), model)
     return serialize.chain_to_json(differential_d(chain))
 
 
 def _cmd_hkr(model, args) -> dict:
+    from .symbols import hkr
     x = serialize.multivector_from_json(_load(args.infile), model)
     return serialize.chain_to_json(hkr(x))
 
@@ -339,6 +348,7 @@ def _cmd_reduce(model, args) -> dict:
         raise ValueError("reduction of plain vector fields is not provided; "
                          "pass a function or a multivector")
     if "degree" in data:
+        from .decompose import reduce_multivector
         x = serialize.multivector_from_json(data, model)
         return {"kind": "multivector",
                 "reduced_model": serialize.model_to_json(reduced_model),
@@ -394,10 +404,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.jobs = _resolve_jobs(args.jobs)
         model = _parse_model(args.model)
         result = _HANDLERS[args.command](model, args)
+        _write(emit_report(result, args.format), args.outfile)
     except (ConhochError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _write(emit_report(result, args.format), args.outfile)
     if args.command == "verify-theorem" and not result["all_match"]:
         return 2
     return 0

@@ -47,15 +47,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from .decompose import decompose_sym, pr1, pr1_top, reduce_multivector
 from .errors import (InvariantError, NotCocycleError, NotConstraintError,
                      PreconditionError, SolveFailureError)
 from .linalg import sparse_rank, sparse_solve
 from .model import FlatModel, FunctionClass
 from .poly import Exponent, Poly, monomials_of_degree
 from .symbols import (MultiVector, Slots, SubspaceTag, SymbolChain, Word,
-                      chain_membership, decompose_sym, differential_d, hkr,
-                      monomial_member, mv_membership, mv_monomial_member, pr1,
-                      pr1_top, reduce_multivector, unit_differential)
+                      chain_membership, differential_d, hkr, monomial_member,
+                      mv_membership, mv_monomial_member, unit_differential)
 
 SLICE_TAGS = ("total", "wobs", "null")
 

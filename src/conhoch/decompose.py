@@ -1,0 +1,149 @@
+"""Degree-1 projections and canonical flat-model splittings of chains.
+
+The classification of degree-2 cocycles reads a cocycle through these
+maps: the projection of an arity-1 chain onto symmetric degree one, the
+bivector of the slotwise degree-1 part of an arity-2 chain, the
+splitting of chains into an observable-span part and a part built from
+prolonged normal directions, and the reduction of observable
+multivectors to the reduced model.  They are loaded with the cohomology
+module and by the commands that reduce or classify, never on the
+start-up route of the CLI.
+"""
+
+from __future__ import annotations
+
+from typing import List, NamedTuple, Optional, Tuple
+
+from .errors import InvariantError, NotWobsError, UnsupportedTagError
+from .model import SubspaceTag
+from .poly import Poly
+from .symbols import (MultiVector, Slots, SymbolChain, chain_membership,
+                      mv_membership, word_category)
+
+
+def pr1(chain: SymbolChain) -> SymbolChain:
+    """Projection of an arity-1 chain onto symmetric degree 1."""
+    if chain.arity != 1:
+        raise ValueError("pr1 acts on arity-1 chains")
+    return chain.sym_degree_part(1)
+
+
+def pr1_top(chain: SymbolChain) -> MultiVector:
+    """Wedge of the slotwise degree-1 projections of an arity-2 chain:
+    keeps only terms whose both slots have symmetric degree one and
+    antisymmetrises them into a bivector."""
+    if chain.arity != 2:
+        raise ValueError("pr1_top acts on arity-2 chains")
+    out = MultiVector.zero(chain.model, 2)
+    for (w1, w2), coeff in chain.terms.items():
+        if len(w1) == 1 and len(w2) == 1:
+            out = out + MultiVector.wedge_of_frames(chain.model, (w1[0], w2[0]), coeff)
+    return out
+
+
+def decompose_sym(chain: SymbolChain) -> Tuple[SymbolChain, SymbolChain]:
+    """Split an arity-1 chain into (observable-span part, prolonged-normal
+    part).  A monomial goes to the second component exactly when its
+    word contains a normal letter while its coefficient is a function on
+    C (no normal variables); everything else goes to the first.  The
+    split is exact: the two parts always sum back to the input."""
+    if chain.arity != 1:
+        raise ValueError("decompose_sym acts on arity-1 chains")
+    model = chain.model
+    w_terms: List[Tuple[Slots, Poly]] = []
+    t_terms: List[Tuple[Slots, Poly]] = []
+    for gamma, slots, q in chain.monomials():
+        _, _, t_units = model.unit_counts(gamma)
+        has_normal_letter = any(i > model.n_wobs for i in slots[0])
+        target = t_terms if (has_normal_letter and t_units == 0) else w_terms
+        target.append((slots, Poly.monomial(gamma, q)))
+    return (SymbolChain(model, 1, w_terms), SymbolChain(model, 1, t_terms))
+
+
+class Tensor2Decomposition(NamedTuple):
+    """Canonical splitting of an arity-2 chain.
+
+    ``function_wobs_part`` + ``total_not_wobs_part`` always rebuild the
+    input.  For null inputs, ``vanishing_part`` + ``null_not_van_part``
+    rebuild it as well; otherwise those two are None.
+    """
+
+    function_wobs_part: SymbolChain
+    total_not_wobs_part: SymbolChain
+    vanishing_part: Optional[SymbolChain]
+    null_not_van_part: Optional[SymbolChain]
+
+
+def decompose_tensor2(chain: SymbolChain) -> Tensor2Decomposition:
+    """Split an arity-2 chain along the flat-model block structure: the
+    complement component collects monomials with C-coefficients whose
+    slot words avoid distribution letters with at least one normal
+    letter.  For null inputs, additionally split off the part whose
+    coefficients vanish on C; the remainder then lies in the null
+    complement block (checked)."""
+    if chain.arity != 2:
+        raise ValueError("decompose_tensor2 acts on arity-2 chains")
+    model = chain.model
+    fw: List[Tuple[Slots, Poly]] = []
+    tnw: List[Tuple[Slots, Poly]] = []
+    for gamma, slots, q in chain.monomials():
+        _, _, t_units = model.unit_counts(gamma)
+        cats = [word_category(model, w) for w in slots]
+        is_that = (t_units == 0 and all(c in ("that", "wnhat") for c in cats)
+                   and "that" in cats)
+        (tnw if is_that else fw).append((slots, Poly.monomial(gamma, q)))
+    fw_chain = SymbolChain(model, 2, fw)
+    tnw_chain = SymbolChain(model, 2, tnw)
+    if not chain_membership(tnw_chain, SubspaceTag.TOTAL_NOT_WOBS):
+        raise InvariantError("decompose_tensor2: the complement part "
+                             f"{tnw_chain!r} is not in the total_not_wobs block")
+
+    van_chain = nnv_chain = None
+    if chain_membership(chain, SubspaceTag.NULL):
+        van: List[Tuple[Slots, Poly]] = []
+        nnv: List[Tuple[Slots, Poly]] = []
+        for gamma, slots, q in chain.monomials():
+            _, _, t_units = model.unit_counts(gamma)
+            (van if t_units >= 1 else nnv).append((slots, Poly.monomial(gamma, q)))
+        van_chain = SymbolChain(model, 2, van)
+        nnv_chain = SymbolChain(model, 2, nnv)
+        # for genuine null chains the C-coefficient remainder lies in the
+        # null complement block; anything else would contradict nullness
+        if not chain_membership(nnv_chain, SubspaceTag.NULL_NOT_VAN):
+            raise InvariantError("decompose_tensor2: the C-coefficient part "
+                                 f"{nnv_chain!r} of a null chain is not in the "
+                                 "null_not_van block")
+    return Tensor2Decomposition(fw_chain, tnw_chain, van_chain, nnv_chain)
+
+
+def reduce_multivector(x: MultiVector, tag: SubspaceTag = SubspaceTag.WOBS) -> MultiVector:
+    """Image of an observable multivector on the reduced model: restrict
+    the coefficients to C, drop every term touching a distribution or
+    normal direction, and reindex to the reduced coordinates."""
+    if tag is not SubspaceTag.WOBS:
+        raise UnsupportedTagError("reduction is defined on the observable class")
+    if not mv_membership(x, SubspaceTag.WOBS):
+        raise NotWobsError("multivector is not observable")
+    model = x.model
+    reduced = model.reduced_model()
+    terms: List[Tuple[Tuple[int, ...], Poly]] = []
+    for idx, coeff in x.terms.items():
+        if any(i <= model.n_null or i > model.n_wobs for i in idx):
+            continue
+        restricted = model.restrict_to_c(coeff)
+        if restricted.is_zero():
+            continue
+        new_terms = {}
+        for exp, q in restricted.terms.items():
+            # observability forces the surviving coefficients to be
+            # constant along the distribution on C
+            if any(exp[: model.n_null]):
+                raise InvariantError(
+                    f"reduce_multivector: the {idx} coefficient of an observable "
+                    f"multivector restricted to C depends on a distribution variable: {exp}")
+            new = exp[model.n_null : model.n_wobs]
+            new = new + (0,) * (reduced.n_total - len(new))
+            new_terms[new] = q
+        new_idx = tuple(i - model.n_null for i in idx)
+        terms.append((new_idx, Poly(reduced.n_total, new_terms)))
+    return MultiVector(reduced, x.degree, terms)

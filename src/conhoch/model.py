@@ -15,6 +15,10 @@ vanishes on C, and *observable* ("wobs") when its derivatives along the
 distribution vanish on C; observables form a subalgebra in which the
 null functions are an ideal, and the quotient realises the functions on
 the reduced space R^{n_wobs - n_null}.
+
+The two tag enums live here: FunctionClass for functions and SubspaceTag
+for the constraint subspaces of symbols, so the command line can parse
+a tag without loading the symbol calculus.
 """
 
 from __future__ import annotations
@@ -36,6 +40,23 @@ class FunctionClass(enum.Enum):
     def contains(self, other: "FunctionClass") -> bool:
         order = {FunctionClass.NULL: 0, FunctionClass.WOBS: 1, FunctionClass.TOTAL: 2}
         return order[other] <= order[self]
+
+
+class SubspaceTag(enum.Enum):
+    """Constraint subspaces of the symbol algebra.
+
+    WOBS and NULL are defined at every arity.  The remaining four tags
+    name the complement blocks built from sections over C of the three
+    coordinate blocks; they exist at arity 1, and NULL_NOT_VAN /
+    TOTAL_NOT_WOBS additionally at arity 2.
+    """
+
+    WOBS = "wobs"
+    NULL = "null"
+    NULL_NOT_VAN = "null_not_van"
+    WOBS_NOT_NULL = "wobs_not_null"
+    TOTAL_NOT_WOBS = "total_not_wobs"
+    TOTAL_NOT_NULL = "total_not_null"
 
 
 class _Dimensions(NamedTuple):

@@ -4,6 +4,10 @@ All rationals travel as exact [numerator, denominator] pairs; no
 floating point appears in any interface.  Encoders emit terms in the
 canonical order so output is byte-deterministic; decoders validate and
 raise ValueError on malformed input (the CLI maps that to exit code 1).
+
+Each decoder imports the class it builds on first use, so the CLI can
+import this module without compiling the symbol calculus: a command
+that reads only models and polynomials never loads ``symbols``.
 """
 
 from __future__ import annotations
@@ -13,11 +17,11 @@ from typing import TYPE_CHECKING
 
 from .model import FlatModel
 from .poly import Poly
-from .symbols import MultiVector, SymbolChain, VectorField
 
-if TYPE_CHECKING:  # the operator and star decoders import these on first use
+if TYPE_CHECKING:  # the decoders import these on first use
     from .diffops import MultiDiffOp
     from .starprod import TruncatedStar
+    from .symbols import MultiVector, SymbolChain, VectorField
 
 
 def json_integer(value, what: str) -> int:
@@ -81,6 +85,7 @@ def chain_to_json(chain: SymbolChain) -> dict:
 
 
 def chain_from_json(data: dict, model: FlatModel) -> SymbolChain:
+    from .symbols import SymbolChain
     if not isinstance(data, dict) or "arity" not in data or "terms" not in data:
         raise ValueError("symbol chain JSON needs 'arity' and 'terms'")
     arity = json_integer(data["arity"], "'arity'")
@@ -115,6 +120,7 @@ def field_to_json(x: VectorField) -> dict:
 
 
 def field_from_json(data: dict, model: FlatModel) -> VectorField:
+    from .symbols import VectorField
     if not isinstance(data, dict) or "components" not in data:
         raise ValueError("vector field JSON needs 'components'")
     comps = [poly_from_json(c, model.n_total)
@@ -131,6 +137,7 @@ def multivector_to_json(x: MultiVector) -> dict:
 
 
 def multivector_from_json(data: dict, model: FlatModel) -> MultiVector:
+    from .symbols import MultiVector
     if not isinstance(data, dict) or "degree" not in data or "terms" not in data:
         raise ValueError("multivector JSON needs 'degree' and 'terms'")
     terms = []

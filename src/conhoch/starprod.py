@@ -19,15 +19,18 @@ antisymmetrised first cochain by -i.  Coefficients here are rational,
 so the extracted bivector omits that factor; see
 ``OMITTED_BRACKET_PREFACTOR``.  The factor never affects membership,
 closedness, equivalence or classification, which are all linear.
+
+Associativity is decided on symbols alone, so this module imports
+cohomology (and with it the elimination kernel) only inside the
+equivalence solvers and the classification, and decompose only when a
+bracket is extracted: star-check compiles neither.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
-from .cohomology import (CocycleClass, decompose_2cocycle,
-                         find_constraint_potential, find_potential)
 from .diffops import (MultiDiffOp, apply_to_monomials, compose_symbols,
                       monomial_argument_tuples)
 from .errors import (InvariantError, NotClosedError, NotConstraintError,
@@ -35,7 +38,10 @@ from .errors import (InvariantError, NotClosedError, NotConstraintError,
 from .model import FlatModel
 from .poly import Poly
 from .symbols import (MultiVector, SubspaceTag, SymbolChain, chain_membership,
-                      differential_d, pr1_top)
+                      differential_d)
+
+if TYPE_CHECKING:  # the solvers below import cohomology on first use
+    from .cohomology import CocycleClass
 
 #: the physics convention for the Poisson bracket carries this prefactor,
 #: which has no home in rational arithmetic and is left off throughout
@@ -161,6 +167,7 @@ def poisson_from_star(star: TruncatedStar) -> MultiVector:
     symbol = star.cochain(1).symbol
     if not differential_d(symbol).is_zero():
         raise NotClosedError("first-order cochain is not closed")
+    from .decompose import pr1_top
     antisym = (symbol - symbol.transpose()).scale(Fraction(1, 2))
     return pr1_top(antisym)
 
@@ -205,6 +212,7 @@ def _check_equivalence_preconditions(a: TruncatedStar, b: TruncatedStar, k: int)
 
 def _solve_equivalence(a: TruncatedStar, b: TruncatedStar, k: int,
                        constraint: bool) -> Optional[MultiDiffOp]:
+    from .cohomology import find_constraint_potential, find_potential
     diff = _orderwise_difference(a, b, k + 1)
     if diff.is_zero():
         return MultiDiffOp.zero(a.model, 1)
@@ -251,4 +259,5 @@ def classify_infinitesimal(c1: MultiDiffOp) -> CocycleClass:
         raise NotConstraintError("first-order cochain is not constraint")
     if not differential_d(c1.symbol).is_zero():
         raise NotClosedError("first-order cochain is not closed")
+    from .cohomology import decompose_2cocycle
     return decompose_2cocycle(c1.symbol).cocycle_class

@@ -62,17 +62,52 @@ def test_child_imports_package_under_test(tmp_path):
 
 def test_cli_import_loads_only_the_decoders(tmp_path):
     # start-up guard: the pool, dataclasses (and its inspect) and the
-    # cohomology, star-product and operator modules load only in the
-    # commands that run them
+    # symbol, cohomology, star-product and operator modules load only in
+    # the commands that run them
     code = ("import json, sys; before = set(sys.modules); import conhoch.cli; "
             "print(json.dumps(sorted(set(sys.modules) - before)))")
     result = _python(["-c", code], cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     loaded = set(json.loads(result.stdout))
-    assert {"conhoch.cli", "conhoch.serialize", "conhoch.symbols"} <= loaded
-    heavy = {"multiprocessing", "dataclasses", "inspect", "conhoch.cohomology",
-             "conhoch.starprod", "conhoch.diffops"}
+    assert {"conhoch.cli", "conhoch.serialize"} <= loaded
+    heavy = {"multiprocessing", "dataclasses", "inspect", "conhoch.symbols",
+             "conhoch.cohomology", "conhoch.starprod", "conhoch.diffops"}
     assert not heavy & loaded, sorted(heavy & loaded)
+
+
+_START_UP = {"conhoch", "conhoch.cli", "conhoch.errors", "conhoch.model",
+             "conhoch.poly", "conhoch.serialize"}
+_UNIT = {"terms": [{"coeff": [1, 1], "exp": [0, 0, 0]}]}
+_ROUTE_INPUTS = {
+    "poly.json": {"terms": [{"coeff": [1, 1], "exp": [1, 0, 0]}]},
+    "chain.json": {"arity": 1, "terms": [{"coeff_poly": _UNIT, "slots": [[1, 3]]}]},
+    "star.json": {"order": 1, "cochains": [{"symbol": {"arity": 2, "terms": [
+        {"coeff_poly": _UNIT, "slots": [[2], [3]]}]}}]},
+}
+
+
+@pytest.mark.parametrize("args, extra", [
+    ([], set()),
+    (["classify-function", "--in", "poly.json"], set()),
+    (["bigd", "--in", "chain.json"], {"symbols"}),
+    (["star-check", "--in", "star.json"], {"symbols", "diffops", "starprod"}),
+    (["verify-theorem", "--kmax", "2", "--cmax", "0"],
+     {"symbols", "cohomology", "linalg", "decompose"}),
+], ids=["import", "classify-function", "bigd", "star-check", "verify-theorem"])
+def test_command_loads_only_the_modules_it_runs(tmp_path, args, extra):
+    # each command compiles the start-up modules plus what its handler calls
+    for name, doc in _ROUTE_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    code = ("import json, sys; from conhoch import cli\n"
+            "code = cli.main(sys.argv[1:] + ['--model', '3,2,1', '--out', 'report.json']) "
+            "if len(sys.argv) > 1 else 0\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'conhoch')]))")
+    result = _python(["-c", code] + args, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    code, loaded = json.loads(result.stdout)
+    assert code == 0
+    assert set(loaded) == _START_UP | {f"conhoch.{m}" for m in extra}
 
 
 def test_lazy_exports_resolve(tmp_path):
@@ -212,6 +247,17 @@ def test_out_flag_writes_file(tmp_path):
     assert data["arity"] == 2 and len(data["terms"]) == 2
 
 
+def test_unwritable_out_path_is_an_input_error(tmp_path):
+    symbol = {"arity": 1, "terms": [
+        {"coeff_poly": {"terms": [{"coeff": [1, 1], "exp": [0, 0, 0]}]},
+         "slots": [[1, 3]]}]}
+    (tmp_path / "sym.json").write_text(json.dumps(symbol))
+    result = _run(["bigd", "--model", "3,2,1", "--in", "sym.json",
+                   "--out", str(tmp_path / "missing" / "image.json")], cwd=tmp_path)
+    _assert_input_error(result)
+    assert result.stdout == ""
+
+
 def test_delta_command_reproduces_counterexample(tmp_path):
     op = {"symbol": {"arity": 1, "terms": [
         {"coeff_poly": {"terms": [{"coeff": [1, 1], "exp": [0, 0, 0]}]},
@@ -324,10 +370,11 @@ _ONE = {"terms": [{"coeff": [1, 1], "exp": [0, 0, 0]}]}
     ("reduce", 5),
     ("star-equiv", {"star": {"order": 0, "cochains": []},
                     "star_prime": {"order": 0, "cochains": []}, "agree_to": None}),
+    ("classify-function", "[" * 100000 + "]" * 100000),
 ], ids=["zero-denominator", "terms-not-an-array", "letter-out-of-range",
         "arity-null", "arity-array", "fractional-letter", "degree-null",
         "order-array", "coefficient-1e400", "exponent-1e400",
-        "document-not-an-object", "agree-to-null"])
+        "document-not-an-object", "agree-to-null", "nested-too-deeply"])
 def test_malformed_document_is_an_input_error(tmp_path, command, document):
     # a str is the document's raw text, for numbers json.dumps cannot write
     text = document if isinstance(document, str) else json.dumps(document)

@@ -8,7 +8,7 @@ import pytest
 from conhoch import (FlatModel, Poly, SubspaceTag, SymbolChain,
                      chain_membership, decompose_sym, decompose_tensor2,
                      differential_d, in_function_span_wobs, reduce_multivector)
-from conhoch import MultiVector, symbols
+from conhoch import MultiVector, decompose
 from conhoch.errors import InvariantError, NotWobsError
 
 from conftest import rand_chain, rand_tagged_chain, var
@@ -84,8 +84,8 @@ def test_decompose_tensor2_round_trip(m321):
 
 def test_decompose_tensor2_block_check_is_typed(m321, monkeypatch):
     # the complement-block check survives python -O and names what failed
-    real = symbols.chain_membership
-    monkeypatch.setattr(symbols, "chain_membership", lambda chain, tag: (
+    real = decompose.chain_membership
+    monkeypatch.setattr(decompose, "chain_membership", lambda chain, tag: (
         False if tag is SubspaceTag.TOTAL_NOT_WOBS else real(chain, tag)))
     with pytest.raises(InvariantError, match="decompose_tensor2.*total_not_wobs"):
         decompose_tensor2(SymbolChain.from_term(m321, [(3,), (2,)]))
