@@ -12,8 +12,8 @@ compiles only errors, model, poly and serialize (the --tag choices come
 from model.SubspaceTag); the handlers import symbols, decompose,
 diffops, cohomology and starprod when called, and the pool is imported
 only when more than one worker is used.  A write to an unwritable --out
-path and an input nested too deeply for the JSON reader are input
-errors like any other.
+path, an input nested too deeply for the JSON reader and a negative
+--kmax or --cmax are input errors like any other.
 """
 
 from __future__ import annotations
@@ -22,18 +22,11 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import serialize
 from .errors import ConhochError
 from .model import FlatModel, SubspaceTag
-from .poly import Poly
-
-COMMANDS = ("classify-function", "classify-field", "classify-symbol",
-            "classify-operator", "delta", "bigd", "hkr", "hh-dim",
-            "verify-theorem", "decompose-cocycle", "find-potential",
-            "star-check", "star-equiv", "classify-star", "reduce")
 
 
 def _parse_model(text: str) -> FlatModel:
@@ -85,10 +78,9 @@ def emit_report(result: dict, fmt: str = "json") -> str:
     appear in the canonical term order either way."""
     if fmt == "json":
         return json.dumps(result, indent=2, sort_keys=True) + "\n"
-    if isinstance(result, dict) and (
-            (("arity" in result or "degree" in result) and "terms" in result)
-            or set(result) == {"symbol"} or set(result) == {"terms"}):
-        return _cell(result) + "\n"
+    text = serialize.to_text(result)
+    if text is not None:
+        return text + "\n"
     rows = result.get("rows")
     if isinstance(rows, list) and rows and all(isinstance(r, dict) for r in rows):
         keys = [k for k in rows[0] if k != "representatives"]
@@ -105,41 +97,12 @@ def emit_report(result: dict, fmt: str = "json") -> str:
     return "\n".join(f"{k}: {_cell(v)}" for k, v in sorted(result.items())) + "\n"
 
 
-def _pretty_poly(data: dict) -> str:
-    terms = data.get("terms", [])
-    if not terms:
-        return "0"
-    nvars = len(terms[0]["exp"])
-    return str(Poly(nvars, {tuple(t["exp"]): Fraction(*t["coeff"]) for t in terms}))
-
-
-def _pretty_terms(data: dict) -> str:
-    """Terms of a symbol chain (slot words joined by (x), letters by v)
-    or of a multivector (indices joined by ^), each as (coefficient)
-    words, joined by +."""
-    parts = []
-    for t in data["terms"]:
-        if "slots" in t:
-            words = "(x)".join("v".join(f"d{i}" for i in w) for w in t["slots"])
-        else:
-            words = "^".join(f"d{i}" for i in t["indices"])
-        parts.append(f"({_pretty_poly(t['coeff_poly'])}) {words}")
-    return "  +  ".join(parts) or "0"
-
-
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, dict):
-        if "symbol" in value and isinstance(value["symbol"], dict):
-            return _cell(value["symbol"])
-        if ("arity" in value or "degree" in value) and "terms" in value:
-            return _pretty_terms(value)
-        if set(value) == {"terms"}:
-            return _pretty_poly(value)
-        return json.dumps(value, sort_keys=True)
-    if isinstance(value, list):
-        return json.dumps(value, sort_keys=True)
+    if isinstance(value, (dict, list)):
+        text = serialize.to_text(value)
+        return json.dumps(value, sort_keys=True) if text is None else text
     return str(value)
 
 
@@ -255,18 +218,13 @@ def _cmd_hh_dim(model, args) -> dict:
     if args.degree == 2:
         return {"rows": _hh_rows(model, [tag.value], args.kmax, args.cmax,
                                  args.jobs, with_reps=False)}
-    rows = []
+    head = {"model": serialize.model_to_json(model), "tag": tag.value, "degree": args.degree}
     if args.degree == 0:
-        for c in range(0, args.cmax + 1):
-            rows.append({"model": serialize.model_to_json(model), "tag": tag.value,
-                         "degree": 0, "c": c,
-                         "hh_dim": cohomology.hh0_dimension(model, tag, c)})
-        return {"rows": rows}
-    for K in range(1, args.kmax + 1):
-        for c in range(0, args.cmax + 1):
-            rows.append({"model": serialize.model_to_json(model), "tag": tag.value,
-                         "degree": 1, "K": K, "c": c,
-                         "hh_dim": cohomology.hh_dimension(model, tag, 1, K, c)})
+        rows = [dict(head, c=c, hh_dim=cohomology.hh0_dimension(model, tag, c))
+                for c in range(args.cmax + 1)]
+    else:
+        rows = [dict(head, K=K, c=c, hh_dim=cohomology.hh_dimension(model, tag, 1, K, c))
+                for K in range(1, args.kmax + 1) for c in range(args.cmax + 1)]
     return {"rows": rows}
 
 
@@ -382,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conhoch",
         description="Exact constraint Hochschild cohomology on flat models")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=tuple(_HANDLERS))
     parser.add_argument("--model", required=True, metavar="nT,nW,n0")
     parser.add_argument("--in", dest="infile", default=None, metavar="FILE")
     parser.add_argument("--out", dest="outfile", default=None, metavar="FILE")
@@ -402,6 +360,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.jobs = _resolve_jobs(args.jobs)
+        for flag, value in (("--kmax", args.kmax), ("--cmax", args.cmax)):
+            if value < 0:
+                raise ValueError(f"{flag} must be at least 0 (got {value})")
         model = _parse_model(args.model)
         result = _HANDLERS[args.command](model, args)
         _write(emit_report(result, args.format), args.outfile)

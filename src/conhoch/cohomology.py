@@ -165,14 +165,13 @@ def _letter_content(slots: Slots) -> Word:
     return tuple(sorted(itertools.chain.from_iterable(slots)))
 
 
-def _image_columns(model: FlatModel, monomials: Sequence[Tuple[Exponent, Slots]]
-                   ) -> List[Dict[Slots, int]]:
-    """Images under the differential of the given basis monomials with
-    unit coefficient, as integer sparse columns keyed by image slot
-    tuples; the coefficient monomial rides along unchanged, so it does
-    not enter the columns.  The model is part of the signature the
-    callers share; the shuffles themselves do not depend on it."""
-    return [unit_differential(slots) for _, slots in monomials]
+def _image_columns(model: FlatModel, words: Sequence[Slots]) -> List[Dict[Slots, int]]:
+    """Images under the differential of the basis monomials with these
+    slot words, as integer sparse columns keyed by image slot tuples.
+    The coefficient monomial rides along unchanged, so callers pass only
+    the words.  The model is part of the signature the callers share;
+    the shuffles themselves do not depend on it."""
+    return [unit_differential(slots) for slots in words]
 
 
 @lru_cache(maxsize=None)
@@ -195,10 +194,8 @@ def _rank_of_d(model: FlatModel, arity: int, sym_degree: int, tag: str,
     coefficient monomial with the given unit counts: the domain depends
     on the coefficient only through them, and the differential never
     touches it."""
-    gamma = _witness_exponent(model, d_units, t_units)
     blocks = _letter_blocks(model, arity, sym_degree, tag, d_units, t_units)
-    return sum(sparse_rank(_image_columns(model, [(gamma, s) for s in words]))
-               for words in blocks.values())
+    return sum(sparse_rank(_image_columns(model, words)) for words in blocks.values())
 
 
 def matrix_of_D(domain: Slice, codomain: Slice) -> List[Dict[int, int]]:
@@ -216,7 +213,7 @@ def matrix_of_D(domain: Slice, codomain: Slice) -> List[Dict[int, int]]:
     dom = slice_monomials(domain)
     index = {key: i for i, key in enumerate(slice_monomials(codomain))}
     columns: List[Dict[int, int]] = []
-    for (gamma, _), col in zip(dom, _image_columns(domain.model, dom)):
+    for (gamma, _), col in zip(dom, _image_columns(domain.model, [s for _, s in dom])):
         rows: Dict[int, int] = {}
         for s2, value in col.items():
             i = index.get((gamma, s2))
@@ -354,7 +351,7 @@ def _solve_d(rhs: SymbolChain, tag: Optional[SubspaceTag]) -> Optional[SymbolCha
         domain = _letter_blocks(model, rhs.arity - 1, sym_degree, tag_name, d, t)
         for content, target in targets.items():
             words = domain.get(content, ())
-            columns = _image_columns(model, [(gamma, s) for s in words])
+            columns = _image_columns(model, words)
             solution = sparse_solve(columns, target)
             if solution is None:
                 return None

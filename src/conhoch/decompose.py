@@ -17,8 +17,8 @@ from typing import List, NamedTuple, Optional, Tuple
 from .errors import InvariantError, NotWobsError, UnsupportedTagError
 from .model import SubspaceTag
 from .poly import Poly
-from .symbols import (MultiVector, Slots, SymbolChain, chain_membership,
-                      mv_membership, word_category)
+from .symbols import (MultiVector, SymbolChain, chain_membership, mv_membership,
+                      word_category)
 
 
 def pr1(chain: SymbolChain) -> SymbolChain:
@@ -50,14 +50,9 @@ def decompose_sym(chain: SymbolChain) -> Tuple[SymbolChain, SymbolChain]:
     if chain.arity != 1:
         raise ValueError("decompose_sym acts on arity-1 chains")
     model = chain.model
-    w_terms: List[Tuple[Slots, Poly]] = []
-    t_terms: List[Tuple[Slots, Poly]] = []
-    for gamma, slots, q in chain.monomials():
-        _, _, t_units = model.unit_counts(gamma)
-        has_normal_letter = any(i > model.n_wobs for i in slots[0])
-        target = t_terms if (has_normal_letter and t_units == 0) else w_terms
-        target.append((slots, Poly.monomial(gamma, q)))
-    return (SymbolChain(model, 1, w_terms), SymbolChain(model, 1, t_terms))
+    normal, rest = chain.split(lambda gamma, slots: model.unit_counts(gamma)[2] == 0
+                               and any(i > model.n_wobs for i in slots[0]))
+    return rest, normal
 
 
 class Tensor2Decomposition(NamedTuple):
@@ -84,29 +79,20 @@ def decompose_tensor2(chain: SymbolChain) -> Tensor2Decomposition:
     if chain.arity != 2:
         raise ValueError("decompose_tensor2 acts on arity-2 chains")
     model = chain.model
-    fw: List[Tuple[Slots, Poly]] = []
-    tnw: List[Tuple[Slots, Poly]] = []
-    for gamma, slots, q in chain.monomials():
-        _, _, t_units = model.unit_counts(gamma)
+
+    def is_that(gamma, slots) -> bool:
         cats = [word_category(model, w) for w in slots]
-        is_that = (t_units == 0 and all(c in ("that", "wnhat") for c in cats)
-                   and "that" in cats)
-        (tnw if is_that else fw).append((slots, Poly.monomial(gamma, q)))
-    fw_chain = SymbolChain(model, 2, fw)
-    tnw_chain = SymbolChain(model, 2, tnw)
+        return (model.unit_counts(gamma)[2] == 0
+                and all(c in ("that", "wnhat") for c in cats) and "that" in cats)
+
+    tnw_chain, fw_chain = chain.split(is_that)
     if not chain_membership(tnw_chain, SubspaceTag.TOTAL_NOT_WOBS):
         raise InvariantError("decompose_tensor2: the complement part "
                              f"{tnw_chain!r} is not in the total_not_wobs block")
 
     van_chain = nnv_chain = None
     if chain_membership(chain, SubspaceTag.NULL):
-        van: List[Tuple[Slots, Poly]] = []
-        nnv: List[Tuple[Slots, Poly]] = []
-        for gamma, slots, q in chain.monomials():
-            _, _, t_units = model.unit_counts(gamma)
-            (van if t_units >= 1 else nnv).append((slots, Poly.monomial(gamma, q)))
-        van_chain = SymbolChain(model, 2, van)
-        nnv_chain = SymbolChain(model, 2, nnv)
+        van_chain, nnv_chain = chain.split(lambda gamma, _: model.unit_counts(gamma)[2] >= 1)
         # for genuine null chains the C-coefficient remainder lies in the
         # null complement block; anything else would contradict nullness
         if not chain_membership(nnv_chain, SubspaceTag.NULL_NOT_VAN):

@@ -96,16 +96,6 @@ class FlatModel(_Dimensions):
     def n_reduced(self) -> int:
         return self.n_wobs - self.n_null
 
-    def block(self, index: int) -> str:
-        """Block of a 1-based coordinate index: 'd', 'dperp' or 'tcperp'."""
-        if not 1 <= index <= self.n_total:
-            raise IndexError(f"index {index} out of range [1, {self.n_total}]")
-        if index <= self.n_null:
-            return "d"
-        if index <= self.n_wobs:
-            return "dperp"
-        return "tcperp"
-
     def reduced_model(self) -> "FlatModel":
         n = self.n_reduced
         if n < 1:

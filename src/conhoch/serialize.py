@@ -4,6 +4,8 @@ All rationals travel as exact [numerator, denominator] pairs; no
 floating point appears in any interface.  Encoders emit terms in the
 canonical order so output is byte-deterministic; decoders validate and
 raise ValueError on malformed input (the CLI maps that to exit code 1).
+:func:`to_text` gives the one human text form of an encoded value, used
+by ``--format table`` and by the reprs of the symbol classes.
 
 Each decoder imports the class it builds on first use, so the CLI can
 import this module without compiling the symbol calculus: a command
@@ -13,10 +15,10 @@ that reads only models and polynomials never loads ``symbols``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from .model import FlatModel
-from .poly import Poly
+from .poly import Poly, poly_text
 
 if TYPE_CHECKING:  # the decoders import these on first use
     from .diffops import MultiDiffOp
@@ -133,7 +135,7 @@ def field_from_json(data: dict, model: FlatModel) -> VectorField:
 def multivector_to_json(x: MultiVector) -> dict:
     return {"degree": x.degree,
             "terms": [{"coeff_poly": poly_to_json(c), "indices": list(idx)}
-                      for idx, c in sorted(x.terms.items())]}
+                      for idx, c in x.sorted_terms()]}
 
 
 def multivector_from_json(data: dict, model: FlatModel) -> MultiVector:
@@ -167,3 +169,27 @@ def star_from_json(data: dict, model: FlatModel) -> TruncatedStar:
         raise ValueError("'order' does not match the number of cochains")
     return TruncatedStar(model, cochains)
 
+
+def to_text(data) -> Optional[str]:
+    """Text of an encoded polynomial, operator, chain, multivector or
+    vector field: the terms as ``(coefficient) word`` joined by ``+``,
+    with chain words as ``d1vd2(x)d3`` and multivector words as
+    ``d1^d2``.  None for any other value."""
+    if not isinstance(data, dict):
+        return None
+    keys = set(data)
+    if keys == {"symbol"}:
+        return to_text(data["symbol"])
+    if keys == {"terms"}:
+        return poly_text((t["exp"], Fraction(*t["coeff"])) for t in data["terms"])
+    if keys == {"arity", "terms"}:
+        terms = [(t["coeff_poly"], "(x)".join("v".join(f"d{i}" for i in w) for w in t["slots"]))
+                 for t in data["terms"]]
+    elif keys == {"degree", "terms"}:
+        terms = [(t["coeff_poly"], "^".join(f"d{i}" for i in t["indices"]))
+                 for t in data["terms"]]
+    elif keys == {"components"}:
+        terms = [(c, f"d{i}") for i, c in enumerate(data["components"], 1) if c["terms"]]
+    else:
+        return None
+    return "  +  ".join(f"({to_text(c)}) {w}" for c, w in terms) or "0"

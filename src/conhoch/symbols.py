@@ -16,6 +16,8 @@ membership questions below reduce to combinatorial checks per monomial.
 
 This module provides
 
+* one term-map core for multivectors and chains (storage, merge,
+  arithmetic, equality, splitting, the ``--format table`` repr),
 * the free algebra operations (wedge, vee, tensor concatenation),
 * the reduced shuffle coproduct and the induced tensor differential,
 * the antisymmetrisation map from multivectors to chains,
@@ -68,6 +70,93 @@ def sort_with_sign(indices: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], i
         return None, 0
     order = sorted(range(len(indices)), key=lambda k: indices[k])
     return tuple(indices[k] for k in order), _perm_sign(order)
+
+
+# ---------------------------------------------------------------------------
+# term maps: the shared core of multivectors and symbol chains
+# ---------------------------------------------------------------------------
+
+
+class _TermMap:
+    """Map from basis keys to nonzero polynomial coefficients over one
+    model, graded by the key length (the degree of a multivector, the
+    arity of a chain).  The constructor checks each key with the
+    subclass's ``_check_key``, merges repeated keys and drops zero
+    coefficients; the repr is the ``--format table`` text."""
+
+    __slots__ = ("model", "_grade", "terms")
+    #: set by each subclass: the grade's name in a mismatch error, the
+    #: error for a grade below 1, and the serialize encoder of the repr
+    _grade_name = _too_low = _encoder = ""
+
+    def __init__(self, model: FlatModel, grade: int, terms=()):
+        if grade < 1:
+            raise ValueError(self._too_low)
+        clean: Dict[tuple, Poly] = {}
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        for key, coeff in items:
+            key = self._check_key(model, grade, key)
+            model.check_poly(coeff)
+            if not coeff.is_zero():
+                acc = clean.get(key)
+                coeff = coeff if acc is None else acc + coeff
+                if coeff.is_zero():
+                    clean.pop(key, None)
+                else:
+                    clean[key] = coeff
+        self.model = model
+        self._grade = grade
+        self.terms = clean
+
+    @classmethod
+    def zero(cls, model: FlatModel, grade: int):
+        return cls(model, grade, {})
+
+    def _like(self, terms):
+        return type(self)(self.model, self._grade, terms)
+
+    def __add__(self, other):
+        _same_model(self.model, other.model)
+        if self._grade != other._grade:
+            raise ValueError(f"{self._grade_name} mismatch")
+        return self._like(list(self.terms.items()) + list(other.terms.items()))
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, q):
+        return self._like({k: v * q for k, v in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def monomials(self) -> Iterator[Tuple[Exponent, tuple, Fraction]]:
+        """Expand polynomial coefficients into monomial terms."""
+        for key, coeff in self.terms.items():
+            for exp, q in coeff.terms.items():
+                yield exp, key, q
+
+    def sorted_terms(self) -> List[Tuple[tuple, Poly]]:
+        return sorted(self.terms.items())
+
+    def split(self, test) -> tuple:
+        """(part, rest): the monomial terms whose (exponent, key) pass
+        the test, and the others; the two always sum to self."""
+        parts: Tuple[list, list] = ([], [])
+        for exp, key, q in self.monomials():
+            parts[not test(exp, key)].append((key, Poly.monomial(exp, q)))
+        return self._like(parts[0]), self._like(parts[1])
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, type(self)) and self.model == other.model
+                and self._grade == other._grade and self.terms == other.terms)
+
+    def __repr__(self) -> str:
+        from . import serialize
+        return serialize.to_text(getattr(serialize, self._encoder)(self))
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +217,8 @@ class VectorField:
                 and self.components == other.components)
 
     def __repr__(self) -> str:
-        parts = [f"({c})*d{i}" for i, c in enumerate(self.components, 1) if not c.is_zero()]
-        return " + ".join(parts) if parts else "0"
+        from . import serialize
+        return serialize.to_text(serialize.field_to_json(self))
 
 
 def bracket(x: VectorField, y: VectorField) -> VectorField:
@@ -148,41 +237,33 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
     return VectorField(x.model, comps)
 
 
-class MultiVector:
+class MultiVector(_TermMap):
     """Antisymmetric multivector field; keys are strictly increasing
     index tuples, values polynomial coefficients."""
 
-    __slots__ = ("model", "degree", "terms")
+    __slots__ = ()
+    _grade_name = "degree"
+    _too_low = "multivector degree must be at least 1"
+    _encoder = "multivector_to_json"
 
     def __init__(self, model: FlatModel, degree: int,
                  terms: Mapping[Tuple[int, ...], Poly] = ()):
-        if degree < 1:
-            raise ValueError("multivector degree must be at least 1")
-        clean: Dict[Tuple[int, ...], Poly] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for idx, coeff in items:
-            idx = tuple(idx)
-            if len(idx) != degree:
-                raise ValueError(f"index tuple {idx} has wrong length")
-            if list(idx) != sorted(set(idx)):
-                raise ValueError(f"indices must be strictly increasing, got {idx}")
-            if not all(1 <= i <= model.n_total for i in idx):
-                raise IndexError(f"index out of range in {idx}")
-            model.check_poly(coeff)
-            if not coeff.is_zero():
-                acc = clean.get(idx)
-                coeff = coeff if acc is None else acc + coeff
-                if coeff.is_zero():
-                    clean.pop(idx, None)
-                else:
-                    clean[idx] = coeff
-        self.model = model
-        self.degree = degree
-        self.terms = clean
+        super().__init__(model, degree, terms)
 
-    @classmethod
-    def zero(cls, model: FlatModel, degree: int) -> "MultiVector":
-        return cls(model, degree, {})
+    @property
+    def degree(self) -> int:
+        return self._grade
+
+    @staticmethod
+    def _check_key(model: FlatModel, degree: int, idx) -> Tuple[int, ...]:
+        idx = tuple(idx)
+        if len(idx) != degree:
+            raise ValueError(f"index tuple {idx} has wrong length")
+        if list(idx) != sorted(set(idx)):
+            raise ValueError(f"indices must be strictly increasing, got {idx}")
+        if not all(1 <= i <= model.n_total for i in idx):
+            raise IndexError(f"index out of range in {idx}")
+        return idx
 
     @classmethod
     def wedge_of_frames(cls, model: FlatModel, indices: Sequence[int],
@@ -194,28 +275,6 @@ class MultiVector:
             return cls.zero(model, len(indices))
         return cls(model, len(indices), {sorted_idx: poly * sign})
 
-    def __add__(self, other: "MultiVector") -> "MultiVector":
-        _same_model(self.model, other.model)
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        terms = dict(self.terms)
-        merged = list(terms.items()) + list(other.terms.items())
-        return MultiVector(self.model, self.degree, merged)
-
-    def __neg__(self) -> "MultiVector":
-        return MultiVector(self.model, self.degree,
-                           {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "MultiVector") -> "MultiVector":
-        return self + (-other)
-
-    def scale(self, q) -> "MultiVector":
-        return MultiVector(self.model, self.degree,
-                           {k: v * q for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def component(self, indices: Sequence[int]) -> Poly:
         """Signed coefficient at an arbitrary index tuple."""
         sorted_idx, sign = sort_with_sign(indices)
@@ -225,19 +284,6 @@ class MultiVector:
         if coeff is None:
             return Poly.zero(self.model.n_total)
         return coeff * sign
-
-    def monomials(self) -> Iterator[Tuple[Exponent, Tuple[int, ...], Fraction]]:
-        for idx, coeff in self.terms.items():
-            for exp, q in coeff.terms.items():
-                yield exp, idx, q
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MultiVector) and self.model == other.model
-                and self.degree == other.degree and self.terms == other.terms)
-
-    def __repr__(self) -> str:
-        parts = [f"({c})*d{'^d'.join(map(str, idx))}" for idx, c in sorted(self.terms.items())]
-        return " + ".join(parts) if parts else "0"
 
 
 def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
@@ -263,43 +309,35 @@ def vector_field_as_multivector(x: VectorField) -> MultiVector:
 # ---------------------------------------------------------------------------
 
 
-class SymbolChain:
+class SymbolChain(_TermMap):
     """Element of the arity-graded tensor algebra of symmetric words."""
 
-    __slots__ = ("model", "arity", "terms")
+    __slots__ = ()
+    _grade_name = "arity"
+    _too_low = "arity must be at least 1"
+    _encoder = "chain_to_json"
 
     def __init__(self, model: FlatModel, arity: int,
                  terms: Mapping[Slots, Poly] = ()):
-        if arity < 1:
-            raise ValueError("arity must be at least 1")
-        clean: Dict[Slots, Poly] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for slots, coeff in items:
-            slots = tuple(tuple(w) for w in slots)
-            if len(slots) != arity:
-                raise ValueError(f"term {slots} has wrong arity")
-            for w in slots:
-                if len(w) < 1:
-                    raise ValueError("every slot needs symmetric degree >= 1")
-                if list(w) != sorted(w):
-                    raise ValueError(f"slot word {w} is not sorted")
-                if not all(1 <= i <= model.n_total for i in w):
-                    raise IndexError(f"letter out of range in {w}")
-            model.check_poly(coeff)
-            if not coeff.is_zero():
-                acc = clean.get(slots)
-                coeff = coeff if acc is None else acc + coeff
-                if coeff.is_zero():
-                    clean.pop(slots, None)
-                else:
-                    clean[slots] = coeff
-        self.model = model
-        self.arity = arity
-        self.terms = clean
+        super().__init__(model, arity, terms)
 
-    @classmethod
-    def zero(cls, model: FlatModel, arity: int) -> "SymbolChain":
-        return cls(model, arity, {})
+    @property
+    def arity(self) -> int:
+        return self._grade
+
+    @staticmethod
+    def _check_key(model: FlatModel, arity: int, slots) -> Slots:
+        slots = tuple(tuple(w) for w in slots)
+        if len(slots) != arity:
+            raise ValueError(f"term {slots} has wrong arity")
+        for w in slots:
+            if len(w) < 1:
+                raise ValueError("every slot needs symmetric degree >= 1")
+            if list(w) != sorted(w):
+                raise ValueError(f"slot word {w} is not sorted")
+            if not all(1 <= i <= model.n_total for i in w):
+                raise IndexError(f"letter out of range in {w}")
+        return slots
 
     @classmethod
     def from_term(cls, model: FlatModel, slots: Sequence[Sequence[int]],
@@ -307,24 +345,6 @@ class SymbolChain:
         poly = coeff if isinstance(coeff, Poly) else Poly.constant(model.n_total, coeff)
         slots = tuple(tuple(sorted(w)) for w in slots)
         return cls(model, len(slots), {slots: poly})
-
-    def __add__(self, other: "SymbolChain") -> "SymbolChain":
-        _same_model(self.model, other.model)
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        merged = list(self.terms.items()) + list(other.terms.items())
-        return SymbolChain(self.model, self.arity, merged)
-
-    def __neg__(self) -> "SymbolChain":
-        return SymbolChain(self.model, self.arity,
-                           {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "SymbolChain") -> "SymbolChain":
-        return self + (-other)
-
-    def scale(self, q) -> "SymbolChain":
-        return SymbolChain(self.model, self.arity,
-                           {k: v * q for k, v in self.terms.items()})
 
     def tensor(self, other: "SymbolChain") -> "SymbolChain":
         """Concatenation of tensor slots (coefficients multiply)."""
@@ -342,9 +362,6 @@ class SymbolChain:
         return SymbolChain(self.model, 2,
                            {(b, a): c for (a, b), c in self.terms.items()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def sym_degree_part(self, k: int) -> "SymbolChain":
         """Part of total symmetric degree k (sum of slot lengths)."""
         return SymbolChain(self.model, self.arity,
@@ -360,31 +377,9 @@ class SymbolChain:
     def max_coeff_degree(self) -> int:
         return max((c.total_degree() for c in self.terms.values()), default=0)
 
-    def monomials(self) -> Iterator[Tuple[Exponent, Slots, Fraction]]:
-        """Expand polynomial coefficients into monomial terms."""
-        for slots, coeff in self.terms.items():
-            for exp, q in coeff.terms.items():
-                yield exp, slots, q
-
     def coefficient(self, slots: Sequence[Sequence[int]]) -> Poly:
         key = tuple(tuple(w) for w in slots)
         return self.terms.get(key, Poly.zero(self.model.n_total))
-
-    def sorted_terms(self) -> List[Tuple[Slots, Poly]]:
-        return sorted(self.terms.items())
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SymbolChain) and self.model == other.model
-                and self.arity == other.arity and self.terms == other.terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for slots, coeff in self.sorted_terms():
-            word_str = "(x)".join("v".join(f"d{i}" for i in w) for w in slots)
-            parts.append(f"({coeff})*{word_str}")
-        return " + ".join(parts)
 
 
 def _same_model(a: FlatModel, b: FlatModel) -> None:

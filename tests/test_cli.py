@@ -408,3 +408,93 @@ def test_unsupported_tag_is_an_input_error(tmp_path):
     result = _run(["classify-symbol", "--model", "3,2,1", "--in", "c3.json",
                    "--tag", "total_not_wobs"], cwd=tmp_path)
     _assert_input_error(result)
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-theorem", "--kmax", "-1", "--cmax", "0"],
+    ["verify-theorem", "--kmax", "2", "--cmax", "-1"],
+    ["hh-dim", "--cmax", "-3"],
+    ["hh-dim", "--degree", "1", "--kmax", "-2"],
+], ids=["verify-kmax", "verify-cmax", "hh-dim-cmax", "hh-dim-kmax"])
+def test_negative_window_bound_is_an_input_error(tmp_path, args):
+    # a negative --kmax or --cmax once gave an empty row set and exit 0
+    result = _run(args + ["--model", "3,2,1"], cwd=tmp_path)
+    _assert_input_error(result)
+    assert result.stdout == ""
+
+
+def _c(num, den=1, nvars=3):
+    return {"terms": [{"coeff": [num, den], "exp": [0] * nvars}]}
+
+
+_PAIR = [({"coeff_poly": _c(1, 2), "slots": [[1], [3]]},
+          {"coeff_poly": _c(-1, 2), "slots": [[3], [1]]}),
+         ({"coeff_poly": _c(-1, 2), "slots": [[1], [3]]},
+          {"coeff_poly": _c(-3, 2), "slots": [[3], [1]]})]
+_TABLE_INPUTS = {
+    "function.json": {"terms": [{"coeff": [3, 2], "exp": [0, 2, 0]},
+                                {"coeff": [-1, 1], "exp": [0, 1, 0]},
+                                {"coeff": [1, 1], "exp": [1, 0, 1]},
+                                {"coeff": [-1, 2], "exp": [0, 0, 0]}]},
+    "op.json": {"symbol": {"arity": 1, "terms": [{"coeff_poly": _ONE, "slots": [[1, 3]]}]}},
+    "letter.json": {"arity": 1, "terms": [{"coeff_poly": _ONE, "slots": [[1]]}]},
+    "dphi.json": {"arity": 2, "terms": [{"coeff_poly": _c(-1), "slots": [[1], [3]]},
+                                        {"coeff_poly": _c(-1), "slots": [[3], [1]]}]},
+    "star.json": {"order": 1, "cochains": [{"symbol": {"arity": 2, "terms": list(_PAIR[0])}}]},
+    "star_pair.json": {"agree_to": 0,
+                       "star": {"order": 1, "cochains": [
+                           {"symbol": {"arity": 2, "terms": list(_PAIR[0])}}]},
+                       "star_prime": {"order": 1, "cochains": [
+                           {"symbol": {"arity": 2, "terms": list(_PAIR[1])}}]}},
+    "bad_star.json": {"order": 2, "cochains": [
+        {"symbol": {"arity": 2, "terms": [
+            {"coeff_poly": _c(-3, nvars=1), "slots": [[1], [1, 1]]},
+            {"coeff_poly": _c(-3, nvars=1), "slots": [[1, 1], [1]]}]}},
+        {"symbol": {"arity": 2, "terms": []}}]},
+}
+_ROW_321 = '{"n_null": 1, "n_total": 3, "n_wobs": 2}'
+_ROW_211 = '{"n_null": 1, "n_total": 2, "n_wobs": 1}'
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["reduce", "--model", "3,2,1", "--in", "function.json"],
+     'kind: function\nreduced_model: {"n_null": 0, "n_total": 1, "n_wobs": 1}\n'
+     'result: 3/2*x1^2 - x1 - 1/2\n'),
+    (["delta", "--model", "3,2,1", "--in", "op.json"],
+     "(-1) d1(x)d3  +  (-1) d3(x)d1\n"),
+    (["star-equiv", "--model", "3,2,1", "--in", "star_pair.json"],
+     "S: (-1) d1vd3\nconstraint_equivalent: no\norder: 1\nplain_equivalent: yes\n"),
+    (["bigd", "--model", "3,2,1", "--in", "letter.json"], "0\n"),
+    (["find-potential", "--model", "3,2,1", "--in", "dphi.json"],
+     "has_constraint_potential: no\npotential: None\n"),
+    (["classify-star", "--model", "3,2,1", "--in", "star.json"],
+     "X: (1) d1^d3\npsi: 0\n"),
+    (["decompose-cocycle", "--model", "3,2,1", "--in", "dphi.json"],
+     'ambient_bivector: 0\nclass: {"X": {"degree": 2, "terms": []}, "psi": {"arity": 1, '
+     '"terms": [{"coeff_poly": {"terms": [{"coeff": [1, 1], "exp": [0, 0, 0]}]}, '
+     '"slots": [[1, 3]]}]}}\npotential: 0\nreduced_bivector: 0\n'),
+    (["star-check", "--model", "1,1,0", "--in", "bad_star.json"],
+     'associative: no\nconstraint: yes\nviolation: {"arguments": [{"terms": [{"coeff": '
+     '[1, 1], "exp": [1]}]}, {"terms": [{"coeff": [1, 1], "exp": [1]}]}, {"terms": '
+     '[{"coeff": [1, 1], "exp": [4]}]}], "defect": {"terms": [{"coeff": [-216, 1], '
+     '"exp": [0]}]}, "order": 2}\n'),
+    (["hh-dim", "--model", "3,2,1", "--degree", "0", "--cmax", "1"],
+     "model                                     tag   degree  c  hh_dim\n"
+     "----------------------------------------  ----  ------  -  ------\n"
+     f"{_ROW_321}  wobs  0       0  1     \n"
+     f"{_ROW_321}  wobs  0       1  2     \n"),
+    (["verify-theorem", "--model", "2,1,1", "--kmax", "2", "--cmax", "0", "--reps"],
+     "model                                     tag   degree  K  c  hh_dim  rhs_dim  match\n"
+     "----------------------------------------  ----  ------  -  -  ------  -------  -----\n"
+     f"{_ROW_211}  wobs  2       2  0  2       2        yes  \n"
+     f"{_ROW_211}  null  2       2  0  2       2        yes  \n"
+     "\nall_match: yes\n"),
+], ids=["polynomial", "operator", "nested-operator", "zero-chain", "none",
+        "multivector-and-zero", "nested-dicts", "violation", "hh-rows", "hh-rows-with-reps"])
+def test_table_text_of_each_value_shape(tmp_path, args, expected):
+    # --format table text of every report value shape, pinned byte for byte
+    for name, doc in _TABLE_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    result = _run(args + ["--format", "table"], cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == expected

@@ -155,3 +155,41 @@ def test_json_integer_accepts_integral_numbers(value, expected):
 def test_json_integer_rejects_everything_else(value):
     with pytest.raises(ValueError, match="x must be an integer"):
         serialize.json_integer(value, "x")
+
+
+_polys3 = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                          max_size=3).map(lambda terms: Poly(3, terms))
+_words3 = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(lambda w: tuple(sorted(w)))
+_encoded = st.one_of(
+    st.integers(1, 3).flatmap(lambda arity: st.lists(
+        st.tuples(st.tuples(*[_words3] * arity), _polys3), max_size=3).map(
+        lambda terms: (SymbolChain(_M321, arity, terms), chain_to_json))),
+    st.integers(1, 3).flatmap(lambda degree: st.lists(
+        st.tuples(st.sets(st.integers(1, 3), min_size=degree, max_size=degree).map(
+            lambda idx: tuple(sorted(idx))), _polys3), max_size=3).map(
+        lambda terms: (MultiVector(_M321, degree, terms), multivector_to_json))),
+    st.lists(_polys3, min_size=3, max_size=3).map(
+        lambda comps: (VectorField(_M321, comps), field_to_json)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_encoded)
+def test_repr_is_the_table_text_of_the_encoding(case):
+    # one printer: a chain, multivector or vector field prints as the
+    # --format table text of its JSON encoding
+    value, encode = case
+    assert repr(value) == serialize.to_text(encode(value))
+    assert (repr(value) == "0") == value.is_zero()
+
+
+@given(_polys3)
+def test_poly_text_is_the_table_text_of_the_encoding(p):
+    assert str(p) == serialize.to_text(poly_to_json(p))
+
+
+def test_to_text_of_other_values_is_none():
+    assert serialize.to_text(model_to_json(_M321)) is None
+    assert serialize.to_text({"order": 1}) is None
+    assert serialize.to_text([1, 2]) is None
+    assert serialize.to_text(None) is None
