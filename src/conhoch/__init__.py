@@ -22,11 +22,11 @@ _EXPORTS = {
                "UnsupportedTagError"),
     "model": ("FlatModel", "FunctionClass", "SubspaceTag"),
     "poly": ("Poly", "monomials_of_degree", "monomials_up_to_degree"),
+    "words": ("monomial_member",),
     "symbols": ("MultiVector", "SymbolChain", "VectorField", "bracket",
                 "chain_membership", "chain_vee", "differential_d", "hkr",
-                "in_function_span_wobs", "monomial_member", "mv_membership",
-                "shuffle_coproduct", "vee", "vee_collapse", "vf_membership",
-                "wedge"),
+                "in_function_span_wobs", "mv_membership", "shuffle_coproduct",
+                "vee", "vee_collapse", "vf_membership", "wedge"),
     "decompose": ("decompose_sym", "decompose_tensor2", "pr1", "pr1_top",
                   "reduce_multivector"),
     "diffops": ("FlatConnection", "MultiDiffOp", "SymCovTensor",

@@ -12,8 +12,8 @@ compiles only errors, model, poly and serialize (the --tag choices come
 from model.SubspaceTag); the handlers import symbols, decompose,
 diffops, cohomology and starprod when called, and the pool is imported
 only when more than one worker is used.  A write to an unwritable --out
-path, an input nested too deeply for the JSON reader and a negative
---kmax or --cmax are input errors like any other.
+path, an input nested too deeply for the JSON reader, a negative --kmax
+or --cmax and a slice --tag other than wobs/null are input errors too.
 """
 
 from __future__ import annotations
@@ -363,6 +363,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for flag, value in (("--kmax", args.kmax), ("--cmax", args.cmax)):
             if value < 0:
                 raise ValueError(f"{flag} must be at least 0 (got {value})")
+        if (args.command in ("hh-dim", "verify-theorem")
+                and args.tag not in (None, "wobs", "null")):
+            raise ValueError("cohomology slices carry wobs/null tags")
         model = _parse_model(args.model)
         result = _HANDLERS[args.command](model, args)
         _write(emit_report(result, args.format), args.outfile)

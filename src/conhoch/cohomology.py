@@ -8,23 +8,25 @@ every computation splits into independent blocks, one per coefficient
 monomial.  Tagged slice bases consist of monomial chains (the tagged
 subspaces are monomially spanned on the flat model).
 
-Two more facts make the blocks small and few:
+Three more facts make the blocks small and few:
 
+* Per-word windows.  Membership in the wobs or null subspace reads the
+  coefficient only through its unit counts (d, t) and each slot word
+  only through its letter profile, so a tagged window is decided per
+  word and cached per (model, arity, K, tag, d, t), as is its rank.
 * Letter-content blocks.  The differential only splits slot words, so
   it keeps the multiset of letters across all slots (the letter
-  content).  Each per-coefficient block is therefore block-diagonal
-  over letter contents, and :func:`_image_columns` builds one integer
-  sparse column per domain word with
-  :func:`~conhoch.symbols.unit_differential`, the same expansion that
-  :func:`~conhoch.symbols.differential_d` applies to every term.
-* The (d, t) rank cache.  Which words lie in a tagged window depends on
-  the coefficient monomial only through its distribution and normal
-  unit counts (d, t), so the rank of the differential on a tagged
-  (arity, K) window is cached per (model, arity, K, tag, d, t) and
-  shared by every coefficient monomial with those counts.
+  content) and is block-diagonal over it; :func:`_image_columns` builds
+  one integer sparse column per domain word.
+* Pattern ranks.  Relabelling letters inside a coordinate block keeps
+  every letter profile and commutes with the differential, so blocks
+  with equal sorted multiplicities per coordinate block have equal
+  rank: ranks eliminate one block per pattern, solvers every block.
 
 Ranks and solves go through the sparse exact kernel of
-:mod:`conhoch.linalg`; no step is modular or floating point.
+:mod:`conhoch.linalg`; no step is modular or floating point.  Only the
+functions that build chains import :mod:`conhoch.symbols` and
+:mod:`conhoch.decompose`, on first use.
 
 The main entry points:
 
@@ -43,19 +45,22 @@ The main entry points:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
-from .decompose import decompose_sym, pr1, pr1_top, reduce_multivector
 from .errors import (InvariantError, NotCocycleError, NotConstraintError,
                      PreconditionError, SolveFailureError)
 from .linalg import sparse_rank, sparse_solve
-from .model import FlatModel, FunctionClass
+from .model import FlatModel, FunctionClass, SubspaceTag
 from .poly import Exponent, Poly, monomials_of_degree
-from .symbols import (MultiVector, Slots, SubspaceTag, SymbolChain, Word,
-                      chain_membership, differential_d, hkr, monomial_member,
-                      mv_membership, mv_monomial_member, unit_differential)
+from .words import (Slots, Word, _slot_profile, _tensor_member,
+                    mv_monomial_member, unit_differential)
+
+if TYPE_CHECKING:  # the chain-building functions import these on first use
+    from .symbols import MultiVector, SymbolChain
 
 SLICE_TAGS = ("total", "wobs", "null")
 
@@ -111,27 +116,18 @@ def _all_slot_tuples(model: FlatModel, arity: int, sym_degree: int) -> Tuple[Slo
 def _tagged_slots_for_units(model: FlatModel, arity: int, sym_degree: int,
                             tag: str, d_units: int, t_units: int) -> Tuple[Slots, ...]:
     """Slot tuples whose monomial chain (with any coefficient having the
-    given block unit counts) lies in the tagged subspace.  Membership
-    depends on the coefficient only through those counts."""
+    given block unit counts) lies in the tagged subspace, in the order of
+    :func:`_all_slot_tuples`; decided once per word profile and once per
+    tuple of profiles.  A normal unit makes every chain null."""
     all_slots = _all_slot_tuples(model, arity, sym_degree)
-    if tag == "total":
+    if tag == "total" or t_units >= 1:
         return all_slots
-    gamma = _witness_exponent(model, d_units, t_units)
     subtag = SubspaceTag(tag)
-    return tuple(s for s in all_slots if monomial_member(model, gamma, s, subtag))
-
-
-def _witness_exponent(model: FlatModel, d_units: int, t_units: int) -> Exponent:
-    exp = [0] * model.n_total
-    if d_units:
-        if model.n_null == 0:
-            raise ValueError("distribution units without distribution variables")
-        exp[0] = d_units
-    if t_units:
-        if model.n_wobs == model.n_total:
-            raise ValueError("normal units without normal variables")
-        exp[model.n_wobs] = t_units
-    return tuple(exp)
+    profile = {w: _slot_profile(model, w)
+               for w in set(itertools.chain.from_iterable(all_slots))}.__getitem__
+    member = lru_cache(maxsize=None)(
+        lambda profiles: _tensor_member(d_units, 0, profiles, subtag))
+    return tuple(s for s in all_slots if member(tuple(map(profile, s))))
 
 
 def slice_monomials(slc: Slice) -> List[Tuple[Exponent, Slots]]:
@@ -149,6 +145,7 @@ def slice_monomials(slc: Slice) -> List[Tuple[Exponent, Slots]]:
 def slice_basis(slc: Slice) -> List[SymbolChain]:
     """Basis of the tagged slice; the spanning monomials are linearly
     independent coordinates, so they are already a basis."""
+    from .symbols import SymbolChain
     return [SymbolChain.from_term(slc.model, slots, Poly.monomial(gamma))
             for gamma, slots in slice_monomials(slc)]
 
@@ -188,14 +185,31 @@ def _letter_blocks(model: FlatModel, arity: int, sym_degree: int, tag: str,
 
 
 @lru_cache(maxsize=None)
+def _pattern(model: FlatModel, content: Word) -> Tuple[Tuple[int, int], ...]:
+    """The sorted (coordinate block, multiplicity) pairs of the letters of
+    a letter content, blocks numbered 0, 1, 2 for D, D-perp, TC-perp: the
+    content up to relabelling letters inside their blocks."""
+    return tuple(sorted(((letter > model.n_null) + (letter > model.n_wobs), n)
+                        for letter, n in Counter(content).items()))
+
+
+@lru_cache(maxsize=None)
 def _rank_of_d(model: FlatModel, arity: int, sym_degree: int, tag: str,
                d_units: int, t_units: int) -> int:
     """Rank of the differential on a tagged (arity, K) window for any
     coefficient monomial with the given unit counts: the domain depends
     on the coefficient only through them, and the differential never
-    touches it."""
+    touches it.  Blocks of one :func:`_pattern` have equal rank, so one
+    block per pattern is eliminated."""
     blocks = _letter_blocks(model, arity, sym_degree, tag, d_units, t_units)
-    return sum(sparse_rank(_image_columns(model, words)) for words in blocks.values())
+    ranks: Dict[tuple, int] = {}
+    total = 0
+    for content, words in blocks.items():
+        key = _pattern(model, content)
+        if key not in ranks:
+            ranks[key] = sparse_rank(_image_columns(model, words))
+        total += ranks[key]
+    return total
 
 
 def matrix_of_D(domain: Slice, codomain: Slice) -> List[Dict[int, int]]:
@@ -271,16 +285,15 @@ def hh0_dimension(model: FlatModel, tag: SubspaceTag, coeff_degree: int) -> int:
 
 def bivector_slice_monomials(model: FlatModel, tag: SubspaceTag,
                              coeff_degree: int) -> List[Tuple[Exponent, Tuple[int, int]]]:
-    out = []
-    for gamma in monomials_of_degree(model.n_total, coeff_degree):
-        for pair in itertools.combinations(range(1, model.n_total + 1), 2):
-            if mv_monomial_member(model, gamma, pair, tag):
-                out.append((gamma, pair))
-    return out
+    return [(gamma, pair)
+            for gamma in monomials_of_degree(model.n_total, coeff_degree)
+            for pair in itertools.combinations(range(1, model.n_total + 1), 2)
+            if mv_monomial_member(model, gamma, pair, tag)]
 
 
 def bivector_slice_basis(model: FlatModel, tag: SubspaceTag,
                          coeff_degree: int) -> List[MultiVector]:
+    from .symbols import MultiVector
     return [MultiVector(model, 2, {pair: Poly.monomial(gamma)})
             for gamma, pair in bivector_slice_monomials(model, tag, coeff_degree)]
 
@@ -292,20 +305,17 @@ def normal_class_monomials(model: FlatModel, sym_degree: int,
     the variables on C only."""
     if sym_degree < 2:
         return []
-    out = []
-    gammas = []
-    for gamma_c in monomials_of_degree(model.n_wobs, coeff_degree):
-        gammas.append(gamma_c + (0,) * (model.n_total - model.n_wobs))
-    for gamma in gammas:
-        for d_part in itertools.combinations_with_replacement(
-                model.d_indices, sym_degree - 1):
-            for u in model.tcperp_indices:
-                out.append((gamma, d_part + (u,)))
-    return out
+    normal = (0,) * (model.n_total - model.n_wobs)
+    return [(gamma_c + normal, d_part + (u,))
+            for gamma_c in monomials_of_degree(model.n_wobs, coeff_degree)
+            for d_part in itertools.combinations_with_replacement(
+                model.d_indices, sym_degree - 1)
+            for u in model.tcperp_indices]
 
 
 def normal_class_basis(model: FlatModel, sym_degree: int,
                        coeff_degree: int) -> List[SymbolChain]:
+    from .symbols import SymbolChain
     return [SymbolChain.from_term(model, [word], Poly.monomial(gamma))
             for gamma, word in normal_class_monomials(model, sym_degree, coeff_degree)]
 
@@ -339,6 +349,7 @@ def _solve_d(rhs: SymbolChain, tag: Optional[SubspaceTag]) -> Optional[SymbolCha
     columns and the others are 0, as in one solve over the whole
     (K, coefficient) block.  Returns None when some block has no
     solution."""
+    from .symbols import SymbolChain
     model = rhs.model
     tag_name = tag.value if tag is not None else "total"
     blocks: Dict[Tuple[int, Exponent], Dict[Word, Dict[Slots, Fraction]]] = {}
@@ -371,6 +382,7 @@ def find_constraint_potential(phi: SymbolChain) -> Optional[SymbolChain]:
 
 def find_potential(phi: SymbolChain) -> Optional[SymbolChain]:
     """Exact solve of D(psi) = phi over the full (untagged) slice."""
+    from .symbols import differential_d
     if phi.arity < 2:
         raise PreconditionError("a potential needs a chain of arity at least 2")
     if not differential_d(phi).is_zero():
@@ -379,6 +391,7 @@ def find_potential(phi: SymbolChain) -> Optional[SymbolChain]:
 
 
 def _require_closed_constraint(phi: SymbolChain) -> None:
+    from .symbols import chain_membership, differential_d
     if phi.arity != 2:
         raise PreconditionError("expected an arity-2 chain")
     if not chain_membership(phi, SubspaceTag.WOBS):
@@ -404,6 +417,7 @@ class CocycleClass(_ClassFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
+        from .symbols import mv_membership
         self = super().__new__(cls, *args, **kwargs)
         if self.bivector.degree != 2 or self.normal_part.arity != 1:
             raise ValueError("need a bivector and an arity-1 chain")
@@ -449,6 +463,8 @@ def decompose_2cocycle(phi: SymbolChain) -> CocycleDecomposition:
     membership guarantees would be a counterexample to the
     classification and raises SolveFailureError.
     """
+    from .decompose import decompose_sym, pr1, pr1_top
+    from .symbols import chain_membership, differential_d, hkr, mv_membership
     _require_closed_constraint(phi)
     bivector = pr1_top(phi)
     if not mv_membership(bivector, SubspaceTag.WOBS):
@@ -476,6 +492,7 @@ def decompose_2cocycle(phi: SymbolChain) -> CocycleDecomposition:
 def class_maps(cls: CocycleClass) -> Tuple[MultiVector, MultiVector]:
     """The two morphisms out of an observable degree-2 class: the ambient
     bivector, and its image on the reduced model."""
+    from .decompose import reduce_multivector
     return cls.bivector, reduce_multivector(cls.bivector)
 
 
@@ -500,6 +517,7 @@ def hh2_slice_report(model: FlatModel, tag: SubspaceTag, sym_degree: int,
         "match": hh == rhs,
     }
     if with_representatives:
+        from .symbols import differential_d, hkr
         reps: List[SymbolChain] = []
         if sym_degree == 2:
             reps.extend(hkr(x) for x in bivector_slice_basis(model, tag, coeff_degree))

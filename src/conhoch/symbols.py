@@ -21,9 +21,9 @@ This module provides
 * the free algebra operations (wedge, vee, tensor concatenation),
 * the reduced shuffle coproduct and the induced tensor differential,
 * the antisymmetrisation map from multivectors to chains,
-* membership tests for every constraint subspace used by the cohomology
-  computation, decided per monomial from the block structure of the
-  flat model.
+* membership of chains, multivectors and vector fields, decided per
+  monomial by the rules of :mod:`conhoch.words` (re-exported here with
+  the shuffle splittings and the unit differential).
 
 The subspace tags live in :mod:`conhoch.model` (re-exported here), and
 the degree-1 projections, the canonical splittings of chains and the
@@ -38,15 +38,15 @@ import itertools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ModelMismatchError, UnsupportedTagError
 from .model import FlatModel, SubspaceTag
 from .poly import Exponent, Poly
-
-Word = Tuple[int, ...]
-Slots = Tuple[Word, ...]
+from .words import (Slots, Word, _slot_profile, _tensor_member,
+                    _word_splits, _word_wobs_ok, monomial_member,
+                    mv_monomial_member, shuffle_pairs, unit_differential,
+                    word_category)
 
 
 def vee(a: Word, b: Word) -> Word:
@@ -414,20 +414,6 @@ def vee_collapse(chain: SymbolChain) -> SymbolChain:
 # ---------------------------------------------------------------------------
 
 
-def shuffle_pairs(word: Word) -> Iterator[Tuple[Word, Word]]:
-    """All splittings of a word into an ordered pair of nonempty blocks,
-    one pair per (l, k-l)-shuffle.  Repeated letters produce repeated
-    pairs, which is exactly the shuffle multiplicity."""
-    k = len(word)
-    positions = range(k)
-    for ell in range(1, k):
-        for left_pos in itertools.combinations(positions, ell):
-            left = tuple(word[p] for p in left_pos)
-            right_set = set(left_pos)
-            right = tuple(word[p] for p in positions if p not in right_set)
-            yield left, right
-
-
 def shuffle_coproduct(model: FlatModel, word: Sequence[int],
                       coeff=1) -> SymbolChain:
     """Reduced shuffle coproduct of a single symmetric word, as an
@@ -439,31 +425,6 @@ def shuffle_coproduct(model: FlatModel, word: Sequence[int],
     for left, right in shuffle_pairs(word):
         terms.append(((left, right), poly))
     return SymbolChain(model, 2, terms)
-
-
-@lru_cache(maxsize=None)
-def _word_splits(word: Word) -> Tuple[Tuple[Word, Word, int], ...]:
-    """The distinct (left, right) splittings of a word with their shuffle
-    multiplicities."""
-    counts: Dict[Tuple[Word, Word], int] = {}
-    for pair in shuffle_pairs(word):
-        counts[pair] = counts.get(pair, 0) + 1
-    return tuple((left, right, n) for (left, right), n in counts.items())
-
-
-def unit_differential(slots: Slots) -> Dict[Slots, int]:
-    """The differential of the monomial chain with these slot words and
-    unit coefficient, as integer coefficients keyed by image slot tuples.
-    Splitting slot i (1-based) gives a shorter word at position i than
-    splitting any later slot, so no two splittings share a key and no
-    entry cancels."""
-    out: Dict[Slots, int] = {}
-    for i, word in enumerate(slots):
-        sign = 1 if i % 2 else -1  # (-1)^i for the 1-based slot i + 1
-        head, tail = slots[:i], slots[i + 1:]
-        for left, right, n in _word_splits(word):
-            out[head + (left, right) + tail] = sign * n
-    return out
 
 
 def differential_d(chain: SymbolChain) -> SymbolChain:
@@ -490,107 +451,6 @@ def hkr(x: MultiVector) -> SymbolChain:
             slots = tuple((idx[p],) for p in perm)
             terms.append((slots, coeff * (factor * sign)))
     return SymbolChain(x.model, n, terms)
-
-
-# ---------------------------------------------------------------------------
-# membership engine
-#
-# Every constraint subspace occurring here is spanned by monomial chains
-# (coefficient monomial times a tuple of frame words), so membership of an
-# arbitrary element is decided monomial by monomial.  The observable and
-# null classes are the exact monomial characterisations of the defining
-# operator-level conditions (observable arguments map to observables, and
-# to nulls once one argument is null): worst-case argument analysis shows
-# that a monomial operator is null precisely when its coefficient carries
-# a normal variable or some slot word mixes distribution letters with no
-# normal letter (such a slot annihilates every observable argument into
-# the null class), and observable when additionally a coefficient free of
-# distribution variables together with normal-letter-free words qualifies.
-# The analysis is cross-checked against the sampled functional oracle in
-# the test suite.
-# ---------------------------------------------------------------------------
-
-
-def _slot_profile(model: FlatModel, word: Word) -> Tuple[int, int, int]:
-    """Letter counts of a word by block: (d, dperp, tcperp)."""
-    nd = sum(1 for i in word if i <= model.n_null)
-    nt = sum(1 for i in word if i > model.n_wobs)
-    return nd, len(word) - nd - nt, nt
-
-
-def _word_wobs_ok(t: int, d: int, nd: int, np_: int, nt: int) -> bool:
-    """Can a coefficient with t normal-variable units and d distribution
-    units be split over a word with letter profile (nd, np_, nt) so that
-    every letter carries an observable field?  Each normal letter needs
-    its own normal unit; distribution units need a sink letter that
-    tolerates them (a distribution letter, a normal letter, or a
-    transverse letter that received a spare normal unit)."""
-    if t < nt:
-        return False
-    if d == 0 or nd >= 1 or nt >= 1:
-        return True
-    return np_ >= 1 and t >= nt + 1
-
-
-def _tensor_member(d_units: int, t_units: int,
-                   profiles: Tuple[Tuple[int, int, int], ...],
-                   tag: "SubspaceTag") -> bool:
-    """Membership of a monomial chain with coefficient unit counts
-    (d_units, t_units) and the given slot letter profiles.
-
-    Null: the coefficient vanishes on C (a normal variable unit), or some
-    slot word contains a distribution letter and no normal letter - the
-    derivative along such a slot sends every observable argument into
-    the null class.  Observable: additionally, a coefficient without
-    distribution variables combined with normal-letter-free slot words.
-    """
-    null = t_units >= 1 or any(nd >= 1 and nt == 0 for nd, _, nt in profiles)
-    if tag is SubspaceTag.NULL:
-        return null
-    return null or (d_units == 0 and all(nt == 0 for _, _, nt in profiles))
-
-
-def word_category(model: FlatModel, word: Word) -> str:
-    """Exactly one of: 'that' (contains a normal letter), 'nhat' (tangent
-    letters with at least one distribution letter), 'wnhat' (letters all
-    transverse-in-C)."""
-    if any(i > model.n_wobs for i in word):
-        return "that"
-    if any(i <= model.n_null for i in word):
-        return "nhat"
-    return "wnhat"
-
-
-def monomial_member(model: FlatModel, gamma: Exponent, slots: Slots,
-                    tag: SubspaceTag) -> bool:
-    """Membership of a single monomial chain (coefficient exponent gamma,
-    slot words) in the tagged subspace."""
-    d, _, t = model.unit_counts(gamma)
-    if tag in (SubspaceTag.WOBS, SubspaceTag.NULL):
-        profiles = tuple(_slot_profile(model, w) for w in slots)
-        return _tensor_member(d, t, profiles, tag)
-    # hatted tags: sections over C only, so no normal variables at all
-    arity = len(slots)
-    if arity == 1:
-        if t != 0:
-            return False
-        cat = word_category(model, slots[0])
-        if tag is SubspaceTag.NULL_NOT_VAN:
-            return cat == "nhat"
-        if tag is SubspaceTag.WOBS_NOT_NULL:
-            return cat == "wnhat"
-        if tag is SubspaceTag.TOTAL_NOT_WOBS:
-            return cat == "that"
-        if tag is SubspaceTag.TOTAL_NOT_NULL:
-            return cat in ("that", "wnhat")
-    if arity == 2 and tag in (SubspaceTag.NULL_NOT_VAN, SubspaceTag.TOTAL_NOT_WOBS):
-        if t != 0:
-            return False
-        cats = [word_category(model, w) for w in slots]
-        if tag is SubspaceTag.TOTAL_NOT_WOBS:
-            return all(c in ("that", "wnhat") for c in cats) and "that" in cats
-        return "nhat" in cats
-    raise UnsupportedTagError(f"tag {tag.value} is not defined at arity {arity}")
 
 
 def chain_membership(chain: SymbolChain, tag: SubspaceTag) -> bool:
@@ -640,23 +500,6 @@ def vf_membership(x: VectorField, tag: SubspaceTag) -> bool:
                     return False
         return True
     raise UnsupportedTagError(f"vector fields carry only wobs/null tags, not {tag.value}")
-
-
-def mv_monomial_member(model: FlatModel, gamma: Exponent,
-                       idx: Tuple[int, ...], tag: SubspaceTag) -> bool:
-    """Membership of a single monomial multivector term in the tagged
-    class.  The null multivectors are wedges of arbitrary fields with
-    one null factor, so a monomial qualifies when a distribution letter
-    is present or the coefficient carries a normal variable; the
-    observable ones additionally admit wedges of observable fields."""
-    if tag not in (SubspaceTag.WOBS, SubspaceTag.NULL):
-        raise UnsupportedTagError(f"multivectors carry only wobs/null tags, not {tag.value}")
-    d, _, t = model.unit_counts(gamma)
-    nd, np_, nt = _slot_profile(model, idx)
-    null_route = nd >= 1 or t >= 1
-    if tag is SubspaceTag.NULL:
-        return null_route
-    return null_route or _word_wobs_ok(t, d, nd, np_, nt)
 
 
 def mv_membership(x: MultiVector, tag: SubspaceTag) -> bool:

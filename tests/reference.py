@@ -10,7 +10,10 @@ that the library decides it with:
 * operator membership from the defining function-class conditions
   (:func:`op_membership_functional`);
 * the order-r associator of a star product, evaluated from its cochains
-  on every monomial triple of a window (:func:`sampled_defects`).
+  on every monomial triple of a window (:func:`sampled_defects`);
+* the tagged slot tuples of a slice window, filtered monomial by
+  monomial through the public membership test with one witness
+  coefficient (:func:`tagged_slots_by_monomial`).
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from __future__ import annotations
 import itertools
 from typing import List
 
-from conhoch import FunctionClass, MultiDiffOp, Poly, SubspaceTag, SymbolChain, TruncatedStar
+from conhoch import (FlatModel, FunctionClass, MultiDiffOp, Poly, SubspaceTag, SymbolChain,
+                     TruncatedStar, monomial_member)
 from conhoch import starprod
+from conhoch.cohomology import _all_slot_tuples
 from conhoch.diffops import apply_to_monomials, monomial_argument_tuples
 from conhoch.errors import UnsupportedTagError
 
@@ -87,3 +92,30 @@ def sampled_defects(star: TruncatedStar, order: int):
     for args in monomial_argument_tuples(star.model, 3, sampled_window(star, order)):
         polys = tuple(Poly.monomial(e) for e in args)
         yield polys, starprod._associativity_defect(star, order, *polys)
+
+
+def _witness_exponent(model: FlatModel, d_units: int, t_units: int):
+    """A coefficient exponent with the given distribution and normal unit
+    counts: all distribution units on x1, all normal units on the first
+    normal variable."""
+    exp = [0] * model.n_total
+    if d_units:
+        if model.n_null == 0:
+            raise ValueError("distribution units without distribution variables")
+        exp[0] = d_units
+    if t_units:
+        if model.n_wobs == model.n_total:
+            raise ValueError("normal units without normal variables")
+        exp[model.n_wobs] = t_units
+    return tuple(exp)
+
+
+def tagged_slots_by_monomial(model: FlatModel, arity: int, sym_degree: int,
+                             tag: str, d_units: int, t_units: int):
+    """Every slot tuple of the (arity, K) window whose monomial chain, with
+    a witness coefficient of the given unit counts, passes
+    monomial_member, in the order of the untagged enumeration."""
+    gamma = _witness_exponent(model, d_units, t_units)
+    subtag = SubspaceTag(tag)
+    return tuple(s for s in _all_slot_tuples(model, arity, sym_degree)
+                 if monomial_member(model, gamma, s, subtag))

@@ -89,10 +89,9 @@ _ROUTE_INPUTS = {
 @pytest.mark.parametrize("args, extra", [
     ([], set()),
     (["classify-function", "--in", "poly.json"], set()),
-    (["bigd", "--in", "chain.json"], {"symbols"}),
-    (["star-check", "--in", "star.json"], {"symbols", "diffops", "starprod"}),
-    (["verify-theorem", "--kmax", "2", "--cmax", "0"],
-     {"symbols", "cohomology", "linalg", "decompose"}),
+    (["bigd", "--in", "chain.json"], {"symbols", "words"}),
+    (["star-check", "--in", "star.json"], {"symbols", "words", "diffops", "starprod"}),
+    (["verify-theorem", "--kmax", "2", "--cmax", "0"], {"cohomology", "linalg", "words"}),
 ], ids=["import", "classify-function", "bigd", "star-check", "verify-theorem"])
 def test_command_loads_only_the_modules_it_runs(tmp_path, args, extra):
     # each command compiles the start-up modules plus what its handler calls
@@ -398,6 +397,21 @@ def test_hh_dim_degree_zero(tmp_path):
     rows = json.loads(result.stdout)["rows"]
     # observable monomials: {1}, {x2, x3}, {x1*x3, x2^2, x2*x3, x3^2}
     assert [r["hh_dim"] for r in rows] == [1, 2, 4]
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-theorem", "--kmax", "1", "--cmax", "0"],
+    ["verify-theorem", "--kmax", "2", "--cmax", "0"],
+    ["hh-dim", "--degree", "2", "--kmax", "1"],
+    ["hh-dim", "--degree", "1", "--kmax", "0"],
+    ["hh-dim", "--degree", "0"],
+], ids=["verify-empty", "verify", "hh2-empty", "hh1-empty", "hh0"])
+def test_slice_commands_reject_other_tags(tmp_path, args):
+    # the tag is checked before any slice is built: an empty window once
+    # let verify-theorem print {"all_match": true, "rows": []} and exit 0
+    result = _run(args + ["--model", "3,2,1", "--tag", "total_not_wobs"], cwd=tmp_path)
+    _assert_input_error(result)
+    assert result.stderr == "error: cohomology slices carry wobs/null tags\n"
 
 
 def test_unsupported_tag_is_an_input_error(tmp_path):

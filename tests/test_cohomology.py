@@ -20,6 +20,7 @@ from conhoch.errors import (InvariantError, NotCocycleError, NotConstraintError,
 from conhoch.linalg import RationalMatrix, sparse_rank
 
 from conftest import all_models, rand_fraction, rand_tagged_chain, var
+from reference import tagged_slots_by_monomial
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +98,36 @@ def test_tagged_slices_form_subcomplex():
                         dom = Slice(model, arity, K, c, tag)
                         cod = Slice(model, arity + 1, K, c, tag)
                         matrix_of_D(dom, cod)  # raises on any escape
+
+
+def _windows():
+    """A tagged window of a small model: (model, arity, K, tag, d, t) with
+    unit counts that some coefficient monomial of the model carries."""
+    return st.tuples(
+        st.sampled_from(all_models(4)), st.integers(1, 2), st.integers(1, 4),
+        st.sampled_from(("wobs", "null")), st.integers(0, 2), st.integers(0, 2),
+    ).filter(lambda w: (w[4] == 0 or w[0].n_null > 0)
+             and (w[5] == 0 or w[0].n_wobs < w[0].n_total))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_windows())
+def test_tagged_window_equals_the_monomial_filter(window):
+    # deciding membership per word gives exactly the tuples, in the same
+    # order, that monomial_member keeps with a witness coefficient
+    assert cohomology._tagged_slots_for_units(*window) == tagged_slots_by_monomial(*window)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_windows())
+def test_pattern_rank_equals_the_rank_of_every_block(window):
+    # one elimination per letter-multiplicity pattern gives the same rank
+    # as eliminating every letter-content block of the window
+    model = window[0]
+    blocks = cohomology._letter_blocks(*window)
+    every_block = sum(sparse_rank(cohomology._image_columns(model, words))
+                      for words in blocks.values())
+    assert cohomology._rank_of_d(*window) == every_block
 
 
 # ---------------------------------------------------------------------------

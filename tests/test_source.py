@@ -75,3 +75,13 @@ def test_star_products_do_not_load_the_solvers():
     heavy = {m: where for m, where in reached.items()
              if m in {"cohomology", "linalg"}}
     assert heavy == {}, f"starprod imports the solvers at: {heavy}"
+
+
+def test_slice_kernel_does_not_load_the_symbol_calculus():
+    # verify-theorem computes slice dimensions from words alone: the
+    # symbol containers, the decompositions and the operator and
+    # star-product layers load only when a chain is built
+    reached = _import_closure("cohomology")
+    heavy = {m: where for m, where in reached.items()
+             if m in {"symbols", "decompose", "diffops", "starprod"}}
+    assert heavy == {}, f"cohomology imports the symbol calculus at: {heavy}"
