@@ -27,14 +27,13 @@ _EXPORTS = {
                 "chain_membership", "chain_vee", "differential_d", "hkr",
                 "in_function_span_wobs", "mv_membership", "shuffle_coproduct",
                 "vee", "vee_collapse", "vf_membership", "wedge"),
-    "decompose": ("decompose_sym", "decompose_tensor2", "pr1", "pr1_top",
-                  "reduce_multivector"),
+    "decompose": ("CocycleClass", "CocycleDecomposition", "class_maps",
+                  "decompose_2cocycle", "decompose_sym", "decompose_tensor2",
+                  "pr1", "pr1_top", "reduce_multivector"),
     "diffops": ("FlatConnection", "MultiDiffOp", "SymCovTensor",
                 "chain_map_check", "hochschild_delta", "op_membership",
                 "sym_cov_derivative"),
-    "cohomology": ("CocycleClass", "CocycleDecomposition", "Slice",
-                   "bivector_slice_basis", "class_maps",
-                   "classified_hh2_dimension", "decompose_2cocycle",
+    "cohomology": ("Slice", "bivector_slice_basis", "classified_hh2_dimension",
                    "find_constraint_potential", "find_potential",
                    "hh0_dimension", "hh2_slice_report", "hh_dimension",
                    "matrix_of_D", "normal_class_basis", "slice_basis"),

@@ -8,9 +8,10 @@ over a worker pool (--jobs, default from CONHOCH_JOBS); results are
 merged in slice-key order, so output is identical for every pool width.
 
 Each command imports only the modules it runs.  Importing this module
-compiles only errors, model, poly and serialize (the --tag choices come
-from model.SubspaceTag); the handlers import symbols, decompose,
-diffops, cohomology and starprod when called, and the pool is imported
+compiles only errors, model and poly (the --tag choices come from
+model.SubspaceTag); the handlers and the table printer import serialize,
+symbols, decompose, diffops, cohomology and starprod when called, slice
+rows encode their model without serialize, and the pool is imported
 only when more than one worker is used.  A write to an unwritable --out
 path, an input nested too deeply for the JSON reader, a negative --kmax
 or --cmax and a slice --tag other than wobs/null are input errors too.
@@ -24,7 +25,6 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from . import serialize
 from .errors import ConhochError
 from .model import FlatModel, SubspaceTag
 
@@ -78,6 +78,7 @@ def emit_report(result: dict, fmt: str = "json") -> str:
     appear in the canonical term order either way."""
     if fmt == "json":
         return json.dumps(result, indent=2, sort_keys=True) + "\n"
+    from . import serialize
     text = serialize.to_text(result)
     if text is not None:
         return text + "\n"
@@ -101,6 +102,7 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, (dict, list)):
+        from . import serialize
         text = serialize.to_text(value)
         return json.dumps(value, sort_keys=True) if text is None else text
     return str(value)
@@ -127,7 +129,7 @@ def _hh2_job(args) -> dict:
                                          sym_degree, coeff_degree,
                                          with_representatives=with_reps)
     row = {
-        "model": serialize.model_to_json(model),
+        "model": model._asdict(),
         "tag": report["tag"],
         "degree": 2,
         "K": report["K"],
@@ -137,6 +139,7 @@ def _hh2_job(args) -> dict:
         "match": report["match"],
     }
     if with_reps:
+        from . import serialize
         row["representatives"] = [serialize.chain_to_json(ch)
                                   for ch in report["representatives"]]
     return row
@@ -156,50 +159,51 @@ def _run_slice_jobs(jobs: List[tuple], workers: int) -> List[dict]:
 
 
 def _cmd_classify_function(model, args) -> dict:
+    from . import serialize
     f = serialize.poly_from_json(_load(args.infile), model.n_total)
     return {"class": model.classify_function(f).value}
 
 
 def _cmd_classify_field(model, args) -> dict:
-    from .symbols import vf_membership
+    from . import serialize, symbols
     x = serialize.field_from_json(_load(args.infile), model)
-    return {"wobs": vf_membership(x, SubspaceTag.WOBS),
-            "null": vf_membership(x, SubspaceTag.NULL)}
+    return {"wobs": symbols.vf_membership(x, SubspaceTag.WOBS),
+            "null": symbols.vf_membership(x, SubspaceTag.NULL)}
 
 
 def _cmd_classify_symbol(model, args) -> dict:
-    from .symbols import chain_membership
+    from . import serialize, symbols
     chain = serialize.chain_from_json(_load(args.infile), model)
     if args.tag is not None:
         tag = SubspaceTag(args.tag)
-        return {"tag": tag.value, "member": chain_membership(chain, tag)}
-    return {"wobs": chain_membership(chain, SubspaceTag.WOBS),
-            "null": chain_membership(chain, SubspaceTag.NULL)}
+        return {"tag": tag.value, "member": symbols.chain_membership(chain, tag)}
+    return {"wobs": symbols.chain_membership(chain, SubspaceTag.WOBS),
+            "null": symbols.chain_membership(chain, SubspaceTag.NULL)}
 
 
 def _cmd_classify_operator(model, args) -> dict:
-    from .diffops import op_membership
+    from . import diffops, serialize
     op = serialize.op_from_json(_load(args.infile), model)
-    return {"wobs": op_membership(op, SubspaceTag.WOBS),
-            "null": op_membership(op, SubspaceTag.NULL)}
+    return {"wobs": diffops.op_membership(op, SubspaceTag.WOBS),
+            "null": diffops.op_membership(op, SubspaceTag.NULL)}
 
 
 def _cmd_delta(model, args) -> dict:
-    from .diffops import hochschild_delta
+    from . import diffops, serialize
     op = serialize.op_from_json(_load(args.infile), model)
-    return serialize.op_to_json(hochschild_delta(op))
+    return serialize.op_to_json(diffops.hochschild_delta(op))
 
 
 def _cmd_bigd(model, args) -> dict:
-    from .symbols import differential_d
+    from . import serialize, symbols
     chain = serialize.chain_from_json(_load(args.infile), model)
-    return serialize.chain_to_json(differential_d(chain))
+    return serialize.chain_to_json(symbols.differential_d(chain))
 
 
 def _cmd_hkr(model, args) -> dict:
-    from .symbols import hkr
+    from . import serialize, symbols
     x = serialize.multivector_from_json(_load(args.infile), model)
-    return serialize.chain_to_json(hkr(x))
+    return serialize.chain_to_json(symbols.hkr(x))
 
 
 def _hh_rows(model, tags: List[str], kmax: int, cmax: int, workers: int,
@@ -218,7 +222,7 @@ def _cmd_hh_dim(model, args) -> dict:
     if args.degree == 2:
         return {"rows": _hh_rows(model, [tag.value], args.kmax, args.cmax,
                                  args.jobs, with_reps=False)}
-    head = {"model": serialize.model_to_json(model), "tag": tag.value, "degree": args.degree}
+    head = {"model": model._asdict(), "tag": tag.value, "degree": args.degree}
     if args.degree == 0:
         rows = [dict(head, c=c, hh_dim=cohomology.hh0_dimension(model, tag, c))
                 for c in range(args.cmax + 1)]
@@ -236,10 +240,10 @@ def _cmd_verify_theorem(model, args) -> dict:
 
 
 def _cmd_decompose_cocycle(model, args) -> dict:
-    from . import cohomology
+    from . import decompose, serialize
     chain = serialize.chain_from_json(_load(args.infile), model)
-    dec = cohomology.decompose_2cocycle(chain)
-    ambient, reduced = cohomology.class_maps(dec.cocycle_class)
+    dec = decompose.decompose_2cocycle(chain)
+    ambient, reduced = decompose.class_maps(dec.cocycle_class)
     return {
         "class": {"X": serialize.multivector_to_json(dec.cocycle_class.bivector),
                   "psi": serialize.chain_to_json(dec.cocycle_class.normal_part)},
@@ -250,7 +254,7 @@ def _cmd_decompose_cocycle(model, args) -> dict:
 
 
 def _cmd_find_potential(model, args) -> dict:
-    from . import cohomology
+    from . import cohomology, serialize
     chain = serialize.chain_from_json(_load(args.infile), model)
     psi = cohomology.find_constraint_potential(chain)
     return {"has_constraint_potential": psi is not None,
@@ -258,7 +262,7 @@ def _cmd_find_potential(model, args) -> dict:
 
 
 def _cmd_star_check(model, args) -> dict:
-    from . import starprod
+    from . import serialize, starprod
     star = serialize.star_from_json(_load(args.infile), model)
     violation = starprod.check_associativity(star)
     result = {"constraint": starprod.is_constraint_star(star),
@@ -273,7 +277,7 @@ def _cmd_star_check(model, args) -> dict:
 
 
 def _cmd_star_equiv(model, args) -> dict:
-    from . import starprod
+    from . import serialize, starprod
     data = _load(args.infile)
     try:
         a = serialize.star_from_json(data["star"], model)
@@ -290,7 +294,7 @@ def _cmd_star_equiv(model, args) -> dict:
 
 
 def _cmd_classify_star(model, args) -> dict:
-    from . import starprod
+    from . import serialize, starprod
     star = serialize.star_from_json(_load(args.infile), model)
     if star.order < 1:
         raise ValueError("classification needs a first-order cochain")
@@ -300,6 +304,7 @@ def _cmd_classify_star(model, args) -> dict:
 
 
 def _cmd_reduce(model, args) -> dict:
+    from . import serialize
     data = _load(args.infile)
     reduced_model = model.reduced_model()
     if "components" in data:
@@ -309,11 +314,11 @@ def _cmd_reduce(model, args) -> dict:
         from .decompose import reduce_multivector
         x = serialize.multivector_from_json(data, model)
         return {"kind": "multivector",
-                "reduced_model": serialize.model_to_json(reduced_model),
+                "reduced_model": reduced_model._asdict(),
                 "result": serialize.multivector_to_json(reduce_multivector(x))}
     f = serialize.poly_from_json(data, model.n_total)
     return {"kind": "function",
-            "reduced_model": serialize.model_to_json(reduced_model),
+            "reduced_model": reduced_model._asdict(),
             "result": serialize.poly_to_json(model.reduce_function(f))}
 
 

@@ -10,10 +10,13 @@ subspaces are monomially spanned on the flat model).
 
 Three more facts make the blocks small and few:
 
-* Per-word windows.  Membership in the wobs or null subspace reads the
-  coefficient only through its unit counts (d, t) and each slot word
-  only through its letter profile, so a tagged window is decided per
-  word and cached per (model, arity, K, tag, d, t), as is its rank.
+* One window per kind.  Membership in the wobs or null subspace reads
+  the coefficient only through its unit counts (d, t) and each slot word
+  only through its letter profile.  A normal unit (t >= 1) makes every
+  chain null, and wobs reads d only as d = 0, so a (tag, d, t) window is
+  one of three kinds (:func:`_window`): every tuple, the null tuples or
+  the wobs tuples.  Windows are decided per word and cached per (model,
+  arity, K, window), as are their ranks.
 * Letter-content blocks.  The differential only splits slot words, so
   it keeps the multiset of letters across all slots (the letter
   content) and is block-diagonal over it; :func:`_image_columns` builds
@@ -25,8 +28,8 @@ Three more facts make the blocks small and few:
 
 Ranks and solves go through the sparse exact kernel of
 :mod:`conhoch.linalg`; no step is modular or floating point.  Only the
-functions that build chains import :mod:`conhoch.symbols` and
-:mod:`conhoch.decompose`, on first use.
+functions that build chains import :mod:`conhoch.symbols`, on first
+use.
 
 The main entry points:
 
@@ -37,9 +40,9 @@ The main entry points:
 * :func:`classified_hh2_dimension` - the dimension the degree-2
   classification predicts: observable (or null) bivectors plus words of
   distribution letters with one normal letter.
-* :func:`decompose_2cocycle` - the constructive side: splits a closed
-  observable 2-chain into a coboundary, an antisymmetric bivector part
-  and a symmetric normal-word part.
+* :func:`find_potential` and :func:`find_constraint_potential` - exact
+  solves of D(psi) = phi; the constructive decomposition built on them
+  lives in :mod:`conhoch.decompose`.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from typing import (TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from .errors import (InvariantError, NotCocycleError, NotConstraintError,
-                     PreconditionError, SolveFailureError)
+                     PreconditionError)
 from .linalg import sparse_rank, sparse_solve
 from .model import FlatModel, FunctionClass, SubspaceTag
 from .poly import Exponent, Poly, monomials_of_degree
@@ -112,21 +115,29 @@ def _all_slot_tuples(model: FlatModel, arity: int, sym_degree: int) -> Tuple[Slo
     return tuple(out)
 
 
+def _window(tag: str, d_units: int, t_units: int) -> str:
+    """The kind of window a tag takes with a coefficient of these unit
+    counts: "total" (every tuple) when a normal unit makes every chain
+    null or the tag is total, "null" when wobs membership reduces to null
+    membership (d >= 1), else "wobs"."""
+    if tag == "total" or t_units >= 1:
+        return "total"
+    return "null" if tag == "null" or d_units >= 1 else "wobs"
+
+
 @lru_cache(maxsize=None)
 def _tagged_slots_for_units(model: FlatModel, arity: int, sym_degree: int,
-                            tag: str, d_units: int, t_units: int) -> Tuple[Slots, ...]:
-    """Slot tuples whose monomial chain (with any coefficient having the
-    given block unit counts) lies in the tagged subspace, in the order of
+                            window: str) -> Tuple[Slots, ...]:
+    """Slot tuples of a :func:`_window` kind, in the order of
     :func:`_all_slot_tuples`; decided once per word profile and once per
-    tuple of profiles.  A normal unit makes every chain null."""
+    tuple of profiles."""
     all_slots = _all_slot_tuples(model, arity, sym_degree)
-    if tag == "total" or t_units >= 1:
+    if window == "total":
         return all_slots
-    subtag = SubspaceTag(tag)
+    subtag = SubspaceTag(window)
     profile = {w: _slot_profile(model, w)
                for w in set(itertools.chain.from_iterable(all_slots))}.__getitem__
-    member = lru_cache(maxsize=None)(
-        lambda profiles: _tensor_member(d_units, 0, profiles, subtag))
+    member = lru_cache(maxsize=None)(lambda profiles: _tensor_member(0, 0, profiles, subtag))
     return tuple(s for s in all_slots if member(tuple(map(profile, s))))
 
 
@@ -136,8 +147,8 @@ def slice_monomials(slc: Slice) -> List[Tuple[Exponent, Slots]]:
     out: List[Tuple[Exponent, Slots]] = []
     for gamma in monomials_of_degree(slc.model.n_total, slc.coeff_degree):
         d, _, t = slc.model.unit_counts(gamma)
-        for slots in _tagged_slots_for_units(slc.model, slc.arity,
-                                             slc.sym_degree, slc.tag, d, t):
+        for slots in _tagged_slots_for_units(slc.model, slc.arity, slc.sym_degree,
+                                             _window(slc.tag, d, t)):
             out.append((gamma, slots))
     return out
 
@@ -172,14 +183,13 @@ def _image_columns(model: FlatModel, words: Sequence[Slots]) -> List[Dict[Slots,
 
 
 @lru_cache(maxsize=None)
-def _letter_blocks(model: FlatModel, arity: int, sym_degree: int, tag: str,
-                   d_units: int, t_units: int) -> Dict[Word, Tuple[Slots, ...]]:
-    """The tagged domain words of a window grouped by letter content, in
+def _letter_blocks(model: FlatModel, arity: int, sym_degree: int,
+                   window: str) -> Dict[Word, Tuple[Slots, ...]]:
+    """The domain words of a window grouped by letter content, in
     enumeration order within each group.  Callers must not mutate the
     shared result."""
     blocks: Dict[Word, List[Slots]] = {}
-    for slots in _tagged_slots_for_units(model, arity, sym_degree, tag,
-                                         d_units, t_units):
+    for slots in _tagged_slots_for_units(model, arity, sym_degree, window):
         blocks.setdefault(_letter_content(slots), []).append(slots)
     return {content: tuple(words) for content, words in blocks.items()}
 
@@ -194,14 +204,13 @@ def _pattern(model: FlatModel, content: Word) -> Tuple[Tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _rank_of_d(model: FlatModel, arity: int, sym_degree: int, tag: str,
-               d_units: int, t_units: int) -> int:
-    """Rank of the differential on a tagged (arity, K) window for any
-    coefficient monomial with the given unit counts: the domain depends
-    on the coefficient only through them, and the differential never
-    touches it.  Blocks of one :func:`_pattern` have equal rank, so one
-    block per pattern is eliminated."""
-    blocks = _letter_blocks(model, arity, sym_degree, tag, d_units, t_units)
+def _rank_of_d(model: FlatModel, arity: int, sym_degree: int, window: str) -> int:
+    """Rank of the differential on an (arity, K) window, for every
+    coefficient monomial whose tag and unit counts give this window: the
+    differential never touches the coefficient.  Blocks of one
+    :func:`_pattern` have equal rank, so one block per pattern is
+    eliminated."""
+    blocks = _letter_blocks(model, arity, sym_degree, window)
     ranks: Dict[tuple, int] = {}
     total = 0
     for content, words in blocks.items():
@@ -248,8 +257,8 @@ def hh_dimension(model: FlatModel, tag: SubspaceTag, degree: int,
     differential from functions vanishes by commutativity).  Degree 2:
     kernel on tagged arity-2 chains minus the rank coming from tagged
     arity-1 chains.  Both are assembled blockwise per coefficient
-    monomial, which the differential never mixes, from the cached
-    per-(d, t) window ranks.
+    monomial, which the differential never mixes, from the window ranks
+    cached per :func:`_window` kind.
     """
     if degree not in (1, 2):
         raise PreconditionError("slice cohomology is computed in degrees 1 and 2")
@@ -258,7 +267,7 @@ def hh_dimension(model: FlatModel, tag: SubspaceTag, degree: int,
     total = 0
     for gamma in monomials_of_degree(model.n_total, coeff_degree):
         d, _, t = model.unit_counts(gamma)
-        window = (sym_degree, tag.value, d, t)
+        window = (sym_degree, _window(tag.value, d, t))
         dim1 = len(_tagged_slots_for_units(model, 1, *window))
         if degree == 1:
             total += dim1 - _rank_of_d(model, 1, *window)
@@ -359,7 +368,7 @@ def _solve_d(rhs: SymbolChain, tag: Optional[SubspaceTag]) -> Optional[SymbolCha
     solution_terms: List[Tuple[Slots, Poly]] = []
     for (sym_degree, gamma), targets in sorted(blocks.items()):
         d, _, t = model.unit_counts(gamma)
-        domain = _letter_blocks(model, rhs.arity - 1, sym_degree, tag_name, d, t)
+        domain = _letter_blocks(model, rhs.arity - 1, sym_degree, _window(tag_name, d, t))
         for content, target in targets.items():
             words = domain.get(content, ())
             columns = _image_columns(model, words)
@@ -398,102 +407,6 @@ def _require_closed_constraint(phi: SymbolChain) -> None:
         raise NotConstraintError("chain is not in the observable subspace")
     if not differential_d(phi).is_zero():
         raise NotCocycleError("chain is not closed")
-
-
-# ---------------------------------------------------------------------------
-# cocycle classes and the constructive decomposition
-# ---------------------------------------------------------------------------
-
-
-class _ClassFields(NamedTuple):
-    bivector: MultiVector
-    normal_part: SymbolChain
-
-
-class CocycleClass(_ClassFields):
-    """Representative of a degree-2 class: an observable bivector plus a
-    chain of distribution words with one normal letter each."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        from .symbols import mv_membership
-        self = super().__new__(cls, *args, **kwargs)
-        if self.bivector.degree != 2 or self.normal_part.arity != 1:
-            raise ValueError("need a bivector and an arity-1 chain")
-        if not mv_membership(self.bivector, SubspaceTag.WOBS):
-            raise NotConstraintError("bivector is not observable")
-        _validate_normal_part(self.normal_part)
-        return self
-
-
-def _validate_normal_part(psi: SymbolChain) -> None:
-    model = psi.model
-    for gamma, slots, _ in psi.monomials():
-        word = slots[0]
-        if len(word) < 2:
-            raise ValueError("normal-part words need symmetric degree >= 2")
-        normal_letters = [i for i in word if i > model.n_wobs]
-        other = [i for i in word if i <= model.n_wobs]
-        if len(normal_letters) != 1 or any(i > model.n_null for i in other):
-            raise ValueError(
-                f"word {word} is not distribution letters with one normal letter")
-        _, _, t = model.unit_counts(gamma)
-        if t != 0:
-            raise ValueError("normal-part coefficients must only use variables on C")
-
-
-class CocycleDecomposition(NamedTuple):
-    """Exact splitting phi = D(potential) + hkr(bivector) + D(normal part)
-    of a closed observable 2-chain."""
-
-    cocycle_class: CocycleClass
-    potential: SymbolChain
-
-
-def decompose_2cocycle(phi: SymbolChain) -> CocycleDecomposition:
-    """Split a closed observable arity-2 chain per the degree-2
-    classification.
-
-    The bivector is the antisymmetrised degree-(1,1) projection; the
-    remainder is solved exactly against the differential over the full
-    arity-1 slice (unique in symmetric degrees >= 2), and the solution
-    splits canonically into an observable potential and the normal-word
-    class representative.  A failure of the solve or of the split's
-    membership guarantees would be a counterexample to the
-    classification and raises SolveFailureError.
-    """
-    from .decompose import decompose_sym, pr1, pr1_top
-    from .symbols import chain_membership, differential_d, hkr, mv_membership
-    _require_closed_constraint(phi)
-    bivector = pr1_top(phi)
-    if not mv_membership(bivector, SubspaceTag.WOBS):
-        raise NotConstraintError("top part of the cocycle is not an observable bivector")
-    rhs = phi - hkr(bivector)
-    psi = _solve_d(rhs, None)
-    if psi is None:
-        raise SolveFailureError("no potential for the symmetric remainder; "
-                                "this contradicts the degree-2 classification")
-    potential, normal = decompose_sym(psi)
-    try:
-        _validate_normal_part(normal - pr1(normal))
-    except ValueError as exc:
-        raise SolveFailureError(f"normal component escaped its class: {exc}") from exc
-    if not chain_membership(potential, SubspaceTag.WOBS):
-        raise SolveFailureError("potential component escaped the observable slice")
-    cls = CocycleClass(bivector, normal - pr1(normal))
-    rebuilt = (differential_d(potential) + hkr(bivector)
-               + differential_d(cls.normal_part))
-    if rebuilt != phi:
-        raise SolveFailureError("decomposition failed to rebuild its input")
-    return CocycleDecomposition(cls, potential)
-
-
-def class_maps(cls: CocycleClass) -> Tuple[MultiVector, MultiVector]:
-    """The two morphisms out of an observable degree-2 class: the ambient
-    bivector, and its image on the reduced model."""
-    from .decompose import reduce_multivector
-    return cls.bivector, reduce_multivector(cls.bivector)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,28 @@
-"""Degree-1 projections and canonical flat-model splittings of chains.
+"""Degree-1 projections, canonical flat-model splittings of chains and
+the constructive decomposition of degree-2 cocycles.
 
 The classification of degree-2 cocycles reads a cocycle through these
 maps: the projection of an arity-1 chain onto symmetric degree one, the
 bivector of the slotwise degree-1 part of an arity-2 chain, the
 splitting of chains into an observable-span part and a part built from
 prolonged normal directions, and the reduction of observable
-multivectors to the reduced model.  They are loaded with the cohomology
-module and by the commands that reduce or classify, never on the
-start-up route of the CLI.
+multivectors to the reduced model.  :func:`decompose_2cocycle` splits a
+closed observable 2-chain into a coboundary, an antisymmetric bivector
+part and a symmetric normal-word part; it alone imports
+:mod:`conhoch.cohomology` (and with it the elimination kernel), on
+first use, so reducing a multivector compiles neither.  Neither the
+start-up route of the CLI nor the slice count loads this module.
 """
 
 from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
 
-from .errors import InvariantError, NotWobsError, UnsupportedTagError
+from .errors import (InvariantError, NotConstraintError, NotWobsError,
+                     SolveFailureError, UnsupportedTagError)
 from .model import SubspaceTag
 from .poly import Poly
-from .symbols import (MultiVector, SymbolChain, chain_membership, mv_membership,
+from .symbols import (MultiVector, SymbolChain, chain_membership, hkr, mv_membership,
                       word_category)
 
 
@@ -133,3 +138,99 @@ def reduce_multivector(x: MultiVector, tag: SubspaceTag = SubspaceTag.WOBS) -> M
         new_idx = tuple(i - model.n_null for i in idx)
         terms.append((new_idx, Poly(reduced.n_total, new_terms)))
     return MultiVector(reduced, x.degree, terms)
+
+
+# ---------------------------------------------------------------------------
+# cocycle classes and the constructive decomposition
+# ---------------------------------------------------------------------------
+
+
+class _ClassFields(NamedTuple):
+    bivector: MultiVector
+    normal_part: SymbolChain
+
+
+class CocycleClass(_ClassFields):
+    """Representative of a degree-2 class: an observable bivector plus a
+    chain of distribution words with one normal letter each."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.bivector.degree != 2 or self.normal_part.arity != 1:
+            raise ValueError("need a bivector and an arity-1 chain")
+        if not mv_membership(self.bivector, SubspaceTag.WOBS):
+            raise NotConstraintError("bivector is not observable")
+        _validate_normal_part(self.normal_part)
+        return self
+
+
+def _validate_normal_part(psi: SymbolChain) -> None:
+    model = psi.model
+    for gamma, slots, _ in psi.monomials():
+        word = slots[0]
+        if len(word) < 2:
+            raise ValueError("normal-part words need symmetric degree >= 2")
+        normal_letters = [i for i in word if i > model.n_wobs]
+        other = [i for i in word if i <= model.n_wobs]
+        if len(normal_letters) != 1 or any(i > model.n_null for i in other):
+            raise ValueError(
+                f"word {word} is not distribution letters with one normal letter")
+        _, _, t = model.unit_counts(gamma)
+        if t != 0:
+            raise ValueError("normal-part coefficients must only use variables on C")
+
+
+class CocycleDecomposition(NamedTuple):
+    """Exact splitting phi = D(potential) + hkr(bivector) + D(normal part)
+    of a closed observable 2-chain."""
+
+    cocycle_class: CocycleClass
+    potential: SymbolChain
+
+
+def decompose_2cocycle(phi: SymbolChain) -> CocycleDecomposition:
+    """Split a closed observable arity-2 chain per the degree-2
+    classification.
+
+    The bivector is the antisymmetrised degree-(1,1) projection; the
+    remainder is solved exactly against the differential over the full
+    arity-1 slice (unique in symmetric degrees >= 2), and the solution
+    splits canonically into an observable potential and the normal-word
+    class representative.  A failure of the solve or of the split's
+    membership guarantees would be a counterexample to the
+    classification and raises SolveFailureError.
+    """
+    from . import cohomology
+    # imported per call, as cohomology._solve_d is looked up per call, so
+    # that bench/tracer.py's rebinding of these names reaches the calls
+    from .symbols import chain_membership, differential_d
+    cohomology._require_closed_constraint(phi)
+    bivector = pr1_top(phi)
+    if not mv_membership(bivector, SubspaceTag.WOBS):
+        raise NotConstraintError("top part of the cocycle is not an observable bivector")
+    rhs = phi - hkr(bivector)
+    psi = cohomology._solve_d(rhs, None)
+    if psi is None:
+        raise SolveFailureError("no potential for the symmetric remainder; "
+                                "this contradicts the degree-2 classification")
+    potential, normal = decompose_sym(psi)
+    try:
+        _validate_normal_part(normal - pr1(normal))
+    except ValueError as exc:
+        raise SolveFailureError(f"normal component escaped its class: {exc}") from exc
+    if not chain_membership(potential, SubspaceTag.WOBS):
+        raise SolveFailureError("potential component escaped the observable slice")
+    cls = CocycleClass(bivector, normal - pr1(normal))
+    rebuilt = (differential_d(potential) + hkr(bivector)
+               + differential_d(cls.normal_part))
+    if rebuilt != phi:
+        raise SolveFailureError("decomposition failed to rebuild its input")
+    return CocycleDecomposition(cls, potential)
+
+
+def class_maps(cls: CocycleClass) -> Tuple[MultiVector, MultiVector]:
+    """The two morphisms out of an observable degree-2 class: the ambient
+    bivector, and its image on the reduced model."""
+    return cls.bivector, reduce_multivector(cls.bivector)

@@ -38,7 +38,7 @@ def json_integer(value, what: str) -> int:
 
 
 def model_to_json(model: FlatModel) -> dict:
-    return {"n_total": model.n_total, "n_wobs": model.n_wobs, "n_null": model.n_null}
+    return model._asdict()
 
 
 def model_from_json(data: dict) -> FlatModel:

@@ -22,8 +22,8 @@ closedness, equivalence or classification, which are all linear.
 
 Associativity is decided on symbols alone, so this module imports
 cohomology (and with it the elimination kernel) only inside the
-equivalence solvers and the classification, and decompose only when a
-bracket is extracted: star-check compiles neither.
+equivalence solvers, and decompose only when a bracket is extracted or
+a class computed: star-check compiles neither.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .poly import Poly
 from .symbols import (MultiVector, SubspaceTag, SymbolChain, chain_membership,
                       differential_d)
 
-if TYPE_CHECKING:  # the solvers below import cohomology on first use
-    from .cohomology import CocycleClass
+if TYPE_CHECKING:  # the classification below imports decompose on first use
+    from .decompose import CocycleClass
 
 #: the physics convention for the Poisson bracket carries this prefactor,
 #: which has no home in rational arithmetic and is left off throughout
@@ -259,5 +259,5 @@ def classify_infinitesimal(c1: MultiDiffOp) -> CocycleClass:
         raise NotConstraintError("first-order cochain is not constraint")
     if not differential_d(c1.symbol).is_zero():
         raise NotClosedError("first-order cochain is not closed")
-    from .cohomology import decompose_2cocycle
+    from .decompose import decompose_2cocycle
     return decompose_2cocycle(c1.symbol).cocycle_class

@@ -60,27 +60,29 @@ def test_child_imports_package_under_test(tmp_path):
         f"CLI child imports {child}, tests import {conhoch.__file__}"
 
 
-def test_cli_import_loads_only_the_decoders(tmp_path):
+def test_cli_import_loads_only_the_parser_and_model(tmp_path):
     # start-up guard: the pool, dataclasses (and its inspect) and the
-    # symbol, cohomology, star-product and operator modules load only in
-    # the commands that run them
+    # JSON codecs, symbol, cohomology, star-product and operator modules
+    # load only in the commands that run them
     code = ("import json, sys; before = set(sys.modules); import conhoch.cli; "
             "print(json.dumps(sorted(set(sys.modules) - before)))")
     result = _python(["-c", code], cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     loaded = set(json.loads(result.stdout))
-    assert {"conhoch.cli", "conhoch.serialize"} <= loaded
-    heavy = {"multiprocessing", "dataclasses", "inspect", "conhoch.symbols",
-             "conhoch.cohomology", "conhoch.starprod", "conhoch.diffops"}
+    assert "conhoch.cli" in loaded
+    heavy = {"multiprocessing", "dataclasses", "inspect", "conhoch.serialize",
+             "conhoch.symbols", "conhoch.cohomology", "conhoch.starprod",
+             "conhoch.diffops"}
     assert not heavy & loaded, sorted(heavy & loaded)
 
 
 _START_UP = {"conhoch", "conhoch.cli", "conhoch.errors", "conhoch.model",
-             "conhoch.poly", "conhoch.serialize"}
+             "conhoch.poly"}
 _UNIT = {"terms": [{"coeff": [1, 1], "exp": [0, 0, 0]}]}
 _ROUTE_INPUTS = {
     "poly.json": {"terms": [{"coeff": [1, 1], "exp": [1, 0, 0]}]},
     "chain.json": {"arity": 1, "terms": [{"coeff_poly": _UNIT, "slots": [[1, 3]]}]},
+    "bivector.json": {"degree": 2, "terms": [{"coeff_poly": _UNIT, "indices": [1, 2]}]},
     "star.json": {"order": 1, "cochains": [{"symbol": {"arity": 2, "terms": [
         {"coeff_poly": _UNIT, "slots": [[2], [3]]}]}}]},
 }
@@ -88,11 +90,13 @@ _ROUTE_INPUTS = {
 
 @pytest.mark.parametrize("args, extra", [
     ([], set()),
-    (["classify-function", "--in", "poly.json"], set()),
-    (["bigd", "--in", "chain.json"], {"symbols", "words"}),
-    (["star-check", "--in", "star.json"], {"symbols", "words", "diffops", "starprod"}),
+    (["classify-function", "--in", "poly.json"], {"serialize"}),
+    (["bigd", "--in", "chain.json"], {"serialize", "symbols", "words"}),
+    (["star-check", "--in", "star.json"],
+     {"serialize", "symbols", "words", "diffops", "starprod"}),
+    (["reduce", "--in", "bivector.json"], {"serialize", "symbols", "words", "decompose"}),
     (["verify-theorem", "--kmax", "2", "--cmax", "0"], {"cohomology", "linalg", "words"}),
-], ids=["import", "classify-function", "bigd", "star-check", "verify-theorem"])
+], ids=["import", "classify-function", "bigd", "star-check", "reduce", "verify-theorem"])
 def test_command_loads_only_the_modules_it_runs(tmp_path, args, extra):
     # each command compiles the start-up modules plus what its handler calls
     for name, doc in _ROUTE_INPUTS.items():

@@ -105,7 +105,7 @@ def _windows():
     unit counts that some coefficient monomial of the model carries."""
     return st.tuples(
         st.sampled_from(all_models(4)), st.integers(1, 2), st.integers(1, 4),
-        st.sampled_from(("wobs", "null")), st.integers(0, 2), st.integers(0, 2),
+        st.sampled_from(("wobs", "null")), st.integers(0, 3), st.integers(0, 3),
     ).filter(lambda w: (w[4] == 0 or w[0].n_null > 0)
              and (w[5] == 0 or w[0].n_wobs < w[0].n_total))
 
@@ -113,9 +113,13 @@ def _windows():
 @settings(max_examples=200, deadline=None)
 @given(_windows())
 def test_tagged_window_equals_the_monomial_filter(window):
-    # deciding membership per word gives exactly the tuples, in the same
-    # order, that monomial_member keeps with a witness coefficient
-    assert cohomology._tagged_slots_for_units(*window) == tagged_slots_by_monomial(*window)
+    # deciding membership per word in the window kind of (tag, d, t) gives
+    # exactly the tuples, in the same order, that monomial_member keeps
+    # with a witness coefficient of those unit counts
+    model, arity, K, tag, d, t = window
+    kind = cohomology._window(tag, d, t)
+    assert (cohomology._tagged_slots_for_units(model, arity, K, kind)
+            == tagged_slots_by_monomial(*window))
 
 
 @settings(max_examples=200, deadline=None)
@@ -123,11 +127,27 @@ def test_tagged_window_equals_the_monomial_filter(window):
 def test_pattern_rank_equals_the_rank_of_every_block(window):
     # one elimination per letter-multiplicity pattern gives the same rank
     # as eliminating every letter-content block of the window
-    model = window[0]
-    blocks = cohomology._letter_blocks(*window)
+    model, arity, K, tag, d, t = window
+    kind = cohomology._window(tag, d, t)
+    blocks = cohomology._letter_blocks(model, arity, K, kind)
     every_block = sum(sparse_rank(cohomology._image_columns(model, words))
                       for words in blocks.values())
-    assert cohomology._rank_of_d(*window) == every_block
+    assert cohomology._rank_of_d(model, arity, K, kind) == every_block
+
+
+def test_slice_reports_rank_each_window_kind_once():
+    # (7,4,2) with K = 2..5 and c <= 2 meets every window kind (total,
+    # null, wobs) at both arities: 2 * 4 * 3 ranks, whatever the unit
+    # counts of the coefficients
+    for cached in (cohomology._tagged_slots_for_units, cohomology._letter_blocks,
+                   cohomology._rank_of_d):
+        cached.cache_clear()
+    model = FlatModel(7, 4, 2)
+    for tag in (SubspaceTag.WOBS, SubspaceTag.NULL):
+        for K in range(2, 6):
+            for c in range(3):
+                cohomology.hh2_slice_report(model, tag, K, c)
+    assert cohomology._rank_of_d.cache_info().misses == 24
 
 
 # ---------------------------------------------------------------------------
