@@ -20,23 +20,23 @@ _EXPORTS = {
                "NotClosedError", "NotCocycleError", "NotConstraintError",
                "NotWobsError", "PreconditionError", "SolveFailureError",
                "UnsupportedTagError"),
-    "model": ("FlatModel", "FunctionClass", "SubspaceTag"),
-    "poly": ("Poly", "monomials_of_degree", "monomials_up_to_degree"),
+    "model": ("FlatModel", "FunctionClass", "SubspaceTag", "monomials_of_degree"),
+    "poly": ("Poly", "monomials_up_to_degree"),
     "words": ("monomial_member",),
     "symbols": ("MultiVector", "SymbolChain", "VectorField", "bracket",
                 "chain_membership", "chain_vee", "differential_d", "hkr",
                 "in_function_span_wobs", "mv_membership", "shuffle_coproduct",
                 "vee", "vee_collapse", "vf_membership", "wedge"),
-    "decompose": ("CocycleClass", "CocycleDecomposition", "class_maps",
-                  "decompose_2cocycle", "decompose_sym", "decompose_tensor2",
-                  "pr1", "pr1_top", "reduce_multivector"),
+    "decompose": ("CocycleClass", "CocycleDecomposition", "Slice", "bivector_slice_basis",
+                  "class_maps", "decompose_2cocycle", "decompose_sym",
+                  "decompose_tensor2", "matrix_of_D", "normal_class_basis", "pr1",
+                  "pr1_top", "reduce_multivector", "slice_basis"),
     "diffops": ("FlatConnection", "MultiDiffOp", "SymCovTensor",
                 "chain_map_check", "hochschild_delta", "op_membership",
                 "sym_cov_derivative"),
-    "cohomology": ("Slice", "bivector_slice_basis", "classified_hh2_dimension",
-                   "find_constraint_potential", "find_potential",
-                   "hh0_dimension", "hh2_slice_report", "hh_dimension",
-                   "matrix_of_D", "normal_class_basis", "slice_basis"),
+    "cohomology": ("classified_hh2_dimension", "find_constraint_potential",
+                   "find_potential", "hh0_dimension", "hh2_slice_report",
+                   "hh_dimension"),
     "starprod": ("OMITTED_BRACKET_PREFACTOR", "AssociativityViolation",
                  "TruncatedStar", "associator", "check_associativity",
                  "classify_infinitesimal", "coisotropy_check",

@@ -27,9 +27,11 @@ Three more facts make the blocks small and few:
   rank: ranks eliminate one block per pattern, solvers every block.
 
 Ranks and solves go through the sparse exact kernel of
-:mod:`conhoch.linalg`; no step is modular or floating point.  Only the
-functions that build chains import :mod:`conhoch.symbols`, on first
-use.
+:mod:`conhoch.linalg`; no step is modular or floating point.  The slice
+count reads coefficients as exponent tuples and ranks integer columns,
+so it loads neither :mod:`conhoch.poly` nor :mod:`fractions`.  The
+solvers and the class representatives import the symbol calculus on
+first use.
 
 The main entry points:
 
@@ -42,54 +44,31 @@ The main entry points:
   distribution letters with one normal letter.
 * :func:`find_potential` and :func:`find_constraint_potential` - exact
   solves of D(psi) = phi; the constructive decomposition built on them
-  lives in :mod:`conhoch.decompose`.
+  lives in :mod:`conhoch.decompose`, with the chain bases of the slices
+  (:class:`~conhoch.decompose.Slice`, ``slice_basis``, ``matrix_of_D``).
+* :func:`cmd_hh_dim` and :func:`cmd_verify_theorem` - the command
+  handlers of the slice count.  Their slice jobs can fan out over a
+  worker pool; results are merged in slice-key order, so the output is
+  identical for every pool width.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
-from typing import (TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import (InvariantError, NotCocycleError, NotConstraintError,
-                     PreconditionError)
+from .errors import NotCocycleError, NotConstraintError, PreconditionError
 from .linalg import sparse_rank, sparse_solve
-from .model import FlatModel, FunctionClass, SubspaceTag
-from .poly import Exponent, Poly, monomials_of_degree
+from .model import Exponent, FlatModel, FunctionClass, SubspaceTag, monomials_of_degree
 from .words import (Slots, Word, _slot_profile, _tensor_member,
                     mv_monomial_member, unit_differential)
 
-if TYPE_CHECKING:  # the chain-building functions import these on first use
-    from .symbols import MultiVector, SymbolChain
+if TYPE_CHECKING:  # the solvers and the representatives import these on use
+    from fractions import Fraction
 
-SLICE_TAGS = ("total", "wobs", "null")
-
-
-class _SliceFields(NamedTuple):
-    model: FlatModel
-    arity: int
-    sym_degree: int
-    coeff_degree: int
-    tag: str = "total"
-
-
-class Slice(_SliceFields):
-    """A finite-dimensional window of the symbol complex: fixed arity,
-    total symmetric degree, homogeneous coefficient degree and tag.
-    The differential maps the (n, K, c) slice into (n+1, K, c)."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.arity < 1 or self.sym_degree < 1 or self.coeff_degree < 0:
-            raise ValueError("invalid slice parameters")
-        if self.tag not in SLICE_TAGS:
-            raise ValueError(f"slice tag must be one of {SLICE_TAGS}")
-        return self
+    from .symbols import SymbolChain
 
 
 def _positive_compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
@@ -141,28 +120,8 @@ def _tagged_slots_for_units(model: FlatModel, arity: int, sym_degree: int,
     return tuple(s for s in all_slots if member(tuple(map(profile, s))))
 
 
-def slice_monomials(slc: Slice) -> List[Tuple[Exponent, Slots]]:
-    """Monomials spanning the tagged slice, coefficient-major, in
-    deterministic order."""
-    out: List[Tuple[Exponent, Slots]] = []
-    for gamma in monomials_of_degree(slc.model.n_total, slc.coeff_degree):
-        d, _, t = slc.model.unit_counts(gamma)
-        for slots in _tagged_slots_for_units(slc.model, slc.arity, slc.sym_degree,
-                                             _window(slc.tag, d, t)):
-            out.append((gamma, slots))
-    return out
-
-
-def slice_basis(slc: Slice) -> List[SymbolChain]:
-    """Basis of the tagged slice; the spanning monomials are linearly
-    independent coordinates, so they are already a basis."""
-    from .symbols import SymbolChain
-    return [SymbolChain.from_term(slc.model, slots, Poly.monomial(gamma))
-            for gamma, slots in slice_monomials(slc)]
-
-
 # ---------------------------------------------------------------------------
-# matrices of the differential and slice cohomology dimensions
+# blocks of the differential and slice cohomology dimensions
 # ---------------------------------------------------------------------------
 
 
@@ -221,34 +180,6 @@ def _rank_of_d(model: FlatModel, arity: int, sym_degree: int, window: str) -> in
     return total
 
 
-def matrix_of_D(domain: Slice, codomain: Slice) -> List[Dict[int, int]]:
-    """Matrix of the differential between two tagged slices, in the
-    deterministic monomial bases, as the sparse integer columns that
-    :func:`~conhoch.linalg.sparse_rank` takes: one dict per domain
-    monomial, keyed by row index in ``slice_monomials(codomain)``.  An
-    image outside the codomain slice would break the tagged subcomplex
-    property and raises InvariantError."""
-    if (codomain.model != domain.model or codomain.arity != domain.arity + 1
-            or codomain.sym_degree != domain.sym_degree
-            or codomain.coeff_degree != domain.coeff_degree
-            or codomain.tag != domain.tag):
-        raise PreconditionError("codomain must be the domain slice with arity + 1")
-    dom = slice_monomials(domain)
-    index = {key: i for i, key in enumerate(slice_monomials(codomain))}
-    columns: List[Dict[int, int]] = []
-    for (gamma, _), col in zip(dom, _image_columns(domain.model, [s for _, s in dom])):
-        rows: Dict[int, int] = {}
-        for s2, value in col.items():
-            i = index.get((gamma, s2))
-            if i is None:
-                raise InvariantError(
-                    f"matrix_of_D: differential left the tagged slice at {(gamma, s2)}; "
-                    "the tagged subspaces would fail to form a subcomplex")
-            rows[i] = value
-        columns.append(rows)
-    return columns
-
-
 def hh_dimension(model: FlatModel, tag: SubspaceTag, degree: int,
                  sym_degree: int, coeff_degree: int) -> int:
     """Cohomology dimension of the tagged (degree, K, c) slice.
@@ -300,13 +231,6 @@ def bivector_slice_monomials(model: FlatModel, tag: SubspaceTag,
             if mv_monomial_member(model, gamma, pair, tag)]
 
 
-def bivector_slice_basis(model: FlatModel, tag: SubspaceTag,
-                         coeff_degree: int) -> List[MultiVector]:
-    from .symbols import MultiVector
-    return [MultiVector(model, 2, {pair: Poly.monomial(gamma)})
-            for gamma, pair in bivector_slice_monomials(model, tag, coeff_degree)]
-
-
 def normal_class_monomials(model: FlatModel, sym_degree: int,
                            coeff_degree: int) -> List[Tuple[Exponent, Tuple[int, ...]]]:
     """Monomials of the symmetric complement class: words of sym_degree-1
@@ -320,13 +244,6 @@ def normal_class_monomials(model: FlatModel, sym_degree: int,
             for d_part in itertools.combinations_with_replacement(
                 model.d_indices, sym_degree - 1)
             for u in model.tcperp_indices]
-
-
-def normal_class_basis(model: FlatModel, sym_degree: int,
-                       coeff_degree: int) -> List[SymbolChain]:
-    from .symbols import SymbolChain
-    return [SymbolChain.from_term(model, [word], Poly.monomial(gamma))
-            for gamma, word in normal_class_monomials(model, sym_degree, coeff_degree)]
 
 
 def classified_hh2_dimension(model: FlatModel, tag: SubspaceTag,
@@ -349,6 +266,9 @@ def classified_hh2_dimension(model: FlatModel, tag: SubspaceTag,
 # exact solves against the differential
 # ---------------------------------------------------------------------------
 
+# The solvers build chains, so they belong with decompose; they stay here
+# only because the benchmark's tracer wraps cohomology._solve_d by name.
+
 
 def _solve_d(rhs: SymbolChain, tag: Optional[SubspaceTag]) -> Optional[SymbolChain]:
     """Solve D(psi) = rhs for an arity rhs.arity - 1 chain, blockwise per
@@ -358,6 +278,7 @@ def _solve_d(rhs: SymbolChain, tag: Optional[SubspaceTag]) -> Optional[SymbolCha
     columns and the others are 0, as in one solve over the whole
     (K, coefficient) block.  Returns None when some block has no
     solution."""
+    from .poly import Poly
     from .symbols import SymbolChain
     model = rhs.model
     tag_name = tag.value if tag is not None else "total"
@@ -430,6 +351,7 @@ def hh2_slice_report(model: FlatModel, tag: SubspaceTag, sym_degree: int,
         "match": hh == rhs,
     }
     if with_representatives:
+        from .decompose import bivector_slice_basis, normal_class_basis
         from .symbols import differential_d, hkr
         reps: List[SymbolChain] = []
         if sym_degree == 2:
@@ -438,3 +360,60 @@ def hh2_slice_report(model: FlatModel, tag: SubspaceTag, sym_degree: int,
                     for psi in normal_class_basis(model, sym_degree, coeff_degree))
         report["representatives"] = reps
     return report
+
+
+# ---------------------------------------------------------------------------
+# the slice commands (jobs at top level, so pool workers can import them)
+# ---------------------------------------------------------------------------
+
+
+def _hh2_job(args) -> dict:
+    dims, tag_value, sym_degree, coeff_degree, with_reps = args
+    model = FlatModel(*dims)
+    report = hh2_slice_report(model, SubspaceTag(tag_value), sym_degree, coeff_degree,
+                              with_representatives=with_reps)
+    row = dict(report, model=model._asdict())
+    if with_reps:
+        from . import serialize
+        row["representatives"] = [serialize.chain_to_json(ch)
+                                  for ch in report["representatives"]]
+    return row
+
+
+def _run_slice_jobs(jobs: List[tuple], workers: int) -> List[dict]:
+    if workers <= 1 or len(jobs) <= 1:
+        return [_hh2_job(j) for j in jobs]
+    from multiprocessing import Pool
+    with Pool(processes=min(workers, len(jobs))) as pool:
+        return pool.map(_hh2_job, jobs)
+
+
+def _hh_rows(model: FlatModel, tags: List[str], kmax: int, cmax: int, workers: int,
+             with_reps: bool) -> List[dict]:
+    jobs = [(
+        (model.n_total, model.n_wobs, model.n_null), tag, K, c, with_reps)
+        for tag in tags
+        for K in range(2, kmax + 1)
+        for c in range(0, cmax + 1)]
+    return _run_slice_jobs(jobs, workers)
+
+
+def cmd_hh_dim(model: FlatModel, args) -> dict:
+    tag = SubspaceTag(args.tag or "wobs")
+    if args.degree == 2:
+        return {"rows": _hh_rows(model, [tag.value], args.kmax, args.cmax,
+                                 args.jobs, with_reps=False)}
+    head = {"model": model._asdict(), "tag": tag.value, "degree": args.degree}
+    if args.degree == 0:
+        rows = [dict(head, c=c, hh_dim=hh0_dimension(model, tag, c))
+                for c in range(args.cmax + 1)]
+    else:
+        rows = [dict(head, K=K, c=c, hh_dim=hh_dimension(model, tag, 1, K, c))
+                for K in range(1, args.kmax + 1) for c in range(args.cmax + 1)]
+    return {"rows": rows}
+
+
+def cmd_verify_theorem(model: FlatModel, args) -> dict:
+    tags = [args.tag] if args.tag else ["wobs", "null"]
+    rows = _hh_rows(model, tags, args.kmax, args.cmax, args.jobs, with_reps=args.reps)
+    return {"rows": rows, "all_match": all(r["match"] for r in rows)}

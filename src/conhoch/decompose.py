@@ -8,22 +8,26 @@ splitting of chains into an observable-span part and a part built from
 prolonged normal directions, and the reduction of observable
 multivectors to the reduced model.  :func:`decompose_2cocycle` splits a
 closed observable 2-chain into a coboundary, an antisymmetric bivector
-part and a symmetric normal-word part; it alone imports
-:mod:`conhoch.cohomology` (and with it the elimination kernel), on
+part and a symmetric normal-word part.  The chain bases of the slices
+(:class:`Slice`, :func:`slice_basis`, :func:`matrix_of_D`, the
+bivector and normal-word class bases) live here too, as the slice count
+never builds a chain.  Those functions and :func:`decompose_2cocycle`
+import :mod:`conhoch.cohomology` (and with it the elimination kernel) on
 first use, so reducing a multivector compiles neither.  Neither the
 start-up route of the CLI nor the slice count loads this module.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .errors import (InvariantError, NotConstraintError, NotWobsError,
+from .errors import (InvariantError, NotConstraintError, NotWobsError, PreconditionError,
                      SolveFailureError, UnsupportedTagError)
-from .model import SubspaceTag
+from .model import Exponent, FlatModel, SubspaceTag, monomials_of_degree
 from .poly import Poly
 from .symbols import (MultiVector, SymbolChain, chain_membership, hkr, mv_membership,
                       word_category)
+from .words import Slots
 
 
 def pr1(chain: SymbolChain) -> SymbolChain:
@@ -234,3 +238,100 @@ def class_maps(cls: CocycleClass) -> Tuple[MultiVector, MultiVector]:
     """The two morphisms out of an observable degree-2 class: the ambient
     bivector, and its image on the reduced model."""
     return cls.bivector, reduce_multivector(cls.bivector)
+
+
+# ---------------------------------------------------------------------------
+# chain bases of the slices and the matrix of the differential
+# ---------------------------------------------------------------------------
+
+SLICE_TAGS = ("total", "wobs", "null")
+
+
+class _SliceFields(NamedTuple):
+    model: FlatModel
+    arity: int
+    sym_degree: int
+    coeff_degree: int
+    tag: str = "total"
+
+
+class Slice(_SliceFields):
+    """A finite-dimensional window of the symbol complex: fixed arity,
+    total symmetric degree, homogeneous coefficient degree and tag.
+    The differential maps the (n, K, c) slice into (n+1, K, c)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.arity < 1 or self.sym_degree < 1 or self.coeff_degree < 0:
+            raise ValueError("invalid slice parameters")
+        if self.tag not in SLICE_TAGS:
+            raise ValueError(f"slice tag must be one of {SLICE_TAGS}")
+        return self
+
+
+def slice_monomials(slc: Slice) -> List[Tuple[Exponent, Slots]]:
+    """Monomials spanning the tagged slice, coefficient-major, in
+    deterministic order: the slot tuples of the window that the slice
+    count ranks."""
+    from . import cohomology
+    out: List[Tuple[Exponent, Slots]] = []
+    for gamma in monomials_of_degree(slc.model.n_total, slc.coeff_degree):
+        d, _, t = slc.model.unit_counts(gamma)
+        window = cohomology._window(slc.tag, d, t)
+        for slots in cohomology._tagged_slots_for_units(slc.model, slc.arity,
+                                                        slc.sym_degree, window):
+            out.append((gamma, slots))
+    return out
+
+
+def slice_basis(slc: Slice) -> List[SymbolChain]:
+    """Basis of the tagged slice; the spanning monomials are linearly
+    independent coordinates, so they are already a basis."""
+    return [SymbolChain.from_term(slc.model, slots, Poly.monomial(gamma))
+            for gamma, slots in slice_monomials(slc)]
+
+
+def matrix_of_D(domain: Slice, codomain: Slice) -> List[Dict[int, int]]:
+    """Matrix of the differential between two tagged slices, in the
+    deterministic monomial bases, as the sparse integer columns that
+    :func:`~conhoch.linalg.sparse_rank` takes: one dict per domain
+    monomial, keyed by row index in ``slice_monomials(codomain)``.  An
+    image outside the codomain slice would break the tagged subcomplex
+    property and raises InvariantError."""
+    from . import cohomology
+    if (codomain.model != domain.model or codomain.arity != domain.arity + 1
+            or codomain.sym_degree != domain.sym_degree
+            or codomain.coeff_degree != domain.coeff_degree
+            or codomain.tag != domain.tag):
+        raise PreconditionError("codomain must be the domain slice with arity + 1")
+    dom = slice_monomials(domain)
+    index = {key: i for i, key in enumerate(slice_monomials(codomain))}
+    columns: List[Dict[int, int]] = []
+    for (gamma, _), col in zip(dom, cohomology._image_columns(domain.model,
+                                                               [s for _, s in dom])):
+        rows: Dict[int, int] = {}
+        for s2, value in col.items():
+            i = index.get((gamma, s2))
+            if i is None:
+                raise InvariantError(
+                    f"matrix_of_D: differential left the tagged slice at {(gamma, s2)}; "
+                    "the tagged subspaces would fail to form a subcomplex")
+            rows[i] = value
+        columns.append(rows)
+    return columns
+
+
+def bivector_slice_basis(model: FlatModel, tag: SubspaceTag,
+                         coeff_degree: int) -> List[MultiVector]:
+    from .cohomology import bivector_slice_monomials
+    return [MultiVector(model, 2, {pair: Poly.monomial(gamma)})
+            for gamma, pair in bivector_slice_monomials(model, tag, coeff_degree)]
+
+
+def normal_class_basis(model: FlatModel, sym_degree: int,
+                       coeff_degree: int) -> List[SymbolChain]:
+    from .cohomology import normal_class_monomials
+    return [SymbolChain.from_term(model, [word], Poly.monomial(gamma))
+            for gamma, word in normal_class_monomials(model, sym_degree, coeff_degree)]

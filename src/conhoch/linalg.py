@@ -17,17 +17,24 @@ solves through the reduced row echelon form over Fraction, with the
 same first-nonzero pivoting and free variables set to 0.  No library
 code uses it.  It stays in this module, rather than in the tests, only
 because the benchmark's tracer wraps its methods by name.
+
+Ranks read entries only through ``.denominator``, which int has too, so
+:mod:`fractions` (and with it :mod:`decimal`) is imported only by the
+code that builds Fractions: :func:`sparse_solve` and
+:class:`RationalMatrix`.  The slice count never loads it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
-Vector = List[Fraction]
-Number = Union[int, Fraction]
-SparseColumn = Mapping[Hashable, Number]
+if TYPE_CHECKING:  # sparse_solve and RationalMatrix import it on use
+    from fractions import Fraction
+
+    Vector = List[Fraction]
+    SparseColumn = Mapping[Hashable, Union[int, Fraction]]
 
 
 class RationalMatrix:
@@ -37,6 +44,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[Fraction]], cols: Optional[int] = None):
+        from fractions import Fraction
         # Fractions are immutable, so existing ones are shared, not copied
         self.entries = [[x if type(x) is Fraction else Fraction(x) for x in row]
                         for row in entries]
@@ -83,6 +91,7 @@ class RationalMatrix:
 
     def rref(self) -> Tuple[List[Vector], List[int]]:
         """Reduced row echelon form (over Fraction) and pivot columns."""
+        from fractions import Fraction
         m = [row[:] for row in self.entries]
         rows, cols = self.rows, self.cols
         pivots: List[int] = []
@@ -111,6 +120,7 @@ class RationalMatrix:
     def solve(self, rhs: Sequence[Fraction]) -> Optional[Vector]:
         """One exact solution of A x = rhs (free variables set to 0), or
         None when the system is inconsistent."""
+        from fractions import Fraction
         if len(rhs) != self.rows:
             raise ValueError("right-hand side has wrong length")
         augmented = [row + [Fraction(rhs[i])] for i, row in enumerate(self.entries)]
@@ -210,6 +220,7 @@ def sparse_solve(columns: Sequence[SparseColumn], rhs: SparseColumn) -> Optional
     """One exact solution x of sum_j x[j] * columns[j] = rhs, with every
     non-basic variable set to 0, or None when the system is
     inconsistent."""
+    from fractions import Fraction
     pivots, scales = _echelon(columns, track=True)
     vec, rhs_scale = _integer_column(rhs)
     # the key -1 carries the multiple s of the right-hand side, so that

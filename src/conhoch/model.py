@@ -18,16 +18,41 @@ the reduced space R^{n_wobs - n_null}.
 
 The two tag enums live here: FunctionClass for functions and SubspaceTag
 for the constraint subspaces of symbols, so the command line can parse
-a tag without loading the symbol calculus.
+a tag without loading the symbol calculus.  So do the exponent helpers
+(:data:`Exponent`, :func:`monomials_of_degree`) that :mod:`conhoch.poly`
+re-exports: the slice count reads coefficient monomials as exponent
+tuples and never builds a polynomial, so only the methods that do
+import :class:`~conhoch.poly.Poly`, on first use.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Tuple
 
 from .errors import InvariantError, NotWobsError
-from .poly import Exponent, Poly, monomials_of_degree
+
+if TYPE_CHECKING:  # the methods that build polynomials import it on first use
+    from .poly import Poly
+
+Exponent = Tuple[int, ...]
+
+
+def monomials_of_degree(nvars: int, degree: int) -> List[Exponent]:
+    """All exponent tuples of the given total degree, in descending
+    lexicographic order (so x1^d comes first).  Deterministic."""
+    if nvars == 0:
+        return [()] if degree == 0 else []
+
+    def rec(remaining: int, slots: int) -> Iterator[Tuple[int, ...]]:
+        if slots == 1:
+            yield (remaining,)
+            return
+        for head in range(remaining, -1, -1):
+            for tail in rec(remaining - head, slots - 1):
+                yield (head,) + tail
+
+    return list(rec(degree, nvars))
 
 
 class FunctionClass(enum.Enum):
@@ -157,6 +182,7 @@ class FlatModel(_Dimensions):
         x_{n_null+1}..x_{n_wobs}, reindexed to 1..n_reduced.  Raises
         NotWobsError outside the observable class.
         """
+        from .poly import Poly
         if not self.function_in_class(f, FunctionClass.WOBS):
             raise NotWobsError(f"function {f} is not observable")
         restricted = self.restrict_to_c(f)
@@ -177,6 +203,7 @@ class FlatModel(_Dimensions):
     def function_slice_basis(self, tag: FunctionClass, degree: int) -> List[Poly]:
         """Monomial basis of the tag class among homogeneous polynomials of
         the given total degree, in canonical (descending grlex) order."""
+        from .poly import Poly
         if degree < 0:
             raise ValueError("degree must be non-negative")
         basis = []

@@ -13,39 +13,25 @@ coefficients, and the canonical term order is graded lexicographic
 tuple first), which makes printing and serialisation deterministic.
 
 Variable indices in the public API are 1-based, matching the coordinate
-labels x1..xn used throughout the package.
+labels x1..xn used throughout the package.  The exponent helpers
+``Exponent`` and :func:`monomials_of_degree` live in :mod:`conhoch.model`,
+which needs no polynomial arithmetic, and are re-exported here.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
-Exponent = Tuple[int, ...]
+from .model import Exponent, monomials_of_degree
+
 Scalar = Union[int, Fraction]
 
 
 def grlex_key(exp: Exponent) -> Tuple[int, Exponent]:
     """Sort key for the graded lexicographic term order (ascending)."""
     return (sum(exp), exp)
-
-
-def monomials_of_degree(nvars: int, degree: int) -> List[Exponent]:
-    """All exponent tuples of the given total degree, in descending
-    lexicographic order (so x1^d comes first).  Deterministic."""
-    if nvars == 0:
-        return [()] if degree == 0 else []
-
-    def rec(remaining: int, slots: int) -> Iterator[Tuple[int, ...]]:
-        if slots == 1:
-            yield (remaining,)
-            return
-        for head in range(remaining, -1, -1):
-            for tail in rec(remaining - head, slots - 1):
-                yield (head,) + tail
-
-    return list(rec(degree, nvars))
 
 
 def monomials_up_to_degree(nvars: int, max_degree: int) -> List[Exponent]:

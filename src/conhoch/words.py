@@ -6,7 +6,7 @@ chain.  This leaf module holds what the slice kernel of
 :mod:`conhoch.cohomology` reads about words: shuffle splittings, the
 differential of one unit monomial chain, letter profiles by coordinate
 block and the membership rules of monomial terms.  It imports only
-errors, model and poly; :mod:`conhoch.symbols` re-exports every name.
+errors and model; :mod:`conhoch.symbols` re-exports every name.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, Tuple
 
 from .errors import UnsupportedTagError
-from .model import FlatModel, SubspaceTag
-from .poly import Exponent
+from .model import Exponent, FlatModel, SubspaceTag
 
 Word = Tuple[int, ...]
 Slots = Tuple[Word, ...]

@@ -9,7 +9,7 @@ from typing import List, Tuple
 import pytest
 
 from conhoch import (FlatModel, Poly, SubspaceTag, SymbolChain, VectorField)
-from conhoch.cohomology import Slice, slice_monomials
+from conhoch.decompose import Slice, slice_monomials
 
 
 @pytest.fixture

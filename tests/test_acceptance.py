@@ -19,7 +19,7 @@ from conhoch import (FlatModel, FunctionClass, MultiDiffOp, MultiVector, Poly,
                      hh0_dimension, hh_dimension, hkr, hochschild_delta,
                      in_function_span_wobs, normal_class_basis,
                      plain_equivalence_step, shuffle_coproduct, vee_collapse)
-from conhoch.cohomology import Slice, slice_basis
+from conhoch.decompose import Slice, slice_basis
 
 from conftest import all_models, rand_chain, rand_tagged_chain, var
 

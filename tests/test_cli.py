@@ -61,23 +61,23 @@ def test_child_imports_package_under_test(tmp_path):
 
 
 def test_cli_import_loads_only_the_parser_and_model(tmp_path):
-    # start-up guard: the pool, dataclasses (and its inspect) and the
-    # JSON codecs, symbol, cohomology, star-product and operator modules
-    # load only in the commands that run them
+    # start-up guard: the pool, dataclasses (and its inspect), fractions
+    # (and its decimal) and the polynomial, JSON codec, symbol,
+    # cohomology, star-product and operator modules load only in the
+    # commands that run them
     code = ("import json, sys; before = set(sys.modules); import conhoch.cli; "
             "print(json.dumps(sorted(set(sys.modules) - before)))")
     result = _python(["-c", code], cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     loaded = set(json.loads(result.stdout))
     assert "conhoch.cli" in loaded
-    heavy = {"multiprocessing", "dataclasses", "inspect", "conhoch.serialize",
-             "conhoch.symbols", "conhoch.cohomology", "conhoch.starprod",
-             "conhoch.diffops"}
+    heavy = {"multiprocessing", "dataclasses", "inspect", "fractions", "decimal",
+             "conhoch.poly", "conhoch.serialize", "conhoch.symbols",
+             "conhoch.cohomology", "conhoch.starprod", "conhoch.diffops"}
     assert not heavy & loaded, sorted(heavy & loaded)
 
 
-_START_UP = {"conhoch", "conhoch.cli", "conhoch.errors", "conhoch.model",
-             "conhoch.poly"}
+_START_UP = {"conhoch", "conhoch.cli", "conhoch.errors", "conhoch.model"}
 _UNIT = {"terms": [{"coeff": [1, 1], "exp": [0, 0, 0]}]}
 _ROUTE_INPUTS = {
     "poly.json": {"terms": [{"coeff": [1, 1], "exp": [1, 0, 0]}]},
@@ -90,27 +90,32 @@ _ROUTE_INPUTS = {
 
 @pytest.mark.parametrize("args, extra", [
     ([], set()),
-    (["classify-function", "--in", "poly.json"], {"serialize"}),
-    (["bigd", "--in", "chain.json"], {"serialize", "symbols", "words"}),
+    (["classify-function", "--in", "poly.json"], {"serialize", "poly"}),
+    (["bigd", "--in", "chain.json"], {"serialize", "poly", "symbols", "words"}),
     (["star-check", "--in", "star.json"],
-     {"serialize", "symbols", "words", "diffops", "starprod"}),
-    (["reduce", "--in", "bivector.json"], {"serialize", "symbols", "words", "decompose"}),
+     {"serialize", "poly", "symbols", "words", "diffops", "starprod"}),
+    (["reduce", "--in", "bivector.json"],
+     {"serialize", "poly", "symbols", "words", "decompose"}),
     (["verify-theorem", "--kmax", "2", "--cmax", "0"], {"cohomology", "linalg", "words"}),
 ], ids=["import", "classify-function", "bigd", "star-check", "reduce", "verify-theorem"])
 def test_command_loads_only_the_modules_it_runs(tmp_path, args, extra):
-    # each command compiles the start-up modules plus what its handler calls
+    # each command compiles the start-up modules plus what its handler
+    # calls; the slice count builds no polynomial and no Fraction
     for name, doc in _ROUTE_INPUTS.items():
         (tmp_path / name).write_text(json.dumps(doc))
     code = ("import json, sys; from conhoch import cli\n"
             "code = cli.main(sys.argv[1:] + ['--model', '3,2,1', '--out', 'report.json']) "
             "if len(sys.argv) > 1 else 0\n"
             "print(json.dumps([code, sorted(m for m in sys.modules "
-            "if m.partition('.')[0] == 'conhoch')]))")
+            "if m.partition('.')[0] == 'conhoch' or m in ('fractions', 'decimal'))]))")
     result = _python(["-c", code] + args, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     code, loaded = json.loads(result.stdout)
     assert code == 0
-    assert set(loaded) == _START_UP | {f"conhoch.{m}" for m in extra}
+    conhoch_loaded = {m for m in loaded if m.partition(".")[0] == "conhoch"}
+    assert conhoch_loaded == _START_UP | {f"conhoch.{m}" for m in extra}
+    if "poly" not in extra:
+        assert not {"fractions", "decimal"} & set(loaded), loaded
 
 
 def test_lazy_exports_resolve(tmp_path):
@@ -236,6 +241,12 @@ def test_output_deterministic_across_runs_and_pool_widths(tmp_path):
     assert first.stdout == second.stdout == pooled.stdout
     rows = json.loads(first.stdout)["rows"]
     assert rows and all("representatives" in r for r in rows)
+    hh2 = ["hh-dim", "--model", "3,2,1", "--degree", "2", "--kmax", "3", "--cmax", "1"]
+    serial = _run(hh2 + ["--jobs", "1"], cwd=tmp_path)
+    pooled = _run(hh2 + ["--jobs", "2"], cwd=tmp_path)
+    assert serial.returncode == pooled.returncode == 0
+    assert serial.stdout == pooled.stdout
+    assert len(json.loads(serial.stdout)["rows"]) == 4
 
 
 def test_out_flag_writes_file(tmp_path):
@@ -371,13 +382,16 @@ _ONE = {"terms": [{"coeff": [1, 1], "exp": [0, 0, 0]}]}
     ("classify-function", '{"terms": [{"coeff": [1e400, 1], "exp": [0, 0, 0]}]}'),
     ("classify-function", '{"terms": [{"coeff": [1, 1], "exp": [1e400, 0, 0]}]}'),
     ("reduce", 5),
+    ("reduce", {"arity": 1, "terms": []}),
+    ("reduce", {"arity": 1, "terms": [{"coeff_poly": _ONE, "slots": [[1]]}]}),
     ("star-equiv", {"star": {"order": 0, "cochains": []},
                     "star_prime": {"order": 0, "cochains": []}, "agree_to": None}),
     ("classify-function", "[" * 100000 + "]" * 100000),
 ], ids=["zero-denominator", "terms-not-an-array", "letter-out-of-range",
         "arity-null", "arity-array", "fractional-letter", "degree-null",
         "order-array", "coefficient-1e400", "exponent-1e400",
-        "document-not-an-object", "agree-to-null", "nested-too-deeply"])
+        "document-not-an-object", "reduce-empty-chain", "reduce-chain", "agree-to-null",
+        "nested-too-deeply"])
 def test_malformed_document_is_an_input_error(tmp_path, command, document):
     # a str is the document's raw text, for numbers json.dumps cannot write
     text = document if isinstance(document, str) else json.dumps(document)

@@ -14,7 +14,8 @@ from conhoch import (CocycleClass, FlatModel, MultiVector, Poly, Slice,
                      hh0_dimension, hh_dimension, hkr, matrix_of_D,
                      normal_class_basis, slice_basis)
 from conhoch import cohomology
-from conhoch.cohomology import normal_class_monomials, slice_monomials
+from conhoch.cohomology import normal_class_monomials
+from conhoch.decompose import slice_monomials
 from conhoch.errors import (InvariantError, NotCocycleError, NotConstraintError,
                             PreconditionError, SolveFailureError)
 from conhoch.linalg import RationalMatrix, sparse_rank

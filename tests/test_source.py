@@ -61,10 +61,11 @@ def _import_closure(start):
 
 
 def test_cli_start_up_route_is_the_parser_and_model():
-    # importing the CLI compiles only what every command needs: the JSON
-    # codecs, the symbol calculus and the solvers load inside the handlers
+    # importing the CLI compiles only what every command needs: the
+    # polynomials, the JSON codecs, the symbol calculus and the solvers
+    # load with the handlers that run them
     reached = _import_closure("cli")
-    assert set(reached) == {"cli", "errors", "model", "poly"}, \
+    assert set(reached) == {"cli", "errors", "model"}, \
         f"module: the import that pulled it in: {reached}"
 
 
@@ -79,9 +80,10 @@ def test_star_products_do_not_load_the_solvers():
 
 def test_slice_kernel_does_not_load_the_symbol_calculus():
     # verify-theorem computes slice dimensions from words alone: the
-    # symbol containers, the decompositions, the JSON codecs and the
-    # operator and star-product layers load only when a chain is built
+    # polynomials, the symbol containers, the decompositions, the JSON
+    # codecs and the operator and star-product layers load only when a
+    # chain is built
     reached = _import_closure("cohomology")
     heavy = {m: where for m, where in reached.items()
-             if m in {"symbols", "decompose", "serialize", "diffops", "starprod"}}
+             if m in {"poly", "symbols", "decompose", "serialize", "diffops", "starprod"}}
     assert heavy == {}, f"cohomology imports the symbol calculus at: {heavy}"

@@ -15,7 +15,7 @@ from conhoch import (FlatModel, MultiDiffOp, MultiVector, Poly, SubspaceTag,
                      hkr, is_constraint_star, plain_equivalence_step,
                      poisson_from_star)
 from conhoch import starprod
-from conhoch.cohomology import normal_class_basis
+from conhoch.decompose import normal_class_basis
 from conhoch.errors import NotClosedError, NotConstraintError, PreconditionError
 
 from conftest import rand_fraction, rand_tagged_chain, var
