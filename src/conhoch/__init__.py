@@ -8,9 +8,9 @@ observable bivector plus symmetric normal-word data, and applies the
 classification to infinitesimal star products compatible with
 reduction.
 
-The public names below are loaded on first access (PEP 562), so a
-command that needs only the decoders does not import the symbol,
-cohomology or star-product modules.
+The public names below are loaded on first access (PEP 562), each from
+the module that defines it, so a command that needs only the decoders
+does not import the symbol, cohomology or star-product modules.
 """
 
 from importlib import import_module
@@ -22,11 +22,10 @@ _EXPORTS = {
                "UnsupportedTagError"),
     "model": ("FlatModel", "FunctionClass", "SubspaceTag", "monomials_of_degree"),
     "poly": ("Poly", "monomials_up_to_degree"),
-    "words": ("monomial_member",),
-    "symbols": ("MultiVector", "SymbolChain", "VectorField", "bracket",
-                "chain_membership", "chain_vee", "differential_d", "hkr",
-                "in_function_span_wobs", "mv_membership", "shuffle_coproduct",
-                "vee", "vee_collapse", "vf_membership", "wedge"),
+    "fields": ("VectorField", "bracket", "vf_membership"),
+    "symbols": ("MultiVector", "SymbolChain", "chain_membership", "chain_vee",
+                "differential_d", "hkr", "in_function_span_wobs", "monomial_member",
+                "mv_membership", "shuffle_coproduct", "vee", "vee_collapse", "wedge"),
     "decompose": ("CocycleClass", "CocycleDecomposition", "Slice", "bivector_slice_basis",
                   "class_maps", "decompose_2cocycle", "decompose_sym",
                   "decompose_tensor2", "matrix_of_D", "normal_class_basis", "pr1",
@@ -34,8 +33,8 @@ _EXPORTS = {
     "diffops": ("FlatConnection", "MultiDiffOp", "SymCovTensor",
                 "chain_map_check", "hochschild_delta", "op_membership",
                 "sym_cov_derivative"),
-    "cohomology": ("classified_hh2_dimension", "find_constraint_potential",
-                   "find_potential", "hh0_dimension", "hh2_slice_report",
+    "cohomology": ("find_constraint_potential", "find_potential"),
+    "slicecount": ("classified_hh2_dimension", "hh0_dimension", "hh2_slice_report",
                    "hh_dimension"),
     "starprod": ("OMITTED_BRACKET_PREFACTOR", "AssociativityViolation",
                  "TruncatedStar", "associator", "check_associativity",

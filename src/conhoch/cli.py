@@ -10,9 +10,9 @@ merged in slice-key order, so output is identical for every pool width.
 This module holds only the parser, :func:`main`, the dispatch table and
 JSON emission, and importing it compiles only errors and model (the
 --tag choices come from model.SubspaceTag).  Each command's handler
-lives with the code it runs and is imported when the command runs: the
-slice commands hh-dim and verify-theorem in cohomology, every command
-that reads --in FILE (and the --format table printer) in serialize.  A
+lives with the code it runs (:data:`_HANDLERS` names the module) and is
+imported when the command runs; a handler that reads --in FILE imports
+serialize then, and only --format table loads the printer.  A
 write to an unwritable --out path, an input nested too deeply for the
 JSON reader, a negative --kmax or --cmax and a slice --tag other than
 wobs/null are input errors too.
@@ -62,8 +62,8 @@ def emit_report(result: dict, fmt: str = "json") -> str:
     appear in the canonical term order either way."""
     if fmt == "json":
         return json.dumps(result, indent=2, sort_keys=True) + "\n"
-    from . import serialize
-    return serialize.table_text(result)
+    from . import printer
+    return printer.table_text(result)
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -78,19 +78,19 @@ def _write(text: str, out: Optional[str]) -> None:
 #: the report, and its module is imported only when the command runs
 _HANDLERS = {
     "classify-function": ("serialize", "cmd_classify_function"),
-    "classify-field": ("serialize", "cmd_classify_field"),
-    "classify-symbol": ("serialize", "cmd_classify_symbol"),
-    "classify-operator": ("serialize", "cmd_classify_operator"),
-    "delta": ("serialize", "cmd_delta"),
-    "bigd": ("serialize", "cmd_bigd"),
-    "hkr": ("serialize", "cmd_hkr"),
-    "hh-dim": ("cohomology", "cmd_hh_dim"),
-    "verify-theorem": ("cohomology", "cmd_verify_theorem"),
-    "decompose-cocycle": ("serialize", "cmd_decompose_cocycle"),
-    "find-potential": ("serialize", "cmd_find_potential"),
-    "star-check": ("serialize", "cmd_star_check"),
-    "star-equiv": ("serialize", "cmd_star_equiv"),
-    "classify-star": ("serialize", "cmd_classify_star"),
+    "classify-field": ("fields", "cmd_classify_field"),
+    "classify-symbol": ("symbols", "cmd_classify_symbol"),
+    "classify-operator": ("diffops", "cmd_classify_operator"),
+    "delta": ("diffops", "cmd_delta"),
+    "bigd": ("symbols", "cmd_bigd"),
+    "hkr": ("symbols", "cmd_hkr"),
+    "hh-dim": ("slicecount", "cmd_hh_dim"),
+    "verify-theorem": ("slicecount", "cmd_verify_theorem"),
+    "decompose-cocycle": ("decompose", "cmd_decompose_cocycle"),
+    "find-potential": ("cohomology", "cmd_find_potential"),
+    "star-check": ("starprod", "cmd_star_check"),
+    "star-equiv": ("starprod", "cmd_star_equiv"),
+    "classify-star": ("starprod", "cmd_classify_star"),
     "reduce": ("serialize", "cmd_reduce"),
 }
 

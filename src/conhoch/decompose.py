@@ -13,8 +13,11 @@ part and a symmetric normal-word part.  The chain bases of the slices
 bivector and normal-word class bases) live here too, as the slice count
 never builds a chain.  Those functions and :func:`decompose_2cocycle`
 import :mod:`conhoch.cohomology` (and with it the elimination kernel) on
-first use, so reducing a multivector compiles neither.  Neither the
-start-up route of the CLI nor the slice count loads this module.
+first use, and the class bases take their monomials from
+:mod:`conhoch.slicecount`, so reducing a multivector compiles none of
+them.  :func:`cmd_decompose_cocycle` is the handler of the
+decompose-cocycle command.  Neither the start-up route of the CLI nor
+the slice count loads this module.
 """
 
 from __future__ import annotations
@@ -240,6 +243,20 @@ def class_maps(cls: CocycleClass) -> Tuple[MultiVector, MultiVector]:
     return cls.bivector, reduce_multivector(cls.bivector)
 
 
+def cmd_decompose_cocycle(model, args) -> dict:
+    from . import serialize
+    chain = serialize.chain_from_json(serialize._load(args.infile), model)
+    dec = decompose_2cocycle(chain)
+    ambient, reduced = class_maps(dec.cocycle_class)
+    return {
+        "class": {"X": serialize.multivector_to_json(dec.cocycle_class.bivector),
+                  "psi": serialize.chain_to_json(dec.cocycle_class.normal_part)},
+        "potential": serialize.chain_to_json(dec.potential),
+        "ambient_bivector": serialize.multivector_to_json(ambient),
+        "reduced_bivector": serialize.multivector_to_json(reduced),
+    }
+
+
 # ---------------------------------------------------------------------------
 # chain bases of the slices and the matrix of the differential
 # ---------------------------------------------------------------------------
@@ -325,13 +342,13 @@ def matrix_of_D(domain: Slice, codomain: Slice) -> List[Dict[int, int]]:
 
 def bivector_slice_basis(model: FlatModel, tag: SubspaceTag,
                          coeff_degree: int) -> List[MultiVector]:
-    from .cohomology import bivector_slice_monomials
+    from .slicecount import bivector_slice_monomials
     return [MultiVector(model, 2, {pair: Poly.monomial(gamma)})
             for gamma, pair in bivector_slice_monomials(model, tag, coeff_degree)]
 
 
 def normal_class_basis(model: FlatModel, sym_degree: int,
                        coeff_degree: int) -> List[SymbolChain]:
-    from .cohomology import normal_class_monomials
+    from .slicecount import normal_class_monomials
     return [SymbolChain.from_term(model, [word], Poly.monomial(gamma))
             for gamma, word in normal_class_monomials(model, sym_degree, coeff_degree)]

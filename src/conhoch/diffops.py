@@ -16,6 +16,10 @@ argument merges, expanded on symbols through the Leibniz rule).  It is
 therefore independent of the shuffle-coproduct differential on the
 symbol side, and the equality Op(D phi) = delta(Op(phi)) is a genuine
 cross-check between the two routes.
+
+The handlers of classify-operator and delta live here.  The flat
+connection imports :class:`~conhoch.fields.VectorField` when it runs,
+so no operator or star-product command compiles the vector fields.
 """
 
 from __future__ import annotations
@@ -23,13 +27,16 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterator, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, NamedTuple, Sequence, Tuple
 
 from .errors import InvariantError, ModelMismatchError, UnsupportedTagError
 from .model import FlatModel
 from .poly import Exponent, Poly, monomials_of_degree
-from .symbols import (Slots, SubspaceTag, SymbolChain, VectorField, Word,
-                      chain_membership, differential_d, vee)
+from .symbols import (Slots, SubspaceTag, SymbolChain, Word, chain_membership,
+                      differential_d, vee)
+
+if TYPE_CHECKING:  # the flat connection imports it on use
+    from .fields import VectorField
 
 
 class MultiDiffOp:
@@ -105,6 +112,7 @@ class FlatConnection:
         self.model = model
 
     def covariant_derivative(self, x: VectorField, y: VectorField) -> VectorField:
+        from .fields import VectorField
         if x.model != self.model or y.model != self.model:
             raise ModelMismatchError("fields over a different model")
         return VectorField(self.model, [x.apply(comp) for comp in y.components])
@@ -316,3 +324,21 @@ def op_membership(op: MultiDiffOp, tag: SubspaceTag) -> bool:
     if tag not in (SubspaceTag.WOBS, SubspaceTag.NULL):
         raise UnsupportedTagError("operators carry only wobs/null tags")
     return chain_membership(op.symbol, tag)
+
+
+# ---------------------------------------------------------------------------
+# handlers of the commands that read one operator
+# ---------------------------------------------------------------------------
+
+
+def cmd_classify_operator(model, args) -> dict:
+    from . import serialize
+    op = serialize.op_from_json(serialize._load(args.infile), model)
+    return {"wobs": op_membership(op, SubspaceTag.WOBS),
+            "null": op_membership(op, SubspaceTag.NULL)}
+
+
+def cmd_delta(model, args) -> dict:
+    from . import serialize
+    op = serialize.op_from_json(serialize._load(args.infile), model)
+    return serialize.op_to_json(hochschild_delta(op))

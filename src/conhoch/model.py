@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Tuple
 
-from .errors import InvariantError, NotWobsError
+from .errors import InvariantError, ModelMismatchError, NotWobsError
 
 if TYPE_CHECKING:  # the methods that build polynomials import it on first use
     from .poly import Poly
@@ -211,3 +211,9 @@ class FlatModel(_Dimensions):
             if tag.contains(self.monomial_class(exp)):
                 basis.append(Poly.monomial(exp))
         return basis
+
+
+def _same_model(a: FlatModel, b: FlatModel) -> None:
+    """Refuse to combine symbols or vector fields over different models."""
+    if a != b:
+        raise ModelMismatchError(f"objects over different models {a} and {b}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .model import Exponent, monomials_of_degree
 
@@ -39,29 +39,6 @@ def monomials_up_to_degree(nvars: int, max_degree: int) -> List[Exponent]:
     out: List[Exponent] = []
     for d in range(max_degree + 1):
         out.extend(monomials_of_degree(nvars, d))
-    return out
-
-
-def poly_text(terms: Iterable[Tuple[Sequence[int], Fraction]]) -> str:
-    """Text of a polynomial from its (exponent, coefficient) pairs in
-    canonical order, e.g. ``x1^2*x3 - 1/2``; ``0`` when there are none."""
-    parts = []
-    for exp, coeff in terms:
-        body = "*".join(f"x{i}" + (f"^{e}" if e > 1 else "")
-                        for i, e in enumerate(exp, 1) if e > 0)
-        if not body:
-            parts.append(str(coeff))
-        elif coeff == 1:
-            parts.append(body)
-        elif coeff == -1:
-            parts.append("-" + body)
-        else:
-            parts.append(f"{coeff}*{body}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
     return out
 
 
@@ -243,6 +220,7 @@ class Poly:
         return not self.is_zero()
 
     def __str__(self) -> str:
+        from .printer import poly_text
         return poly_text(self.sorted_terms())
 
     def __repr__(self) -> str:

@@ -23,7 +23,8 @@ closedness, equivalence or classification, which are all linear.
 Associativity is decided on symbols alone, so this module imports
 cohomology (and with it the elimination kernel) only inside the
 equivalence solvers, and decompose only when a bracket is extracted or
-a class computed: star-check compiles neither.
+a class computed: star-check compiles neither.  The handlers of the
+star-check, star-equiv and classify-star commands live here.
 """
 
 from __future__ import annotations
@@ -261,3 +262,50 @@ def classify_infinitesimal(c1: MultiDiffOp) -> CocycleClass:
         raise NotClosedError("first-order cochain is not closed")
     from .decompose import decompose_2cocycle
     return decompose_2cocycle(c1.symbol).cocycle_class
+
+
+# ---------------------------------------------------------------------------
+# handlers of the commands that read star products
+# ---------------------------------------------------------------------------
+
+
+def cmd_star_check(model, args) -> dict:
+    from . import serialize
+    star = serialize.star_from_json(serialize._load(args.infile), model)
+    violation = check_associativity(star)
+    result = {"constraint": is_constraint_star(star),
+              "associative": violation is None}
+    if violation is not None:
+        result["violation"] = {
+            "order": violation.order,
+            "arguments": [serialize.poly_to_json(p) for p in violation.arguments],
+            "defect": serialize.poly_to_json(violation.defect),
+        }
+    return result
+
+
+def cmd_star_equiv(model, args) -> dict:
+    from . import serialize
+    data = serialize._load(args.infile)
+    try:
+        a = serialize.star_from_json(data["star"], model)
+        b = serialize.star_from_json(data["star_prime"], model)
+        agree_to = serialize.json_integer(data.get("agree_to", 0), "'agree_to'")
+    except KeyError as exc:
+        raise ValueError(f"star-equiv input needs 'star' and 'star_prime': {exc}") from exc
+    report = equivalence_report(a, b, agree_to)
+    s = report["S"]
+    return {"order": report["order"],
+            "plain_equivalent": report["plain_equivalent"],
+            "constraint_equivalent": report["constraint_equivalent"],
+            "S": None if s is None else serialize.op_to_json(s)}
+
+
+def cmd_classify_star(model, args) -> dict:
+    from . import serialize
+    star = serialize.star_from_json(serialize._load(args.infile), model)
+    if star.order < 1:
+        raise ValueError("classification needs a first-order cochain")
+    cls = classify_infinitesimal(star.cochain(1))
+    return {"X": serialize.multivector_to_json(cls.bivector),
+            "psi": serialize.chain_to_json(cls.normal_part)}

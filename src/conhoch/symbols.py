@@ -1,4 +1,4 @@
-"""Vector fields, multivectors and tensor-of-symmetric symbol chains.
+"""Multivectors and tensor-of-symmetric symbol chains.
 
 The central object is the :class:`SymbolChain`: an element of the tensor
 algebra (graded by tensor factors) over the reduced symmetric algebra of
@@ -21,15 +21,19 @@ This module provides
 * the free algebra operations (wedge, vee, tensor concatenation),
 * the reduced shuffle coproduct and the induced tensor differential,
 * the antisymmetrisation map from multivectors to chains,
-* membership of chains, multivectors and vector fields, decided per
-  monomial by the rules of :mod:`conhoch.words` (re-exported here with
-  the shuffle splittings and the unit differential).
+* membership of chains and multivectors, decided per monomial: the
+  tagged subspaces by the rules of :mod:`conhoch.words` (re-exported
+  here with the shuffle splittings and the unit differential), the
+  hatted complement blocks by :func:`word_category`;
+* the handlers of the commands that compute on one chain or
+  multivector: classify-symbol, bigd and hkr.
 
-The subspace tags live in :mod:`conhoch.model` (re-exported here), and
-the degree-1 projections, the canonical splittings of chains and the
-reduction of multivectors live in :mod:`conhoch.decompose`.  The CLI
-imports this module only in the handlers that compute on symbols, so a
-command that classifies a function never compiles it.
+The subspace tags live in :mod:`conhoch.model` (re-exported here), the
+vector fields in :mod:`conhoch.fields`, and the degree-1 projections,
+the canonical splittings of chains and the reduction of multivectors in
+:mod:`conhoch.decompose`.  The CLI imports this module only in the
+handlers that compute on symbols, so a command that classifies a
+function or a vector field never compiles it.
 """
 
 from __future__ import annotations
@@ -38,15 +42,16 @@ import itertools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import ModelMismatchError, UnsupportedTagError
-from .model import FlatModel, SubspaceTag
+from .errors import UnsupportedTagError
+from .model import FlatModel, SubspaceTag, _same_model
 from .poly import Exponent, Poly
-from .words import (Slots, Word, _slot_profile, _tensor_member,
-                    _word_splits, _word_wobs_ok, monomial_member,
-                    mv_monomial_member, shuffle_pairs, unit_differential,
-                    word_category)
+from .words import (Slots, Word, _slot_profile, _tensor_member, mv_monomial_member,
+                    shuffle_pairs, unit_differential)
+
+if TYPE_CHECKING:  # vector_field_as_multivector reads one without importing it
+    from .fields import VectorField
 
 
 def vee(a: Word, b: Word) -> Word:
@@ -155,86 +160,13 @@ class _TermMap:
                 and self._grade == other._grade and self.terms == other.terms)
 
     def __repr__(self) -> str:
-        from . import serialize
-        return serialize.to_text(getattr(serialize, self._encoder)(self))
+        from . import printer, serialize
+        return printer.to_text(getattr(serialize, self._encoder)(self))
 
 
 # ---------------------------------------------------------------------------
-# vector fields and multivectors
+# multivectors
 # ---------------------------------------------------------------------------
-
-
-class VectorField:
-    """Vector field with polynomial components (component i multiplies d_i)."""
-
-    __slots__ = ("model", "components")
-
-    def __init__(self, model: FlatModel, components: Sequence[Poly]):
-        if len(components) != model.n_total:
-            raise ValueError("need one component per coordinate")
-        for f in components:
-            model.check_poly(f)
-        self.model = model
-        self.components = tuple(components)
-
-    @classmethod
-    def zero(cls, model: FlatModel) -> "VectorField":
-        return cls(model, [Poly.zero(model.n_total)] * model.n_total)
-
-    @classmethod
-    def frame(cls, model: FlatModel, index: int, coeff: Optional[Poly] = None) -> "VectorField":
-        """coeff * d_index (1-based); coeff defaults to 1."""
-        comps = [Poly.zero(model.n_total) for _ in range(model.n_total)]
-        comps[index - 1] = Poly.constant(model.n_total, 1) if coeff is None else coeff
-        return cls(model, comps)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _same_model(self.model, other.model)
-        return VectorField(self.model, [a + b for a, b in zip(self.components, other.components)])
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.model, [-a for a in self.components])
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + (-other)
-
-    def scale(self, f) -> "VectorField":
-        return VectorField(self.model, [a * f for a in self.components])
-
-    def apply(self, f: Poly) -> Poly:
-        """Derivative of a function along the field."""
-        out = Poly.zero(self.model.n_total)
-        for i, comp in enumerate(self.components, start=1):
-            if not comp.is_zero():
-                out = out + comp * f.partial(i)
-        return out
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, VectorField) and self.model == other.model
-                and self.components == other.components)
-
-    def __repr__(self) -> str:
-        from . import serialize
-        return serialize.to_text(serialize.field_to_json(self))
-
-
-def bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Lie bracket [X, Y] of two vector fields."""
-    _same_model(x.model, y.model)
-    n = x.model.n_total
-    comps = []
-    for j in range(1, n + 1):
-        term = Poly.zero(n)
-        for i in range(1, n + 1):
-            if not x.components[i - 1].is_zero():
-                term = term + x.components[i - 1] * y.components[j - 1].partial(i)
-            if not y.components[i - 1].is_zero():
-                term = term - y.components[i - 1] * x.components[j - 1].partial(i)
-        comps.append(term)
-    return VectorField(x.model, comps)
 
 
 class MultiVector(_TermMap):
@@ -382,11 +314,6 @@ class SymbolChain(_TermMap):
         return self.terms.get(key, Poly.zero(self.model.n_total))
 
 
-def _same_model(a: FlatModel, b: FlatModel) -> None:
-    if a != b:
-        raise ModelMismatchError(f"objects over different models {a} and {b}")
-
-
 def chain_vee(a: SymbolChain, b: SymbolChain) -> SymbolChain:
     """Symmetric product of arity-1 chains."""
     if a.arity != 1 or b.arity != 1:
@@ -453,6 +380,50 @@ def hkr(x: MultiVector) -> SymbolChain:
     return SymbolChain(x.model, n, terms)
 
 
+# ---------------------------------------------------------------------------
+# membership
+# ---------------------------------------------------------------------------
+
+
+def word_category(model: FlatModel, word: Word) -> str:
+    """Exactly one of: 'that' (contains a normal letter), 'nhat' (tangent
+    letters with at least one distribution letter), 'wnhat' (letters all
+    transverse-in-C)."""
+    if any(i > model.n_wobs for i in word):
+        return "that"
+    if any(i <= model.n_null for i in word):
+        return "nhat"
+    return "wnhat"
+
+
+#: the word categories of each hatted tag at arity 1
+_HAT_WORDS = {SubspaceTag.NULL_NOT_VAN: ("nhat",), SubspaceTag.WOBS_NOT_NULL: ("wnhat",),
+              SubspaceTag.TOTAL_NOT_WOBS: ("that",),
+              SubspaceTag.TOTAL_NOT_NULL: ("that", "wnhat")}
+
+
+def monomial_member(model: FlatModel, gamma: Exponent, slots: Slots,
+                    tag: SubspaceTag) -> bool:
+    """Membership of a single monomial chain (coefficient exponent gamma,
+    slot words) in the tagged subspace."""
+    d, _, t = model.unit_counts(gamma)
+    if tag in (SubspaceTag.WOBS, SubspaceTag.NULL):
+        profiles = tuple(_slot_profile(model, w) for w in slots)
+        return _tensor_member(d, t, profiles, tag)
+    # hatted tags: sections over C only, so no normal variables at all
+    arity = len(slots)
+    if arity == 1:
+        return t == 0 and word_category(model, slots[0]) in _HAT_WORDS[tag]
+    if arity == 2 and tag in (SubspaceTag.NULL_NOT_VAN, SubspaceTag.TOTAL_NOT_WOBS):
+        if t != 0:
+            return False
+        cats = [word_category(model, w) for w in slots]
+        if tag is SubspaceTag.TOTAL_NOT_WOBS:
+            return all(c in ("that", "wnhat") for c in cats) and "that" in cats
+        return "nhat" in cats
+    raise UnsupportedTagError(f"tag {tag.value} is not defined at arity {arity}")
+
+
 def chain_membership(chain: SymbolChain, tag: SubspaceTag) -> bool:
     """Decide membership of a chain in the tagged subspace.  The tagged
     spaces are spanned by monomial chains, so the test runs monomial by
@@ -477,33 +448,35 @@ def in_function_span_wobs(chain: SymbolChain) -> bool:
                for gamma, slots, _ in chain.monomials())
 
 
-def vf_membership(x: VectorField, tag: SubspaceTag) -> bool:
-    """Constraint membership of a vector field.
-
-    Null: the components transverse to the distribution vanish on C.
-    Wobs: the components normal to C vanish on C, and the derivative of
-    every non-distribution component along the distribution frame
-    vanishes on C (the bracket condition tested against the frame, which
-    generates the distribution sections as a module).
-    """
-    model = x.model
-    if tag is SubspaceTag.NULL:
-        return all(model.restrict_to_c(x.components[i - 1]).is_zero()
-                   for i in range(model.n_null + 1, model.n_total + 1))
-    if tag is SubspaceTag.WOBS:
-        for i in model.tcperp_indices:
-            if not model.restrict_to_c(x.components[i - 1]).is_zero():
-                return False
-        for a in model.d_indices:
-            for i in range(model.n_null + 1, model.n_total + 1):
-                if not model.restrict_to_c(x.components[i - 1].partial(a)).is_zero():
-                    return False
-        return True
-    raise UnsupportedTagError(f"vector fields carry only wobs/null tags, not {tag.value}")
-
-
 def mv_membership(x: MultiVector, tag: SubspaceTag) -> bool:
     """Constraint membership of a multivector, decided per monomial (both
     tagged classes are monomially spanned)."""
     return all(mv_monomial_member(x.model, gamma, idx, tag)
                for gamma, idx, _ in x.monomials())
+
+
+# ---------------------------------------------------------------------------
+# handlers of the commands that compute on one chain or multivector
+# ---------------------------------------------------------------------------
+
+
+def cmd_classify_symbol(model, args) -> dict:
+    from . import serialize
+    chain = serialize.chain_from_json(serialize._load(args.infile), model)
+    if args.tag is not None:
+        tag = SubspaceTag(args.tag)
+        return {"tag": tag.value, "member": chain_membership(chain, tag)}
+    return {"wobs": chain_membership(chain, SubspaceTag.WOBS),
+            "null": chain_membership(chain, SubspaceTag.NULL)}
+
+
+def cmd_bigd(model, args) -> dict:
+    from . import serialize
+    chain = serialize.chain_from_json(serialize._load(args.infile), model)
+    return serialize.chain_to_json(differential_d(chain))
+
+
+def cmd_hkr(model, args) -> dict:
+    from . import serialize
+    x = serialize.multivector_from_json(serialize._load(args.infile), model)
+    return serialize.chain_to_json(hkr(x))

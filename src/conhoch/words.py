@@ -3,10 +3,12 @@
 A word is a sorted tuple of 1-based coordinate letters with repetition
 (e.g. (1, 1, 3) stands for d1 v d1 v d3), one per slot of a monomial
 chain.  This leaf module holds what the slice kernel of
-:mod:`conhoch.cohomology` reads about words: shuffle splittings, the
-differential of one unit monomial chain, letter profiles by coordinate
-block and the membership rules of monomial terms.  It imports only
-errors and model; :mod:`conhoch.symbols` re-exports every name.
+:mod:`conhoch.cohomology` and :mod:`conhoch.slicecount` reads about
+words: shuffle splittings, the differential of one unit monomial chain,
+letter profiles by coordinate block and the wobs/null membership rules
+of chain and multivector monomials.  It imports only errors and model.
+The rules of the hatted complement blocks, which only the symbol
+calculus asks, live in :mod:`conhoch.symbols` (``monomial_member``).
 """
 
 from __future__ import annotations
@@ -117,45 +119,6 @@ def _tensor_member(d_units: int, t_units: int,
     if tag is SubspaceTag.NULL:
         return null
     return null or (d_units == 0 and all(nt == 0 for _, _, nt in profiles))
-
-
-def word_category(model: FlatModel, word: Word) -> str:
-    """Exactly one of: 'that' (contains a normal letter), 'nhat' (tangent
-    letters with at least one distribution letter), 'wnhat' (letters all
-    transverse-in-C)."""
-    if any(i > model.n_wobs for i in word):
-        return "that"
-    if any(i <= model.n_null for i in word):
-        return "nhat"
-    return "wnhat"
-
-
-#: the word categories of each hatted tag at arity 1
-_HAT_WORDS = {SubspaceTag.NULL_NOT_VAN: ("nhat",), SubspaceTag.WOBS_NOT_NULL: ("wnhat",),
-              SubspaceTag.TOTAL_NOT_WOBS: ("that",),
-              SubspaceTag.TOTAL_NOT_NULL: ("that", "wnhat")}
-
-
-def monomial_member(model: FlatModel, gamma: Exponent, slots: Slots,
-                    tag: SubspaceTag) -> bool:
-    """Membership of a single monomial chain (coefficient exponent gamma,
-    slot words) in the tagged subspace."""
-    d, _, t = model.unit_counts(gamma)
-    if tag in (SubspaceTag.WOBS, SubspaceTag.NULL):
-        profiles = tuple(_slot_profile(model, w) for w in slots)
-        return _tensor_member(d, t, profiles, tag)
-    # hatted tags: sections over C only, so no normal variables at all
-    arity = len(slots)
-    if arity == 1:
-        return t == 0 and word_category(model, slots[0]) in _HAT_WORDS[tag]
-    if arity == 2 and tag in (SubspaceTag.NULL_NOT_VAN, SubspaceTag.TOTAL_NOT_WOBS):
-        if t != 0:
-            return False
-        cats = [word_category(model, w) for w in slots]
-        if tag is SubspaceTag.TOTAL_NOT_WOBS:
-            return all(c in ("that", "wnhat") for c in cats) and "that" in cats
-        return "nhat" in cats
-    raise UnsupportedTagError(f"tag {tag.value} is not defined at arity {arity}")
 
 
 def mv_monomial_member(model: FlatModel, gamma: Exponent,

@@ -1,17 +1,19 @@
 """Command line: exit codes, determinism, worker-pool invariance, and every
 documented example."""
 
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import conhoch
-from conhoch import cli, cohomology
+from conhoch import cli, slicecount
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -62,9 +64,10 @@ def test_child_imports_package_under_test(tmp_path):
 
 def test_cli_import_loads_only_the_parser_and_model(tmp_path):
     # start-up guard: the pool, dataclasses (and its inspect), fractions
-    # (and its decimal) and the polynomial, JSON codec, symbol,
-    # cohomology, star-product and operator modules load only in the
-    # commands that run them
+    # (and its decimal) and every computing module of the package (the
+    # polynomials, JSON codecs, words, symbols, vector fields, windows,
+    # slice count, kernel, decompositions, operators, star products and
+    # the printer) load only in the commands that run them
     code = ("import json, sys; before = set(sys.modules); import conhoch.cli; "
             "print(json.dumps(sorted(set(sys.modules) - before)))")
     result = _python(["-c", code], cwd=tmp_path)
@@ -72,8 +75,10 @@ def test_cli_import_loads_only_the_parser_and_model(tmp_path):
     loaded = set(json.loads(result.stdout))
     assert "conhoch.cli" in loaded
     heavy = {"multiprocessing", "dataclasses", "inspect", "fractions", "decimal",
-             "conhoch.poly", "conhoch.serialize", "conhoch.symbols",
-             "conhoch.cohomology", "conhoch.starprod", "conhoch.diffops"}
+             "conhoch.poly", "conhoch.serialize", "conhoch.symbols", "conhoch.words",
+             "conhoch.fields", "conhoch.cohomology", "conhoch.slicecount",
+             "conhoch.linalg", "conhoch.decompose", "conhoch.starprod",
+             "conhoch.diffops", "conhoch.printer"}
     assert not heavy & loaded, sorted(heavy & loaded)
 
 
@@ -81,41 +86,114 @@ _START_UP = {"conhoch", "conhoch.cli", "conhoch.errors", "conhoch.model"}
 _UNIT = {"terms": [{"coeff": [1, 1], "exp": [0, 0, 0]}]}
 _ROUTE_INPUTS = {
     "poly.json": {"terms": [{"coeff": [1, 1], "exp": [1, 0, 0]}]},
+    "field.json": {"components": [_UNIT, _UNIT, _UNIT]},
     "chain.json": {"arity": 1, "terms": [{"coeff_poly": _UNIT, "slots": [[1, 3]]}]},
+    # D of the observable chain d2 v d2: closed, observable, exact
+    "cocycle.json": {"arity": 2, "terms": [{"coeff_poly": {"terms": [
+        {"coeff": [-2, 1], "exp": [0, 0, 0]}]}, "slots": [[2], [2]]}]},
     "bivector.json": {"degree": 2, "terms": [{"coeff_poly": _UNIT, "indices": [1, 2]}]},
     "star.json": {"order": 1, "cochains": [{"symbol": {"arity": 2, "terms": [
         {"coeff_poly": _UNIT, "slots": [[2], [3]]}]}}]},
 }
+_ROUTE_CODE = ("import json, sys; from conhoch import cli\n"
+               "code = cli.main(sys.argv[1:] + ['--model', '3,2,1', '--out', 'report.json']) "
+               "if len(sys.argv) > 1 else 0\n"
+               "print(json.dumps([code, sorted(m for m in sys.modules "
+               "if m.partition('.')[0] == 'conhoch' or m in ('fractions', 'decimal'))]))")
+_FIND_POTENTIAL = ["find-potential", "--in", "cocycle.json"]
+_DECOMPOSE_COCYCLE = ["decompose-cocycle", "--in", "cocycle.json"]
+_VERIFY_THEOREM = ["verify-theorem", "--kmax", "2", "--cmax", "0"]
+_SOLVER = {"serialize", "poly", "symbols", "words", "cohomology", "linalg"}
+_SLICE_COUNT = {"slicecount", "cohomology", "linalg", "words"}
+
+
+@pytest.fixture(scope="module")
+def command_route(tmp_path_factory):
+    """The modules a command line loads, from one child interpreter per
+    command line, shared by the route pins and the compile-size bounds."""
+    cwd = tmp_path_factory.mktemp("routes")
+    for name, doc in _ROUTE_INPUTS.items():
+        (cwd / name).write_text(json.dumps(doc))
+    routes = {}
+
+    def route(args):
+        key = tuple(args)
+        if key not in routes:
+            result = _python(["-c", _ROUTE_CODE] + list(args), cwd=cwd)
+            assert result.returncode == 0, result.stderr
+            code, loaded = json.loads(result.stdout)
+            assert code == 0
+            routes[key] = set(loaded)
+        return routes[key]
+
+    return route
 
 
 @pytest.mark.parametrize("args, extra", [
     ([], set()),
     (["classify-function", "--in", "poly.json"], {"serialize", "poly"}),
+    (["classify-field", "--in", "field.json"], {"serialize", "poly", "fields"}),
     (["bigd", "--in", "chain.json"], {"serialize", "poly", "symbols", "words"}),
     (["star-check", "--in", "star.json"],
      {"serialize", "poly", "symbols", "words", "diffops", "starprod"}),
     (["reduce", "--in", "bivector.json"],
      {"serialize", "poly", "symbols", "words", "decompose"}),
-    (["verify-theorem", "--kmax", "2", "--cmax", "0"], {"cohomology", "linalg", "words"}),
-], ids=["import", "classify-function", "bigd", "star-check", "reduce", "verify-theorem"])
-def test_command_loads_only_the_modules_it_runs(tmp_path, args, extra):
+    (_FIND_POTENTIAL, _SOLVER),
+    (_DECOMPOSE_COCYCLE, _SOLVER | {"decompose"}),
+    (_VERIFY_THEOREM, _SLICE_COUNT),
+    (["hh-dim", "--degree", "0"], _SLICE_COUNT),
+    (["classify-function", "--in", "poly.json", "--format", "table"],
+     {"serialize", "poly", "printer"}),
+    (_VERIFY_THEOREM + ["--format", "table"], _SLICE_COUNT | {"printer"}),
+], ids=["import", "classify-function", "classify-field", "bigd", "star-check", "reduce",
+        "find-potential", "decompose-cocycle", "verify-theorem", "hh-dim-degree-0",
+        "classify-function-table", "verify-theorem-table"])
+def test_command_loads_only_the_modules_it_runs(command_route, args, extra):
     # each command compiles the start-up modules plus what its handler
-    # calls; the slice count builds no polynomial and no Fraction
-    for name, doc in _ROUTE_INPUTS.items():
-        (tmp_path / name).write_text(json.dumps(doc))
-    code = ("import json, sys; from conhoch import cli\n"
-            "code = cli.main(sys.argv[1:] + ['--model', '3,2,1', '--out', 'report.json']) "
-            "if len(sys.argv) > 1 else 0\n"
-            "print(json.dumps([code, sorted(m for m in sys.modules "
-            "if m.partition('.')[0] == 'conhoch' or m in ('fractions', 'decimal'))]))")
-    result = _python(["-c", code] + args, cwd=tmp_path)
-    assert result.returncode == 0, result.stderr
-    code, loaded = json.loads(result.stdout)
-    assert code == 0
+    # calls; the slice count builds no polynomial and no Fraction, and
+    # only --format table loads the printer
+    loaded = command_route(args)
     conhoch_loaded = {m for m in loaded if m.partition(".")[0] == "conhoch"}
     assert conhoch_loaded == _START_UP | {f"conhoch.{m}" for m in extra}
-    if "poly" not in extra:
-        assert not {"fractions", "decimal"} & set(loaded), loaded
+    if not {"poly", "printer"} & extra:
+        assert not {"fractions", "decimal"} & loaded, loaded
+
+
+def _compiled_nodes(modules):
+    """AST nodes of the conhoch sources among these loaded modules: what a
+    run without a bytecode cache compiles of the package."""
+    total = 0
+    for name in modules:
+        top, _, sub = name.partition(".")
+        if top == "conhoch":
+            path = PACKAGE_ROOT / "conhoch" / f"{sub or '__init__'}.py"
+            total += sum(1 for _ in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    return total
+
+
+#: the slice count may not grow past the route it had before the slice
+#: count left cohomology; the solver routes get 2 % over their size
+#: after the handlers, the vector fields and the printer left them
+@pytest.mark.parametrize("args, bound", [
+    (_VERIFY_THEOREM, 7374),
+    (_FIND_POTENTIAL, 11758 * 102 // 100),
+    (_DECOMPOSE_COCYCLE, 13807 * 102 // 100),
+], ids=["verify-theorem", "find-potential", "decompose-cocycle"])
+def test_command_compiles_within_its_node_budget(command_route, args, bound):
+    # the solver and slice-count routes compile what they call and little
+    # else; a definition that lands on a route it does not serve shows here
+    assert _compiled_nodes(command_route(args)) <= bound
+
+
+def test_every_command_names_a_callable_handler_in_its_home():
+    # a typo in a handler's home would otherwise fail only when that
+    # command runs
+    command = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert set(command.choices) == set(cli._HANDLERS)
+    for name, (module, handler) in cli._HANDLERS.items():
+        home = import_module(f"conhoch.{module}")
+        fn = getattr(home, handler, None)
+        assert callable(fn) and fn.__module__ == home.__name__, (name, module, handler)
 
 
 def test_lazy_exports_resolve(tmp_path):
@@ -215,7 +293,7 @@ def test_exit_code_one_on_malformed_input(tmp_path):
 
 
 def test_exit_code_two_on_verification_mismatch(monkeypatch, capsys):
-    real = cohomology.hh2_slice_report
+    real = slicecount.hh2_slice_report
 
     def skewed(model, tag, K, c, with_representatives=False):
         report = real(model, tag, K, c, with_representatives=with_representatives)
@@ -223,7 +301,7 @@ def test_exit_code_two_on_verification_mismatch(monkeypatch, capsys):
         report["match"] = False
         return report
 
-    monkeypatch.setattr(cohomology, "hh2_slice_report", skewed)
+    monkeypatch.setattr(slicecount, "hh2_slice_report", skewed)
     rc = cli.main(["verify-theorem", "--model", "3,2,1", "--kmax", "2",
                    "--cmax", "0", "--jobs", "1"])
     assert rc == 2

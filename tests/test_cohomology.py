@@ -13,8 +13,8 @@ from conhoch import (CocycleClass, FlatModel, MultiVector, Poly, Slice,
                      differential_d, find_constraint_potential, find_potential,
                      hh0_dimension, hh_dimension, hkr, matrix_of_D,
                      normal_class_basis, slice_basis)
-from conhoch import cohomology
-from conhoch.cohomology import normal_class_monomials
+from conhoch import cohomology, slicecount
+from conhoch.slicecount import normal_class_monomials
 from conhoch.decompose import slice_monomials
 from conhoch.errors import (InvariantError, NotCocycleError, NotConstraintError,
                             PreconditionError, SolveFailureError)
@@ -133,7 +133,7 @@ def test_pattern_rank_equals_the_rank_of_every_block(window):
     blocks = cohomology._letter_blocks(model, arity, K, kind)
     every_block = sum(sparse_rank(cohomology._image_columns(model, words))
                       for words in blocks.values())
-    assert cohomology._rank_of_d(model, arity, K, kind) == every_block
+    assert slicecount._rank_of_d(model, arity, K, kind) == every_block
 
 
 def test_slice_reports_rank_each_window_kind_once():
@@ -141,14 +141,14 @@ def test_slice_reports_rank_each_window_kind_once():
     # null, wobs) at both arities: 2 * 4 * 3 ranks, whatever the unit
     # counts of the coefficients
     for cached in (cohomology._tagged_slots_for_units, cohomology._letter_blocks,
-                   cohomology._rank_of_d):
+                   slicecount._rank_of_d):
         cached.cache_clear()
     model = FlatModel(7, 4, 2)
     for tag in (SubspaceTag.WOBS, SubspaceTag.NULL):
         for K in range(2, 6):
             for c in range(3):
-                cohomology.hh2_slice_report(model, tag, K, c)
-    assert cohomology._rank_of_d.cache_info().misses == 24
+                slicecount.hh2_slice_report(model, tag, K, c)
+    assert slicecount._rank_of_d.cache_info().misses == 24
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +265,19 @@ def test_hh0_reports_function_class(m321):
             len(m321.function_slice_basis(FunctionClass.WOBS, c))
         assert hh0_dimension(m321, SubspaceTag.NULL, c) == \
             len(m321.function_slice_basis(FunctionClass.NULL, c))
+
+
+def test_hh0_counts_the_function_slice_basis():
+    # degree 0 counts the monomials of the class without building a Poly;
+    # the count is the size of the monomial basis of the function class
+    from conhoch import FunctionClass
+
+    for model in all_models(5):
+        for c in range(4):
+            for tag, cls in ((SubspaceTag.WOBS, FunctionClass.WOBS),
+                             (SubspaceTag.NULL, FunctionClass.NULL)):
+                assert hh0_dimension(model, tag, c) == \
+                    len(model.function_slice_basis(cls, c)), (model, tag, c)
 
 
 def test_classification_requires_degree_two(m321):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conhoch import (FlatModel, MultiDiffOp, MultiVector, Poly, SymbolChain,
-                     TruncatedStar, VectorField, hkr, serialize)
+                     TruncatedStar, VectorField, hkr, printer, serialize)
 from conhoch.serialize import (chain_from_json, chain_to_json,
                                field_from_json, field_to_json, model_from_json,
                                model_to_json, multivector_from_json,
@@ -179,17 +179,17 @@ def test_repr_is_the_table_text_of_the_encoding(case):
     # one printer: a chain, multivector or vector field prints as the
     # --format table text of its JSON encoding
     value, encode = case
-    assert repr(value) == serialize.to_text(encode(value))
+    assert repr(value) == printer.to_text(encode(value))
     assert (repr(value) == "0") == value.is_zero()
 
 
 @given(_polys3)
 def test_poly_text_is_the_table_text_of_the_encoding(p):
-    assert str(p) == serialize.to_text(poly_to_json(p))
+    assert str(p) == printer.to_text(poly_to_json(p))
 
 
 def test_to_text_of_other_values_is_none():
-    assert serialize.to_text(model_to_json(_M321)) is None
-    assert serialize.to_text({"order": 1}) is None
-    assert serialize.to_text([1, 2]) is None
-    assert serialize.to_text(None) is None
+    assert printer.to_text(model_to_json(_M321)) is None
+    assert printer.to_text({"order": 1}) is None
+    assert printer.to_text([1, 2]) is None
+    assert printer.to_text(None) is None

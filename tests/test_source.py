@@ -87,3 +87,29 @@ def test_slice_kernel_does_not_load_the_symbol_calculus():
     heavy = {m: where for m, where in reached.items()
              if m in {"poly", "symbols", "decompose", "serialize", "diffops", "starprod"}}
     assert heavy == {}, f"cohomology imports the symbol calculus at: {heavy}"
+
+
+def test_slice_count_does_not_load_the_symbol_calculus():
+    # the slice count reads the windows of cohomology and ranks integer
+    # columns; the representatives of --reps load the chains on use
+    reached = _import_closure("slicecount")
+    heavy = {m: where for m, where in reached.items()
+             if m in {"poly", "symbols", "serialize", "decompose", "fields", "printer"}}
+    assert heavy == {}, f"slicecount imports the symbol calculus at: {heavy}"
+
+
+def test_vector_fields_are_a_leaf_over_the_polynomials():
+    # classify-field decides membership on components, so it compiles no
+    # slot word and no symbol chain
+    reached = _import_closure("fields")
+    assert set(reached) == {"fields", "errors", "model", "poly"}, \
+        f"module: the import that pulled it in: {reached}"
+
+
+def test_symbol_routes_do_not_load_the_vector_fields_or_the_printer():
+    # the flat connection imports VectorField when it runs, and only
+    # --format table and the reprs load the printer
+    for start in ("symbols", "diffops", "starprod", "decompose"):
+        reached = _import_closure(start)
+        heavy = {m: where for m, where in reached.items() if m in {"fields", "printer"}}
+        assert heavy == {}, f"{start} imports at: {heavy}"
