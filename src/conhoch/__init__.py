@@ -23,23 +23,22 @@ _EXPORTS = {
     "model": ("FlatModel", "FunctionClass", "SubspaceTag", "monomials_of_degree"),
     "poly": ("Poly", "monomials_up_to_degree"),
     "fields": ("VectorField", "bracket", "vf_membership"),
-    "symbols": ("MultiVector", "SymbolChain", "chain_membership", "chain_vee",
-                "differential_d", "hkr", "in_function_span_wobs", "monomial_member",
-                "mv_membership", "shuffle_coproduct", "vee", "vee_collapse", "wedge"),
+    "symbols": ("SymbolChain", "chain_membership", "differential_d", "monomial_member",
+                "vee"),
+    "multivector": ("MultiVector", "coisotropy_check", "hkr", "mv_membership", "wedge"),
     "decompose": ("CocycleClass", "CocycleDecomposition", "Slice", "bivector_slice_basis",
                   "class_maps", "decompose_2cocycle", "decompose_sym",
                   "decompose_tensor2", "matrix_of_D", "normal_class_basis", "pr1",
                   "pr1_top", "reduce_multivector", "slice_basis"),
-    "diffops": ("FlatConnection", "MultiDiffOp", "SymCovTensor",
-                "chain_map_check", "hochschild_delta", "op_membership",
-                "sym_cov_derivative"),
+    "diffops": ("MultiDiffOp",),
+    "hochschild": ("FlatConnection", "SymCovTensor", "chain_map_check", "hochschild_delta",
+                   "op_membership", "sym_cov_derivative"),
     "cohomology": ("find_constraint_potential", "find_potential"),
     "slicecount": ("classified_hh2_dimension", "hh0_dimension", "hh2_slice_report",
                    "hh_dimension"),
     "starprod": ("OMITTED_BRACKET_PREFACTOR", "AssociativityViolation",
                  "TruncatedStar", "associator", "check_associativity",
-                 "classify_infinitesimal", "coisotropy_check",
-                 "equivalence_report", "equivalence_step",
+                 "classify_infinitesimal", "equivalence_report", "equivalence_step",
                  "is_constraint_star", "plain_equivalence_step",
                  "poisson_from_star"),
 }

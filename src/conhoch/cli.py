@@ -9,7 +9,14 @@ merged in slice-key order, so output is identical for every pool width.
 
 This module holds only the parser, :func:`main`, the dispatch table and
 JSON emission, and importing it compiles only errors and model (the
---tag choices come from model.SubspaceTag).  Each command's handler
+--tag choices come from model.SubspaceTag).  One table of options
+(:data:`_OPTIONS`) feeds both readers of the command line.  A plain
+line (the command, then spelled-out ``--flag VALUE`` pairs and
+``--reps``, with --model given) is read by :func:`_plain_args` into the
+namespace argparse would build; any other line (help, usage errors,
+abbreviations, ``--flag=value``, negative numbers) goes to the parser
+of :func:`build_parser`, which alone imports argparse and prints the
+usage.  Each command's handler
 lives with the code it runs (:data:`_HANDLERS` names the module) and is
 imported when the command runs; a handler that reads --in FILE imports
 serialize then, and only --format table loads the printer.  A
@@ -20,15 +27,18 @@ wobs/null are input errors too.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from importlib import import_module
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import ConhochError
 from .model import FlatModel, SubspaceTag
+
+if TYPE_CHECKING:  # build_parser imports it on use
+    import argparse
 
 
 def _parse_model(text: str) -> FlatModel:
@@ -80,10 +90,10 @@ _HANDLERS = {
     "classify-function": ("serialize", "cmd_classify_function"),
     "classify-field": ("fields", "cmd_classify_field"),
     "classify-symbol": ("symbols", "cmd_classify_symbol"),
-    "classify-operator": ("diffops", "cmd_classify_operator"),
-    "delta": ("diffops", "cmd_delta"),
+    "classify-operator": ("hochschild", "cmd_classify_operator"),
+    "delta": ("hochschild", "cmd_delta"),
     "bigd": ("symbols", "cmd_bigd"),
-    "hkr": ("symbols", "cmd_hkr"),
+    "hkr": ("multivector", "cmd_hkr"),
     "hh-dim": ("slicecount", "cmd_hh_dim"),
     "verify-theorem": ("slicecount", "cmd_verify_theorem"),
     "decompose-cocycle": ("decompose", "cmd_decompose_cocycle"),
@@ -95,28 +105,77 @@ _HANDLERS = {
 }
 
 
+#: every option after the command: flag -> (dest, type, choices, default,
+#: metavar); type None marks the --reps switch.  The parser and the plain
+#: command-line reader both read this table
+_OPTIONS = {
+    "--model": ("model", str, None, None, "nT,nW,n0"),
+    "--in": ("infile", str, None, None, "FILE"),
+    "--out": ("outfile", str, None, None, "FILE"),
+    "--tag": ("tag", str, tuple(t.value for t in SubspaceTag), None, None),
+    "--kmax": ("kmax", int, None, 3, None),
+    "--cmax": ("cmax", int, None, 2, None),
+    "--degree": ("degree", int, (0, 1, 2), 2, None),
+    "--jobs": ("jobs", int, None, None, None),
+    "--reps": ("reps", None, None, False, None),
+    "--format": ("format", str, ("json", "table"), "json", None),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="conhoch",
         description="Exact constraint Hochschild cohomology on flat models")
     parser.add_argument("command", choices=tuple(_HANDLERS))
-    parser.add_argument("--model", required=True, metavar="nT,nW,n0")
-    parser.add_argument("--in", dest="infile", default=None, metavar="FILE")
-    parser.add_argument("--out", dest="outfile", default=None, metavar="FILE")
-    parser.add_argument("--tag", choices=[t.value for t in SubspaceTag], default=None)
-    parser.add_argument("--kmax", type=int, default=3)
-    parser.add_argument("--cmax", type=int, default=2)
-    parser.add_argument("--degree", type=int, choices=(0, 1, 2), default=2)
-    parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--reps", action="store_true",
-                        help="include class representatives in slice rows")
-    parser.add_argument("--format", choices=("json", "table"), default="json")
+    for flag, (dest, kind, choices, default, metavar) in _OPTIONS.items():
+        if kind is None:
+            parser.add_argument(flag, action="store_true",
+                                help="include class representatives in slice rows")
+        else:
+            parser.add_argument(flag, dest=dest, type=kind, choices=choices,
+                                default=default, metavar=metavar,
+                                required=flag == "--model")
     return parser
 
 
+def _plain_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse builds from a plain command line - COMMAND,
+    then spelled-out ``--flag VALUE`` pairs and ``--reps``, with --model
+    given and no VALUE starting with ``-`` - or None for any other line,
+    which argparse then parses (help, usage errors, abbreviations,
+    ``--flag=value``, negative numbers, options before the command)."""
+    if not argv or argv[0] not in _HANDLERS:
+        return None
+    values = {dest: default for dest, _, _, default, _ in _OPTIONS.values()}
+    values["command"] = argv[0]
+    i = 1
+    while i < len(argv):
+        spec = _OPTIONS.get(argv[i])
+        if spec is None:
+            return None
+        dest, kind, choices, _, _ = spec
+        if kind is None:
+            values[dest] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        try:
+            value = kind(argv[i + 1])
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        i += 2
+    return None if values["model"] is None else SimpleNamespace(**values)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         args.jobs = _resolve_jobs(args.jobs)
         for flag, value in (("--kmax", args.kmax), ("--cmax", args.cmax)):

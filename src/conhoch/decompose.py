@@ -28,8 +28,8 @@ from .errors import (InvariantError, NotConstraintError, NotWobsError, Precondit
                      SolveFailureError, UnsupportedTagError)
 from .model import Exponent, FlatModel, SubspaceTag, monomials_of_degree
 from .poly import Poly
-from .symbols import (MultiVector, SymbolChain, chain_membership, hkr, mv_membership,
-                      word_category)
+from .multivector import MultiVector, hkr, mv_membership
+from .symbols import SymbolChain, chain_membership, word_category
 from .words import Slots
 
 

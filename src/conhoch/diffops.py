@@ -10,16 +10,13 @@ and the polynomial coefficient multiplies the result.  Operators built
 this way vanish on constants in every argument because every slot has
 symmetric degree at least one.
 
-The Hochschild coboundary is implemented here directly from its
-operator-level formula (multiplication boundary terms plus alternating
-argument merges, expanded on symbols through the Leibniz rule).  It is
-therefore independent of the shuffle-coproduct differential on the
-symbol side, and the equality Op(D phi) = delta(Op(phi)) is a genuine
-cross-check between the two routes.
-
-The handlers of classify-operator and delta live here.  The flat
-connection imports :class:`~conhoch.fields.VectorField` when it runs,
-so no operator or star-product command compiles the vector fields.
+This module holds what star products run: :class:`MultiDiffOp` and its
+evaluation, the Leibniz splittings of derivative words, the symbol of a
+Gerstenhaber composition (:func:`compose_symbols`) and the fast
+evaluation on monomial arguments.  The operator-level checks - the
+Hochschild coboundary, the chain-map check, operator membership, the
+flat connection - and the handlers of classify-operator and delta live
+in :mod:`conhoch.hochschild`, so no star-product command compiles them.
 """
 
 from __future__ import annotations
@@ -27,16 +24,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING, Dict, Iterator, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
-from .errors import InvariantError, ModelMismatchError, UnsupportedTagError
 from .model import FlatModel
 from .poly import Exponent, Poly, monomials_of_degree
-from .symbols import (Slots, SubspaceTag, SymbolChain, Word, chain_membership,
-                      differential_d, vee)
-
-if TYPE_CHECKING:  # the flat connection imports it on use
-    from .fields import VectorField
+from .symbols import Slots, SymbolChain, Word, vee
 
 
 class MultiDiffOp:
@@ -98,54 +90,7 @@ class MultiDiffOp:
 
 
 # ---------------------------------------------------------------------------
-# flat connection and symmetrized derivatives
-# ---------------------------------------------------------------------------
-
-
-class FlatConnection:
-    """The standard flat covariant derivative; Christoffel symbols vanish,
-    so it is torsion-free, and on the flat model it satisfies the three
-    constraint conditions (verified in the test suite on sampled
-    fields)."""
-
-    def __init__(self, model: FlatModel):
-        self.model = model
-
-    def covariant_derivative(self, x: VectorField, y: VectorField) -> VectorField:
-        from .fields import VectorField
-        if x.model != self.model or y.model != self.model:
-            raise ModelMismatchError("fields over a different model")
-        return VectorField(self.model, [x.apply(comp) for comp in y.components])
-
-
-class SymCovTensor(NamedTuple):
-    """Symmetrized k-th covariant derivative of a function; for the flat
-    connection the entry at a sorted index multiset is the corresponding
-    iterated partial derivative."""
-
-    model: FlatModel
-    degree: int
-    entries: Dict[Word, Poly]
-
-    def entry(self, word: Sequence[int]) -> Poly:
-        key = tuple(sorted(word))
-        return self.entries.get(key, Poly.zero(self.model.n_total))
-
-
-def sym_cov_derivative(model: FlatModel, f: Poly, k: int) -> SymCovTensor:
-    if k < 1:
-        raise ValueError("derivative order must be positive")
-    model.check_poly(f)
-    entries: Dict[Word, Poly] = {}
-    for word in itertools.combinations_with_replacement(range(1, model.n_total + 1), k):
-        value = f.partial_word(word)
-        if not value.is_zero():
-            entries[word] = value
-    return SymCovTensor(model, k, entries)
-
-
-# ---------------------------------------------------------------------------
-# Hochschild coboundary
+# Leibniz splittings and Gerstenhaber composition
 # ---------------------------------------------------------------------------
 
 
@@ -163,51 +108,6 @@ def _leibniz_splits(word: Word) -> Iterator[Tuple[Word, Word, int]]:
             right += (v,) * (m - j)
             multiplicity *= comb(m, j)
         yield left, right, multiplicity
-
-
-def hochschild_delta(op: MultiDiffOp) -> MultiDiffOp:
-    """The Hochschild coboundary of a multi-differential operator.
-
-    Computed from the operator-level formula
-
-        (delta D)(f_0, .., f_n) = f_0 D(f_1, .., f_n)
-            + sum_{i=0}^{n-1} (-1)^{i+1} D(f_0, .., f_i f_{i+1}, .., f_n)
-            + (-1)^{n+1} D(f_0, .., f_{n-1}) f_n
-
-    expanded on symbols via the Leibniz rule.  The expansion passes
-    through terms with an empty derivative slot (plain multiplication by
-    one argument); these cancel in the total because the operator
-    vanishes on constants (checked: InvariantError otherwise).
-    """
-    n = op.arity
-    model = op.model
-    augmented: Dict[Slots, Poly] = {}
-
-    def accumulate(key: Slots, value: Poly) -> None:
-        acc = augmented.get(key)
-        total = value if acc is None else acc + value
-        if total.is_zero():
-            augmented.pop(key, None)
-        else:
-            augmented[key] = total
-
-    for slots, coeff in op.symbol.terms.items():
-        accumulate(((),) + slots, coeff)
-        sign_last = -1 if (n + 1) % 2 else 1
-        accumulate(slots + ((),), coeff * sign_last)
-        for i in range(n):
-            sign = -1 if (i + 1) % 2 else 1
-            for left, right, mult in _leibniz_splits(slots[i]):
-                key = slots[:i] + (left, right) + slots[i + 1:]
-                accumulate(key, coeff * (sign * mult))
-
-    proper: Dict[Slots, Poly] = {}
-    for key, value in augmented.items():
-        if any(len(w) == 0 for w in key):
-            raise InvariantError("hochschild_delta: coboundary of a normalized "
-                                 f"operator kept a constant slot: {key}")
-        proper[key] = value
-    return MultiDiffOp(SymbolChain(model, n + 1, proper))
 
 
 def _leibniz_spread(word: Word, parts: int) -> Iterator[Tuple[Tuple[Word, ...], int]]:
@@ -249,7 +149,7 @@ def compose_symbols(outer: SymbolChain, inner: SymbolChain, slot: int) -> Symbol
 
 
 # ---------------------------------------------------------------------------
-# evaluation on monomial arguments and the chain-map check
+# evaluation on monomial arguments
 # ---------------------------------------------------------------------------
 
 
@@ -303,42 +203,3 @@ def apply_to_monomials(op: MultiDiffOp, args: Sequence[Exponent]) -> Dict[Expone
             else:
                 result.pop(key, None)
     return result
-
-
-def chain_map_check(phi: SymbolChain) -> bool:
-    """Verify Op(D phi) = delta(Op(phi)) exactly, on symbols: a normalized
-    multi-differential operator is determined by its symbol (Hochschild,
-    Kostant and Rosenberg 1962; Gerstenhaber 1963), and both sides are
-    symbols already."""
-    return differential_d(phi) == hochschild_delta(MultiDiffOp(phi)).symbol
-
-
-# ---------------------------------------------------------------------------
-# operator-level constraint membership
-# ---------------------------------------------------------------------------
-
-
-def op_membership(op: MultiDiffOp, tag: SubspaceTag) -> bool:
-    """Constraint membership of an operator, decided on the symbol side
-    (the symbol calculus restricts to the tagged subspaces)."""
-    if tag not in (SubspaceTag.WOBS, SubspaceTag.NULL):
-        raise UnsupportedTagError("operators carry only wobs/null tags")
-    return chain_membership(op.symbol, tag)
-
-
-# ---------------------------------------------------------------------------
-# handlers of the commands that read one operator
-# ---------------------------------------------------------------------------
-
-
-def cmd_classify_operator(model, args) -> dict:
-    from . import serialize
-    op = serialize.op_from_json(serialize._load(args.infile), model)
-    return {"wobs": op_membership(op, SubspaceTag.WOBS),
-            "null": op_membership(op, SubspaceTag.NULL)}
-
-
-def cmd_delta(model, args) -> dict:
-    from . import serialize
-    op = serialize.op_from_json(serialize._load(args.infile), model)
-    return serialize.op_to_json(hochschild_delta(op))

@@ -11,17 +11,16 @@ exactly the earliest independent columns - the basic columns of the
 reduced row echelon form.  A solve sets every other variable to 0.  No
 step is modular or floating point.
 
-:class:`RationalMatrix` is the dense reference that the tests compare
-the sparse kernel against: Bareiss rank on an integer-scaled copy, and
-solves through the reduced row echelon form over Fraction, with the
-same first-nonzero pivoting and free variables set to 0.  No library
-code uses it.  It stays in this module, rather than in the tests, only
-because the benchmark's tracer wraps its methods by name.
+The dense reference :class:`~conhoch.dense.RationalMatrix`, which the
+tests compare this kernel against, lives in :mod:`conhoch.dense`, so no
+command compiles it.  ``conhoch.linalg.RationalMatrix`` still resolves
+to it on first access (the benchmark's tracer wraps its methods by name
+here); importing this module does not load that one.
 
 Ranks read entries only through ``.denominator``, which int has too, so
 :mod:`fractions` (and with it :mod:`decimal`) is imported only by the
-code that builds Fractions: :func:`sparse_solve` and
-:class:`RationalMatrix`.  The slice count never loads it.
+code that builds Fractions: :func:`sparse_solve`.  The slice count
+never loads it.
 """
 
 from __future__ import annotations
@@ -30,108 +29,11 @@ from math import gcd
 from typing import (TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
-if TYPE_CHECKING:  # sparse_solve and RationalMatrix import it on use
+if TYPE_CHECKING:  # sparse_solve imports it on use
     from fractions import Fraction
 
     Vector = List[Fraction]
     SparseColumn = Mapping[Hashable, Union[int, Fraction]]
-
-
-class RationalMatrix:
-    """Dense matrix with Fraction entries: the test reference for the
-    sparse kernel."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence[Fraction]], cols: Optional[int] = None):
-        from fractions import Fraction
-        # Fractions are immutable, so existing ones are shared, not copied
-        self.entries = [[x if type(x) is Fraction else Fraction(x) for x in row]
-                        for row in entries]
-        self.rows = len(self.entries)
-        if self.rows:
-            self.cols = len(self.entries[0])
-            if any(len(r) != self.cols for r in self.entries):
-                raise ValueError("ragged matrix")
-        else:
-            self.cols = cols if cols is not None else 0
-
-    def rank(self) -> int:
-        """Rank via fraction-free Bareiss elimination over the integers,
-        on a copy with each row scaled by the lcm of its denominators."""
-        m = []
-        for row in self.entries:
-            denom_lcm = 1
-            for x in row:
-                denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-            m.append([int(x * denom_lcm) for x in row])
-        rows, cols = self.rows, self.cols
-        rank = 0
-        prev = 1
-        for col in range(cols):
-            pivot_row = None
-            for r in range(rank, rows):
-                if m[r][col] != 0:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            if pivot_row != rank:
-                m[rank], m[pivot_row] = m[pivot_row], m[rank]
-            pivot = m[rank][col]
-            for r in range(rank + 1, rows):
-                factor = m[r][col]
-                for c in range(col, cols):
-                    m[r][c] = (m[r][c] * pivot - factor * m[rank][c]) // prev
-            prev = pivot
-            rank += 1
-            if rank == rows:
-                break
-        return rank
-
-    def rref(self) -> Tuple[List[Vector], List[int]]:
-        """Reduced row echelon form (over Fraction) and pivot columns."""
-        from fractions import Fraction
-        m = [row[:] for row in self.entries]
-        rows, cols = self.rows, self.cols
-        pivots: List[int] = []
-        r = 0
-        for col in range(cols):
-            pivot_row = None
-            for i in range(r, rows):
-                if m[i][col] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = Fraction(1) / m[r][col]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(rows):
-                if i != r and m[i][col] != 0:
-                    factor = m[i][col]
-                    m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-            pivots.append(col)
-            r += 1
-            if r == rows:
-                break
-        return m, pivots
-
-    def solve(self, rhs: Sequence[Fraction]) -> Optional[Vector]:
-        """One exact solution of A x = rhs (free variables set to 0), or
-        None when the system is inconsistent."""
-        from fractions import Fraction
-        if len(rhs) != self.rows:
-            raise ValueError("right-hand side has wrong length")
-        augmented = [row + [Fraction(rhs[i])] for i, row in enumerate(self.entries)]
-        aug = RationalMatrix(augmented)
-        rref, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        solution = [Fraction(0)] * self.cols
-        for r, pc in enumerate(pivots):
-            solution[pc] = rref[r][self.cols]
-        return solution
 
 
 # ---------------------------------------------------------------------------
@@ -234,3 +136,12 @@ def sparse_solve(columns: Sequence[SparseColumn], rhs: SparseColumn) -> Optional
     for j, c in combo.items():
         solution[j] = Fraction(-c * scales[j], s * rhs_scale)
     return solution
+
+
+def __getattr__(name):
+    # the dense reference moved to conhoch.dense; it still resolves here,
+    # and importing this module does not load that one
+    if name == "RationalMatrix":
+        from .dense import RationalMatrix
+        return RationalMatrix
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -200,18 +200,6 @@ class FlatModel(_Dimensions):
             terms[new] = coeff
         return Poly(reduced_model.n_total, terms)
 
-    def function_slice_basis(self, tag: FunctionClass, degree: int) -> List[Poly]:
-        """Monomial basis of the tag class among homogeneous polynomials of
-        the given total degree, in canonical (descending grlex) order."""
-        from .poly import Poly
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        basis = []
-        for exp in monomials_of_degree(self.n_total, degree):
-            if tag.contains(self.monomial_class(exp)):
-                basis.append(Poly.monomial(exp))
-        return basis
-
 
 def _same_model(a: FlatModel, b: FlatModel) -> None:
     """Refuse to combine symbols or vector fields over different models."""

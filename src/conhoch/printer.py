@@ -6,14 +6,18 @@ chain, multivector or vector field, and :func:`table_text` the
 of a polynomial in canonical order.  Only ``--format table`` (through
 ``cli.emit_report``), ``Poly.__str__`` and the reprs of the symbol
 classes load this module, so a command that reports JSON never
-compiles it.
+compiles it.  Only the text of a polynomial imports :mod:`fractions`,
+so the table of a report without polynomials (verify-theorem, hh-dim)
+loads neither it nor :mod:`decimal`.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:  # to_text imports it to print a polynomial
+    from fractions import Fraction
 
 
 def poly_text(terms: Iterable[Tuple[Sequence[int], Fraction]]) -> str:
@@ -50,6 +54,7 @@ def to_text(data) -> Optional[str]:
     if keys == {"symbol"}:
         return to_text(data["symbol"])
     if keys == {"terms"}:
+        from fractions import Fraction
         return poly_text((t["exp"], Fraction(*t["coeff"])) for t in data["terms"])
     if keys == {"arity", "terms"}:
         terms = [(t["coeff_poly"], "(x)".join("v".join(f"d{i}" for i in w) for w in t["slots"]))

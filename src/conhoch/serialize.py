@@ -28,7 +28,8 @@ if TYPE_CHECKING:  # the decoders import these on first use
     from .diffops import MultiDiffOp
     from .fields import VectorField
     from .starprod import TruncatedStar
-    from .symbols import MultiVector, SymbolChain
+    from .multivector import MultiVector
+    from .symbols import SymbolChain
 
 
 def json_integer(value, what: str) -> int:
@@ -144,7 +145,7 @@ def multivector_to_json(x: MultiVector) -> dict:
 
 
 def multivector_from_json(data: dict, model: FlatModel) -> MultiVector:
-    from .symbols import MultiVector
+    from .multivector import MultiVector
     if not isinstance(data, dict) or "degree" not in data or "terms" not in data:
         raise ValueError("multivector JSON needs 'degree' and 'terms'")
     terms = []

@@ -10,7 +10,8 @@ block per pattern is eliminated, and each window's rank is cached.
 Coefficients are read as exponent tuples and columns are integer, so
 this module loads neither :mod:`conhoch.poly`, :mod:`fractions` nor the
 symbol calculus; only the representatives of ``--reps`` import
-:mod:`conhoch.decompose` and :mod:`conhoch.symbols`, on use.
+:mod:`conhoch.decompose`, :mod:`conhoch.multivector` and
+:mod:`conhoch.symbols`, on use.
 
 The main entry points:
 
@@ -184,7 +185,8 @@ def hh2_slice_report(model: FlatModel, tag: SubspaceTag, sym_degree: int,
     }
     if with_representatives:
         from .decompose import bivector_slice_basis, normal_class_basis
-        from .symbols import differential_d, hkr
+        from .multivector import hkr
+        from .symbols import differential_d
         reps: List[SymbolChain] = []
         if sym_degree == 2:
             reps.extend(hkr(x) for x in bivector_slice_basis(model, tag, coeff_degree))

@@ -9,10 +9,11 @@ construction.
 Implemented here: exact order-by-order associativity (the associator
 as a symbol chain built from Gerstenhaber compositions), the constraint
 property (every cochain observable), extraction of the first-order
-antisymmetric bracket and its compatibility with the embedded
-submanifold (coisotropy), the order-(k+1) equivalence solvers (plain and
+antisymmetric bracket, the order-(k+1) equivalence solvers (plain and
 constraint), and the classification of infinitesimal constraint star
-products by a bivector plus a normal-word class.
+products by a bivector plus a normal-word class.  The compatibility of
+a bivector with the embedded submanifold (coisotropy) is a bivector
+condition and lives in :mod:`conhoch.multivector`.
 
 Convention: the usual bracket normalisation multiplies the
 antisymmetrised first cochain by -i.  Coefficients here are rational,
@@ -22,8 +23,10 @@ closedness, equivalence or classification, which are all linear.
 
 Associativity is decided on symbols alone, so this module imports
 cohomology (and with it the elimination kernel) only inside the
-equivalence solvers, and decompose only when a bracket is extracted or
-a class computed: star-check compiles neither.  The handlers of the
+equivalence solvers, and decompose (and with it the multivectors) only
+when a bracket is extracted or a class computed: star-check compiles
+none of them, and no star command compiles the operator-level checks of
+:mod:`conhoch.hochschild`.  The handlers of the
 star-check, star-equiv and classify-star commands live here.
 """
 
@@ -38,11 +41,11 @@ from .errors import (InvariantError, NotClosedError, NotConstraintError,
                      PreconditionError)
 from .model import FlatModel
 from .poly import Poly
-from .symbols import (MultiVector, SubspaceTag, SymbolChain, chain_membership,
-                      differential_d)
+from .symbols import SubspaceTag, SymbolChain, chain_membership, differential_d
 
-if TYPE_CHECKING:  # the classification below imports decompose on first use
+if TYPE_CHECKING:  # the bracket and the classification import decompose on first use
     from .decompose import CocycleClass
+    from .multivector import MultiVector
 
 #: the physics convention for the Poisson bracket carries this prefactor,
 #: which has no home in rational arithmetic and is left off throughout
@@ -171,24 +174,6 @@ def poisson_from_star(star: TruncatedStar) -> MultiVector:
     from .decompose import pr1_top
     antisym = (symbol - symbol.transpose()).scale(Fraction(1, 2))
     return pr1_top(antisym)
-
-
-def coisotropy_check(pi: MultiVector) -> bool:
-    """Compatibility of a bivector with the embedded submanifold: for every
-    normal coordinate, its hamiltonian field restricted to C must lie in
-    the distribution, i.e. the components pairing a normal index with any
-    non-distribution index vanish on C.  True for every observable
-    bivector."""
-    if pi.degree != 2:
-        raise PreconditionError("coisotropy is a bivector condition")
-    model = pi.model
-    for u in model.tcperp_indices:
-        for i in range(model.n_null + 1, model.n_total + 1):
-            if i == u:
-                continue
-            if not model.restrict_to_c(pi.component((u, i))).is_zero():
-                return False
-    return True
 
 
 def _orderwise_difference(a: TruncatedStar, b: TruncatedStar, k: int) -> SymbolChain:

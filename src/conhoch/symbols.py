@@ -1,4 +1,4 @@
-"""Multivectors and tensor-of-symmetric symbol chains.
+"""Tensor-of-symmetric symbol chains: the chain calculus.
 
 The central object is the :class:`SymbolChain`: an element of the tensor
 algebra (graded by tensor factors) over the reduced symmetric algebra of
@@ -18,63 +18,43 @@ This module provides
 
 * one term-map core for multivectors and chains (storage, merge,
   arithmetic, equality, splitting, the ``--format table`` repr),
-* the free algebra operations (wedge, vee, tensor concatenation),
-* the reduced shuffle coproduct and the induced tensor differential,
-* the antisymmetrisation map from multivectors to chains,
-* membership of chains and multivectors, decided per monomial: the
-  tagged subspaces by the rules of :mod:`conhoch.words` (re-exported
-  here with the shuffle splittings and the unit differential), the
-  hatted complement blocks by :func:`word_category`;
-* the handlers of the commands that compute on one chain or
-  multivector: classify-symbol, bigd and hkr.
+* the symmetric product of words and the tensor operations on chains,
+* the tensor differential, built from the unit differential of
+  :mod:`conhoch.words`,
+* membership of chains, decided per monomial: the tagged subspaces by
+  the rules of :mod:`conhoch.words`, the hatted complement blocks by
+  :func:`word_category`;
+* the handlers of the commands that compute on one chain: classify-symbol
+  and bigd.
 
 The subspace tags live in :mod:`conhoch.model` (re-exported here), the
-vector fields in :mod:`conhoch.fields`, and the degree-1 projections,
-the canonical splittings of chains and the reduction of multivectors in
-:mod:`conhoch.decompose`.  The CLI imports this module only in the
-handlers that compute on symbols, so a command that classifies a
-function or a vector field never compiles it.
+multivectors, :func:`~conhoch.multivector.hkr` and multivector
+membership in :mod:`conhoch.multivector` (``MultiVector`` and ``hkr``
+still resolve here, on first access, without this module importing
+that one), the vector fields in :mod:`conhoch.fields`, and the degree-1
+projections, the canonical splittings of chains and the reduction of
+multivectors in :mod:`conhoch.decompose`.  The CLI imports this module
+only in the handlers that compute on symbols, so a command that
+classifies a function or a vector field never compiles it.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from collections.abc import Mapping
-from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
 
 from .errors import UnsupportedTagError
 from .model import FlatModel, SubspaceTag, _same_model
 from .poly import Exponent, Poly
-from .words import (Slots, Word, _slot_profile, _tensor_member, mv_monomial_member,
-                    shuffle_pairs, unit_differential)
+from .words import Slots, Word, _slot_profile, _tensor_member, unit_differential
 
-if TYPE_CHECKING:  # vector_field_as_multivector reads one without importing it
-    from .fields import VectorField
+if TYPE_CHECKING:  # only annotations name it here
+    from fractions import Fraction
 
 
 def vee(a: Word, b: Word) -> Word:
     """Symmetric product of basis words: merge the letter multisets."""
     return tuple(sorted(a + b))
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def sort_with_sign(indices: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], int]:
-    """Sort wedge indices; returns (sorted tuple, sign), or (None, 0) when
-    an index repeats (the wedge vanishes)."""
-    if len(set(indices)) != len(indices):
-        return None, 0
-    order = sorted(range(len(indices)), key=lambda k: indices[k])
-    return tuple(indices[k] for k in order), _perm_sign(order)
 
 
 # ---------------------------------------------------------------------------
@@ -165,78 +145,6 @@ class _TermMap:
 
 
 # ---------------------------------------------------------------------------
-# multivectors
-# ---------------------------------------------------------------------------
-
-
-class MultiVector(_TermMap):
-    """Antisymmetric multivector field; keys are strictly increasing
-    index tuples, values polynomial coefficients."""
-
-    __slots__ = ()
-    _grade_name = "degree"
-    _too_low = "multivector degree must be at least 1"
-    _encoder = "multivector_to_json"
-
-    def __init__(self, model: FlatModel, degree: int,
-                 terms: Mapping[Tuple[int, ...], Poly] = ()):
-        super().__init__(model, degree, terms)
-
-    @property
-    def degree(self) -> int:
-        return self._grade
-
-    @staticmethod
-    def _check_key(model: FlatModel, degree: int, idx) -> Tuple[int, ...]:
-        idx = tuple(idx)
-        if len(idx) != degree:
-            raise ValueError(f"index tuple {idx} has wrong length")
-        if list(idx) != sorted(set(idx)):
-            raise ValueError(f"indices must be strictly increasing, got {idx}")
-        if not all(1 <= i <= model.n_total for i in idx):
-            raise IndexError(f"index out of range in {idx}")
-        return idx
-
-    @classmethod
-    def wedge_of_frames(cls, model: FlatModel, indices: Sequence[int],
-                        coeff=1) -> "MultiVector":
-        """coeff * d_{i1} ^ .. ^ d_{ik}; indices need not be sorted."""
-        sorted_idx, sign = sort_with_sign(indices)
-        poly = coeff if isinstance(coeff, Poly) else Poly.constant(model.n_total, coeff)
-        if sorted_idx is None:
-            return cls.zero(model, len(indices))
-        return cls(model, len(indices), {sorted_idx: poly * sign})
-
-    def component(self, indices: Sequence[int]) -> Poly:
-        """Signed coefficient at an arbitrary index tuple."""
-        sorted_idx, sign = sort_with_sign(indices)
-        if sorted_idx is None:
-            return Poly.zero(self.model.n_total)
-        coeff = self.terms.get(sorted_idx)
-        if coeff is None:
-            return Poly.zero(self.model.n_total)
-        return coeff * sign
-
-
-def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
-    """Wedge product of multivectors."""
-    _same_model(a.model, b.model)
-    out = MultiVector.zero(a.model, a.degree + b.degree)
-    for ia, ca in a.terms.items():
-        for ib, cb in b.terms.items():
-            out = out + MultiVector.wedge_of_frames(a.model, ia + ib, ca * cb)
-    return out
-
-
-def vector_field_as_multivector(x: VectorField) -> MultiVector:
-    terms = {}
-    for i, comp in enumerate(x.components, start=1):
-        if not comp.is_zero():
-            terms[(i,)] = comp
-    return MultiVector(x.model, 1, terms)
-
-
-# ---------------------------------------------------------------------------
 # symbol chains
 # ---------------------------------------------------------------------------
 
@@ -314,44 +222,9 @@ class SymbolChain(_TermMap):
         return self.terms.get(key, Poly.zero(self.model.n_total))
 
 
-def chain_vee(a: SymbolChain, b: SymbolChain) -> SymbolChain:
-    """Symmetric product of arity-1 chains."""
-    if a.arity != 1 or b.arity != 1:
-        raise ValueError("vee multiplies arity-1 chains")
-    _same_model(a.model, b.model)
-    terms = []
-    for (wa,), ca in a.terms.items():
-        for (wb,), cb in b.terms.items():
-            terms.append(((vee(wa, wb),), ca * cb))
-    return SymbolChain(a.model, 1, terms)
-
-
-def vee_collapse(chain: SymbolChain) -> SymbolChain:
-    """Multiply the two slots of an arity-2 chain back together."""
-    if chain.arity != 2:
-        raise ValueError("vee_collapse is defined for arity 2")
-    terms = []
-    for (w1, w2), coeff in chain.terms.items():
-        terms.append(((vee(w1, w2),), coeff))
-    return SymbolChain(chain.model, 1, terms)
-
-
 # ---------------------------------------------------------------------------
-# coproduct, differential, (anti)symmetrisation
+# the differential
 # ---------------------------------------------------------------------------
-
-
-def shuffle_coproduct(model: FlatModel, word: Sequence[int],
-                      coeff=1) -> SymbolChain:
-    """Reduced shuffle coproduct of a single symmetric word, as an
-    arity-2 chain; the coefficient rides along unchanged.  Words of
-    length 1 map to zero."""
-    word = tuple(sorted(word))
-    poly = coeff if isinstance(coeff, Poly) else Poly.constant(model.n_total, coeff)
-    terms = []
-    for left, right in shuffle_pairs(word):
-        terms.append(((left, right), poly))
-    return SymbolChain(model, 2, terms)
 
 
 def differential_d(chain: SymbolChain) -> SymbolChain:
@@ -363,21 +236,6 @@ def differential_d(chain: SymbolChain) -> SymbolChain:
         for image, n in unit_differential(slots).items():
             out_terms.append((image, coeff * n))
     return SymbolChain(chain.model, chain.arity + 1, out_terms)
-
-
-def hkr(x: MultiVector) -> SymbolChain:
-    """Total antisymmetrisation of a multivector into a chain whose slots
-    all have symmetric degree one, normalised by 1/n!.  The image is
-    closed under the tensor differential."""
-    n = x.degree
-    factor = Fraction(1, math.factorial(n))
-    terms: List[Tuple[Slots, Poly]] = []
-    for idx, coeff in x.terms.items():
-        for perm in itertools.permutations(range(n)):
-            sign = _perm_sign(perm)
-            slots = tuple((idx[p],) for p in perm)
-            terms.append((slots, coeff * (factor * sign)))
-    return SymbolChain(x.model, n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +260,14 @@ _HAT_WORDS = {SubspaceTag.NULL_NOT_VAN: ("nhat",), SubspaceTag.WOBS_NOT_NULL: ("
               SubspaceTag.TOTAL_NOT_NULL: ("that", "wnhat")}
 
 
+def _check_tag_arity(tag: SubspaceTag, arity: int) -> None:
+    """Refuse a hatted tag above arity 1, except NULL_NOT_VAN and
+    TOTAL_NOT_WOBS at arity 2."""
+    if tag in _HAT_WORDS and not (arity == 1 or arity == 2 and tag in (
+            SubspaceTag.NULL_NOT_VAN, SubspaceTag.TOTAL_NOT_WOBS)):
+        raise UnsupportedTagError(f"tag {tag.value} is not defined at arity {arity}")
+
+
 def monomial_member(model: FlatModel, gamma: Exponent, slots: Slots,
                     tag: SubspaceTag) -> bool:
     """Membership of a single monomial chain (coefficient exponent gamma,
@@ -412,51 +278,30 @@ def monomial_member(model: FlatModel, gamma: Exponent, slots: Slots,
         return _tensor_member(d, t, profiles, tag)
     # hatted tags: sections over C only, so no normal variables at all
     arity = len(slots)
+    _check_tag_arity(tag, arity)
     if arity == 1:
         return t == 0 and word_category(model, slots[0]) in _HAT_WORDS[tag]
-    if arity == 2 and tag in (SubspaceTag.NULL_NOT_VAN, SubspaceTag.TOTAL_NOT_WOBS):
-        if t != 0:
-            return False
-        cats = [word_category(model, w) for w in slots]
-        if tag is SubspaceTag.TOTAL_NOT_WOBS:
-            return all(c in ("that", "wnhat") for c in cats) and "that" in cats
-        return "nhat" in cats
-    raise UnsupportedTagError(f"tag {tag.value} is not defined at arity {arity}")
+    if t != 0:
+        return False
+    cats = [word_category(model, w) for w in slots]
+    if tag is SubspaceTag.TOTAL_NOT_WOBS:
+        return all(c in ("that", "wnhat") for c in cats) and "that" in cats
+    return "nhat" in cats
 
 
 def chain_membership(chain: SymbolChain, tag: SubspaceTag) -> bool:
     """Decide membership of a chain in the tagged subspace.  The tagged
     spaces are spanned by monomial chains, so the test runs monomial by
     monomial.  Hatted tags are only defined at arity 1 (all four) and
-    arity 2 (NULL_NOT_VAN, TOTAL_NOT_WOBS)."""
+    arity 2 (NULL_NOT_VAN, TOTAL_NOT_WOBS); elsewhere they raise
+    UnsupportedTagError, for the zero chain too."""
+    _check_tag_arity(tag, chain.arity)
     return all(monomial_member(chain.model, gamma, slots, tag)
                for gamma, slots, _ in chain.monomials())
 
 
-def in_function_span_wobs(chain: SymbolChain) -> bool:
-    """Membership in the span of observable chains with arbitrary smooth
-    (polynomial) prefactors: the observable condition with the
-    distribution-variable restriction on the coefficient waived (the
-    prefactor absorbs those variables), so each monomial is tested as if
-    its coefficient had no distribution units.  Together with the prolonged
-    normal block this space decomposes the whole slice, monomial by
-    monomial."""
-    model = chain.model
-    return all(_tensor_member(0, model.unit_counts(gamma)[2],
-                              tuple(_slot_profile(model, w) for w in slots),
-                              SubspaceTag.WOBS)
-               for gamma, slots, _ in chain.monomials())
-
-
-def mv_membership(x: MultiVector, tag: SubspaceTag) -> bool:
-    """Constraint membership of a multivector, decided per monomial (both
-    tagged classes are monomially spanned)."""
-    return all(mv_monomial_member(x.model, gamma, idx, tag)
-               for gamma, idx, _ in x.monomials())
-
-
 # ---------------------------------------------------------------------------
-# handlers of the commands that compute on one chain or multivector
+# handlers of the commands that compute on one chain
 # ---------------------------------------------------------------------------
 
 
@@ -476,7 +321,10 @@ def cmd_bigd(model, args) -> dict:
     return serialize.chain_to_json(differential_d(chain))
 
 
-def cmd_hkr(model, args) -> dict:
-    from . import serialize
-    x = serialize.multivector_from_json(serialize._load(args.infile), model)
-    return serialize.chain_to_json(hkr(x))
+def __getattr__(name):
+    # MultiVector and hkr moved to conhoch.multivector; they still resolve
+    # here, and importing this module does not load that one
+    if name in ("MultiVector", "hkr"):
+        from . import multivector
+        return getattr(multivector, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

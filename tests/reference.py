@@ -1,4 +1,4 @@
-"""Sampled oracles that the tests compare the exact library routines with.
+"""Oracles that the tests compare the exact library routines with.
 
 Each one decides a question by evaluating operators on monomial
 arguments up to a degree window, independently of the symbol calculus
@@ -14,19 +14,29 @@ that the library decides it with:
 * the tagged slot tuples of a slice window, filtered monomial by
   monomial through the public membership test with one witness
   coefficient (:func:`tagged_slots_by_monomial`).
+
+It also holds test-only constructions that no command and no library
+routine calls: the monomial basis of a function class
+(:func:`function_slice_basis`), the reduced shuffle coproduct of a
+single word (:func:`shuffle_coproduct`), the symmetric product of
+arity-1 chains and its collapse of arity-2 chains (:func:`chain_vee`,
+:func:`vee_collapse`), and membership in the function span of the
+observable chains (:func:`in_function_span_wobs`).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List
+from typing import List, Sequence
 
 from conhoch import (FlatModel, FunctionClass, MultiDiffOp, Poly, SubspaceTag, SymbolChain,
-                     TruncatedStar, monomial_member)
+                     TruncatedStar, monomial_member, vee)
 from conhoch import starprod
 from conhoch.cohomology import _all_slot_tuples
 from conhoch.diffops import apply_to_monomials, monomial_argument_tuples
 from conhoch.errors import UnsupportedTagError
+from conhoch.model import _same_model, monomials_of_degree
+from conhoch.words import _slot_profile, _tensor_member, shuffle_pairs
 
 
 def operators_equal_on_window(a: MultiDiffOp, b: MultiDiffOp,
@@ -63,7 +73,7 @@ def op_membership_functional(op: MultiDiffOp, tag: SubspaceTag,
     model = op.model
     wobs_monomials: List[Poly] = []
     for degree in range(1, max_degree + 1):
-        wobs_monomials.extend(model.function_slice_basis(FunctionClass.WOBS, degree))
+        wobs_monomials.extend(function_slice_basis(model, FunctionClass.WOBS, degree))
     for args in itertools.product(wobs_monomials, repeat=op.arity):
         value = op.apply(list(args))
         value_class = model.classify_function(value)
@@ -119,3 +129,65 @@ def tagged_slots_by_monomial(model: FlatModel, arity: int, sym_degree: int,
     subtag = SubspaceTag(tag)
     return tuple(s for s in _all_slot_tuples(model, arity, sym_degree)
                  if monomial_member(model, gamma, s, subtag))
+
+
+def function_slice_basis(model: FlatModel, tag: FunctionClass, degree: int) -> List[Poly]:
+    """Monomial basis of the tag class among homogeneous polynomials of
+    the given total degree, in canonical (descending grlex) order."""
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
+    basis = []
+    for exp in monomials_of_degree(model.n_total, degree):
+        if tag.contains(model.monomial_class(exp)):
+            basis.append(Poly.monomial(exp))
+    return basis
+
+
+def shuffle_coproduct(model: FlatModel, word: Sequence[int],
+                      coeff=1) -> SymbolChain:
+    """Reduced shuffle coproduct of a single symmetric word, as an
+    arity-2 chain; the coefficient rides along unchanged.  Words of
+    length 1 map to zero."""
+    word = tuple(sorted(word))
+    poly = coeff if isinstance(coeff, Poly) else Poly.constant(model.n_total, coeff)
+    terms = []
+    for left, right in shuffle_pairs(word):
+        terms.append(((left, right), poly))
+    return SymbolChain(model, 2, terms)
+
+
+def chain_vee(a: SymbolChain, b: SymbolChain) -> SymbolChain:
+    """Symmetric product of arity-1 chains."""
+    if a.arity != 1 or b.arity != 1:
+        raise ValueError("vee multiplies arity-1 chains")
+    _same_model(a.model, b.model)
+    terms = []
+    for (wa,), ca in a.terms.items():
+        for (wb,), cb in b.terms.items():
+            terms.append(((vee(wa, wb),), ca * cb))
+    return SymbolChain(a.model, 1, terms)
+
+
+def vee_collapse(chain: SymbolChain) -> SymbolChain:
+    """Multiply the two slots of an arity-2 chain back together."""
+    if chain.arity != 2:
+        raise ValueError("vee_collapse is defined for arity 2")
+    terms = []
+    for (w1, w2), coeff in chain.terms.items():
+        terms.append(((vee(w1, w2),), coeff))
+    return SymbolChain(chain.model, 1, terms)
+
+
+def in_function_span_wobs(chain: SymbolChain) -> bool:
+    """Membership in the span of observable chains with arbitrary smooth
+    (polynomial) prefactors: the observable condition with the
+    distribution-variable restriction on the coefficient waived (the
+    prefactor absorbs those variables), so each monomial is tested as if
+    its coefficient had no distribution units.  Together with the prolonged
+    normal block this space decomposes the whole slice, monomial by
+    monomial."""
+    model = chain.model
+    return all(_tensor_member(0, model.unit_counts(gamma)[2],
+                              tuple(_slot_profile(model, w) for w in slots),
+                              SubspaceTag.WOBS)
+               for gamma, slots, _ in chain.monomials())

@@ -2,6 +2,8 @@
 documented example."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import re
@@ -11,6 +13,7 @@ from importlib import import_module
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conhoch
 from conhoch import cli, slicecount
@@ -64,10 +67,12 @@ def test_child_imports_package_under_test(tmp_path):
 
 def test_cli_import_loads_only_the_parser_and_model(tmp_path):
     # start-up guard: the pool, dataclasses (and its inspect), fractions
-    # (and its decimal) and every computing module of the package (the
-    # polynomials, JSON codecs, words, symbols, vector fields, windows,
-    # slice count, kernel, decompositions, operators, star products and
-    # the printer) load only in the commands that run them
+    # (and its decimal), argparse (and its gettext and locale) and every
+    # computing module of the package (the polynomials, JSON codecs,
+    # words, symbols, multivectors, vector fields, windows, slice count,
+    # kernel, dense reference, decompositions, operators, operator
+    # checks, star products and the printer) load only in the commands
+    # that run them
     code = ("import json, sys; before = set(sys.modules); import conhoch.cli; "
             "print(json.dumps(sorted(set(sys.modules) - before)))")
     result = _python(["-c", code], cwd=tmp_path)
@@ -75,10 +80,12 @@ def test_cli_import_loads_only_the_parser_and_model(tmp_path):
     loaded = set(json.loads(result.stdout))
     assert "conhoch.cli" in loaded
     heavy = {"multiprocessing", "dataclasses", "inspect", "fractions", "decimal",
+             "argparse", "gettext", "locale",
              "conhoch.poly", "conhoch.serialize", "conhoch.symbols", "conhoch.words",
-             "conhoch.fields", "conhoch.cohomology", "conhoch.slicecount",
-             "conhoch.linalg", "conhoch.decompose", "conhoch.starprod",
-             "conhoch.diffops", "conhoch.printer"}
+             "conhoch.multivector", "conhoch.fields", "conhoch.cohomology",
+             "conhoch.slicecount", "conhoch.linalg", "conhoch.dense",
+             "conhoch.decompose", "conhoch.starprod", "conhoch.diffops",
+             "conhoch.hochschild", "conhoch.printer"}
     assert not heavy & loaded, sorted(heavy & loaded)
 
 
@@ -94,12 +101,25 @@ _ROUTE_INPUTS = {
     "bivector.json": {"degree": 2, "terms": [{"coeff_poly": _UNIT, "indices": [1, 2]}]},
     "star.json": {"order": 1, "cochains": [{"symbol": {"arity": 2, "terms": [
         {"coeff_poly": _UNIT, "slots": [[2], [3]]}]}}]},
+    # the observable cocycle d1(x)d2 - d2(x)d1 against the zero cochain:
+    # both solves run, and neither finds an equivalence
+    "star-pair.json": {
+        "star": {"order": 1, "cochains": [{"symbol": {"arity": 2, "terms": [
+            {"coeff_poly": _UNIT, "slots": [[1], [2]]},
+            {"coeff_poly": {"terms": [{"coeff": [-1, 1], "exp": [0, 0, 0]}]},
+             "slots": [[2], [1]]}]}}]},
+        "star_prime": {"order": 1, "cochains": [{"symbol": {"arity": 2, "terms": []}}]},
+        "agree_to": 0},
 }
+#: standard-library modules that a command loads only when it needs them
+_OUTSIDE = ("fractions", "decimal", "argparse", "gettext", "locale")
 _ROUTE_CODE = ("import json, sys; from conhoch import cli\n"
                "code = cli.main(sys.argv[1:] + ['--model', '3,2,1', '--out', 'report.json']) "
                "if len(sys.argv) > 1 else 0\n"
                "print(json.dumps([code, sorted(m for m in sys.modules "
-               "if m.partition('.')[0] == 'conhoch' or m in ('fractions', 'decimal'))]))")
+               f"if m.partition('.')[0] == 'conhoch' or m in {_OUTSIDE!r})]))")
+_STAR_CHECK = ["star-check", "--in", "star.json"]
+_STAR_EQUIV = ["star-equiv", "--in", "star-pair.json"]
 _FIND_POTENTIAL = ["find-potential", "--in", "cocycle.json"]
 _DECOMPOSE_COCYCLE = ["decompose-cocycle", "--in", "cocycle.json"]
 _VERIFY_THEOREM = ["verify-theorem", "--kmax", "2", "--cmax", "0"]
@@ -134,29 +154,31 @@ def command_route(tmp_path_factory):
     (["classify-function", "--in", "poly.json"], {"serialize", "poly"}),
     (["classify-field", "--in", "field.json"], {"serialize", "poly", "fields"}),
     (["bigd", "--in", "chain.json"], {"serialize", "poly", "symbols", "words"}),
-    (["star-check", "--in", "star.json"],
-     {"serialize", "poly", "symbols", "words", "diffops", "starprod"}),
+    (_STAR_CHECK, {"serialize", "poly", "symbols", "words", "diffops", "starprod"}),
+    (_STAR_EQUIV, _SOLVER | {"diffops", "starprod"}),
     (["reduce", "--in", "bivector.json"],
-     {"serialize", "poly", "symbols", "words", "decompose"}),
+     {"serialize", "poly", "symbols", "words", "multivector", "decompose"}),
     (_FIND_POTENTIAL, _SOLVER),
-    (_DECOMPOSE_COCYCLE, _SOLVER | {"decompose"}),
+    (_DECOMPOSE_COCYCLE, _SOLVER | {"multivector", "decompose"}),
     (_VERIFY_THEOREM, _SLICE_COUNT),
     (["hh-dim", "--degree", "0"], _SLICE_COUNT),
     (["classify-function", "--in", "poly.json", "--format", "table"],
      {"serialize", "poly", "printer"}),
     (_VERIFY_THEOREM + ["--format", "table"], _SLICE_COUNT | {"printer"}),
-], ids=["import", "classify-function", "classify-field", "bigd", "star-check", "reduce",
-        "find-potential", "decompose-cocycle", "verify-theorem", "hh-dim-degree-0",
+], ids=["import", "classify-function", "classify-field", "bigd", "star-check", "star-equiv",
+        "reduce", "find-potential", "decompose-cocycle", "verify-theorem", "hh-dim-degree-0",
         "classify-function-table", "verify-theorem-table"])
 def test_command_loads_only_the_modules_it_runs(command_route, args, extra):
     # each command compiles the start-up modules plus what its handler
-    # calls; the slice count builds no polynomial and no Fraction, and
-    # only --format table loads the printer
+    # calls; the slice count builds no polynomial and no Fraction, even
+    # in a table; only --format table loads the printer; and a plain
+    # command line never loads argparse
     loaded = command_route(args)
     conhoch_loaded = {m for m in loaded if m.partition(".")[0] == "conhoch"}
     assert conhoch_loaded == _START_UP | {f"conhoch.{m}" for m in extra}
-    if not {"poly", "printer"} & extra:
+    if "poly" not in extra:
         assert not {"fractions", "decimal"} & loaded, loaded
+    assert not {"argparse", "gettext", "locale"} & loaded, loaded
 
 
 def _compiled_nodes(modules):
@@ -171,14 +193,16 @@ def _compiled_nodes(modules):
     return total
 
 
-#: the slice count may not grow past the route it had before the slice
-#: count left cohomology; the solver routes get 2 % over their size
-#: after the handlers, the vector fields and the printer left them
+#: each route's size once the multivectors, the operator checks and the
+#: dense reference left the modules it compiles, plus about 400 nodes for
+#: the plain command-line reader
 @pytest.mark.parametrize("args, bound", [
-    (_VERIFY_THEOREM, 7374),
-    (_FIND_POTENTIAL, 11758 * 102 // 100),
-    (_DECOMPOSE_COCYCLE, 13807 * 102 // 100),
-], ids=["verify-theorem", "find-potential", "decompose-cocycle"])
+    (_STAR_CHECK, 11100),
+    (_STAR_EQUIV, 13100),
+    (_VERIFY_THEOREM, 6750),
+    (_FIND_POTENTIAL, 10050),
+    (_DECOMPOSE_COCYCLE, 13400),
+], ids=["star-check", "star-equiv", "verify-theorem", "find-potential", "decompose-cocycle"])
 def test_command_compiles_within_its_node_budget(command_route, args, bound):
     # the solver and slice-count routes compile what they call and little
     # else; a definition that lands on a route it does not serve shows here
@@ -220,6 +244,105 @@ def test_usage_error_exits_two(tmp_path, args, message):
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("usage: conhoch") and message in result.stderr
     assert result.stdout == ""
+
+
+def test_help_comes_from_argparse(tmp_path):
+    # only a plain command line skips argparse; -h still prints its help
+    result = _run(["-h"], cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: conhoch") and "--reps" in result.stdout
+    assert result.stderr == ""
+
+
+_FLAGS = list(cli._OPTIONS) + ["--mod", "--deg", "--form", "--help", "-h", "--", "--nope"]
+_VALUES = ["3,2,1", "x.json", "-1", "", "07", "2", " 3", "1_0", "٣", "wobs", "null",
+           "null_not_van", "json", "table", "xml", "0", "5", "a b", "-", "--kmax"]
+#: values each option accepts, among them forms that int() reads
+_GOOD = {"--model": ["3,2,1", ""], "--in": ["x.json", "a b"], "--out": ["o.json", "-x"],
+         "--tag": ["wobs", "null_not_van"], "--kmax": ["2", "07"], "--cmax": ["0", " 3"],
+         "--degree": ["0", "02"], "--jobs": ["1", "1_0"], "--format": ["json", "table"]}
+
+
+@st.composite
+def _command_lines(draw):
+    """Command lines near the plain form: a command (or not), then options
+    with good or bad values, --reps, abbreviations, `--flag=value` forms
+    and stray words, with --model often present."""
+    head = draw(st.one_of(st.sampled_from(sorted(cli._HANDLERS)),
+                          st.sampled_from(["-h", "--model", "nope"])))
+    good = st.sampled_from([[flag, value] for flag, values in _GOOD.items()
+                            for value in values] + [["--reps"]])
+    any_value = st.tuples(st.sampled_from(sorted(_GOOD)), st.sampled_from(_VALUES)).map(list)
+    other = st.one_of(
+        st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES)).map(list),
+        st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES)).map(
+            lambda fv: [f"{fv[0]}={fv[1]}"]),
+        st.sampled_from(_FLAGS + _VALUES).map(lambda t: [t]))
+    # most parts are good options, so many lines stay plain; one in five
+    # gives an option any value, and one in ten is something else
+    kinds = (good,) * 7 + (any_value,) * 2 + (other,)
+    parts = [draw(kinds[draw(st.integers(0, 9))]) for _ in range(draw(st.integers(0, 5)))]
+    if draw(st.integers(0, 3)):
+        parts.insert(draw(st.integers(0, len(parts))),
+                     ["--model", draw(st.sampled_from(["3,2,1", "3,2,1", "-1", ""]))])
+    return [head] + [token for part in parts for token in part]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_lines())
+def test_plain_reader_agrees_with_argparse(argv):
+    # the plain reader either declines a command line or builds exactly
+    # the namespace argparse builds from it, without argparse exiting
+    plain = cli._plain_args(argv)
+    if plain is None:
+        return
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            parsed = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse exits on {argv}, which the plain reader accepts")
+    assert vars(plain) == vars(parsed), argv
+
+
+def test_plain_reader_accepts_the_plain_form():
+    # the property above holds trivially if the reader declines everything
+    args = cli._plain_args(["verify-theorem", "--model", "3,2,1", "--kmax", "07",
+                            "--reps", "--tag", "null", "--format", "table"])
+    assert vars(args) == vars(cli.build_parser().parse_args(
+        ["verify-theorem", "--model", "3,2,1", "--kmax", "07", "--reps", "--tag", "null",
+         "--format", "table"]))
+    assert args.kmax == 7 and args.reps is True
+    for argv in (["verify-theorem", "--kmax", "2"], ["verify-theorem", "--mod", "3,2,1"],
+                 ["verify-theorem", "--model=3,2,1"], ["--model", "3,2,1", "hh-dim"],
+                 ["hh-dim", "--model", "3,2,1", "--kmax", "-1"], ["-h"]):
+        assert cli._plain_args(argv) is None, argv
+
+
+def test_moved_names_resolve_in_their_old_modules(tmp_path):
+    # MultiVector and hkr moved from symbols to multivector, RationalMatrix
+    # from linalg to dense; the old names resolve to the new objects, and
+    # importing the old modules loads neither new one
+    code = ("import json, sys; from conhoch import linalg, symbols\n"
+            "before = sorted(m for m in ('conhoch.multivector', 'conhoch.dense') "
+            "if m in sys.modules)\n"
+            "from conhoch.symbols import MultiVector, hkr\n"
+            "from conhoch import dense, multivector\n"
+            "print(json.dumps([before, MultiVector is multivector.MultiVector, "
+            "hkr is multivector.hkr, linalg.RationalMatrix is dense.RationalMatrix, "
+            "hasattr(symbols, 'shuffle_coproduct'), hasattr(linalg, 'no_such_name')]))")
+    result = _python(["-c", code], cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[], True, True, True, False, False]
+
+
+def test_readme_library_example_runs_verbatim(tmp_path):
+    # the python block of "Library use" imports package-level names that
+    # live in several modules; run it as written in a fresh interpreter
+    text = README.read_text()
+    section = text[text.index("## Library use"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    result = _python(["-c", block], cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
 
 
 def _readme_files_and_commands():
@@ -518,6 +641,16 @@ def test_unsupported_tag_is_an_input_error(tmp_path):
     result = _run(["classify-symbol", "--model", "3,2,1", "--in", "c3.json",
                    "--tag", "total_not_wobs"], cwd=tmp_path)
     _assert_input_error(result)
+
+
+def test_hatted_tag_on_a_zero_chain_is_an_input_error(tmp_path):
+    # an empty arity-2 chain once printed "member": true with exit 0,
+    # where a nonzero chain of that arity exits 1
+    (tmp_path / "zero.json").write_text(json.dumps({"arity": 2, "terms": []}))
+    result = _run(["classify-symbol", "--model", "3,2,1", "--in", "zero.json",
+                   "--tag", "wobs_not_null"], cwd=tmp_path)
+    _assert_input_error(result)
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("args", [

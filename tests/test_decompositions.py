@@ -7,11 +7,12 @@ import pytest
 
 from conhoch import (FlatModel, Poly, SubspaceTag, SymbolChain,
                      chain_membership, decompose_sym, decompose_tensor2,
-                     differential_d, in_function_span_wobs, reduce_multivector)
+                     differential_d, reduce_multivector)
 from conhoch import MultiVector, decompose
 from conhoch.errors import InvariantError, NotWobsError
 
 from conftest import rand_chain, rand_tagged_chain, var
+from reference import in_function_span_wobs
 
 
 def test_decompose_sym_examples(m321):

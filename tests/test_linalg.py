@@ -6,7 +6,8 @@ from fractions import Fraction
 
 from hypothesis import example, given, strategies as st
 
-from conhoch.linalg import RationalMatrix, sparse_rank, sparse_solve
+from conhoch.dense import RationalMatrix
+from conhoch.linalg import sparse_rank, sparse_solve
 
 
 def F(a, b=1):

@@ -12,7 +12,7 @@ from conhoch import (FlatModel, FunctionClass, MultiDiffOp, MultiVector, Poly,
                      vf_membership)
 from conhoch.errors import UnsupportedTagError
 from conhoch.poly import monomials_up_to_degree
-from conhoch.symbols import mv_monomial_member
+from conhoch.words import mv_monomial_member
 
 from conftest import all_models, monomial_field, rand_poly, var
 from reference import op_membership_functional
@@ -299,3 +299,9 @@ def test_hatted_tags_limited_to_low_arity(m321):
     chain2 = SymbolChain.from_term(m321, [(2,), (2,)])
     with pytest.raises(UnsupportedTagError):
         chain_membership(chain2, SubspaceTag.WOBS_NOT_NULL)
+    # the zero chain has no monomial to test, and is refused all the same
+    with pytest.raises(UnsupportedTagError):
+        chain_membership(SymbolChain.zero(m321, 3), SubspaceTag.TOTAL_NOT_WOBS)
+    with pytest.raises(UnsupportedTagError):
+        chain_membership(SymbolChain.zero(m321, 2), SubspaceTag.WOBS_NOT_NULL)
+    assert chain_membership(SymbolChain.zero(m321, 2), SubspaceTag.NULL_NOT_VAN)

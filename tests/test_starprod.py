@@ -70,7 +70,7 @@ def test_first_order_bidifferential_operators_are_closed(m321):
 def test_order_one_defect_is_the_coboundary(m321):
     rng = random.Random(800)
     from conftest import rand_chain
-    from conhoch.diffops import hochschild_delta
+    from conhoch.hochschild import hochschild_delta
     for _ in range(20):
         c1 = MultiDiffOp(rand_chain(rng, m321, 2, 3, 1))
         star = TruncatedStar(m321, [c1])

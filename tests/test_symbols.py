@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from conhoch import (FlatModel, MultiVector, Poly, SymbolChain, VectorField,
-                     bracket, chain_vee, differential_d, hkr, pr1, pr1_top,
-                     shuffle_coproduct, vee, vee_collapse, wedge)
+                     bracket, differential_d, hkr, pr1, pr1_top, vee, wedge)
 from conhoch.errors import ModelMismatchError
-from conhoch.symbols import shuffle_pairs, vector_field_as_multivector
+from conhoch.multivector import vector_field_as_multivector
+from conhoch.words import shuffle_pairs
 
 from conftest import rand_chain, rand_poly, var
+from reference import chain_vee, shuffle_coproduct, vee_collapse
 
 
 def test_wedge_antisymmetry(m321):
