@@ -1,5 +1,5 @@
-import sys
+"""``python -m conhoch``: the command line, through :func:`conhoch.cli.run`."""
 
-from .cli import main
+from .cli import run
 
-sys.exit(main())
+run()

@@ -20,13 +20,23 @@ usage.  Each command's handler
 lives with the code it runs (:data:`_HANDLERS` names the module) and is
 imported when the command runs; a handler that reads --in FILE imports
 serialize then, and only --format table loads the printer.  A
-write to an unwritable --out path, an input nested too deeply for the
-JSON reader, a negative --kmax or --cmax and a slice --tag other than
-wobs/null are input errors too.
+write to an unwritable --out path or a failed write to stdout (a full
+disk, a closed pipe), an input nested too deeply for the JSON reader, a
+negative --kmax or --cmax and a slice --tag other than wobs/null are
+input errors too.
+
+:func:`run` is the one entry point of ``python -m conhoch``, ``python -m
+conhoch.cli`` and the installed ``conhoch`` script.  It calls
+:func:`main`, then freezes the heap (``gc.freeze``) before it exits, so
+the full collections the interpreter runs at shutdown find nothing to
+scan.  Shutdown otherwise runs as usual: atexit handlers, the stream
+flushes and module teardown.  :func:`main` never freezes, so a caller
+that runs it in-process keeps normal collection.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -78,7 +88,16 @@ def emit_report(result: dict, fmt: str = "json") -> str:
 
 def _write(text: str, out: Optional[str]) -> None:
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError:
+            # the flush at exit would retry the same bytes and exit 120;
+            # send them to the null device, as the signal docs do for SIGPIPE
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -196,5 +215,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
+def run() -> None:
+    """Run :func:`main` on the command line and exit with its status,
+    freezing the heap first: the interpreter's final collections then
+    skip every object the command left behind.  A usage error or --help
+    (argparse's SystemExit) exits through the freeze too."""
+    try:
+        status = main()
+    finally:
+        gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

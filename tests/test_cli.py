@@ -3,6 +3,7 @@ documented example."""
 
 import ast
 import contextlib
+import gc
 import io
 import json
 import os
@@ -25,11 +26,12 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE_ROOT = Path(conhoch.__file__).resolve().parent.parent
 
 
-def _python(args, cwd, **env):
-    """Run a child interpreter that imports the same conhoch as this process,
-    from any cwd: PYTHONPATH starts with the absolute PACKAGE_ROOT, so a
-    relative entry such as PYTHONPATH=src cannot go stale in the child.
-    Keyword arguments set environment variables; None removes one."""
+def _child_env(**env):
+    """The environment of a child interpreter that imports the same conhoch
+    as this process, from any cwd: PYTHONPATH starts with the absolute
+    PACKAGE_ROOT, so a relative entry such as PYTHONPATH=src cannot go
+    stale in the child.  Keyword arguments set environment variables;
+    None removes one."""
     child_env = dict(os.environ)
     child_env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")]))
@@ -38,8 +40,13 @@ def _python(args, cwd, **env):
             child_env.pop(name, None)
         else:
             child_env[name] = value
+    return child_env
+
+
+def _python(args, cwd, **env):
+    """Run a child interpreter in the environment of :func:`_child_env`."""
     return subprocess.run([sys.executable] + args, capture_output=True,
-                          text=True, cwd=cwd, env=child_env)
+                          text=True, cwd=cwd, env=_child_env(**env))
 
 
 def _run(args, cwd, **env):
@@ -471,6 +478,74 @@ def test_unwritable_out_path_is_an_input_error(tmp_path):
                    "--out", str(tmp_path / "missing" / "image.json")], cwd=tmp_path)
     _assert_input_error(result)
     assert result.stdout == ""
+
+
+_SMALL_VERIFY = _VERIFY_THEOREM + ["--model", "3,2,1"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_failed_write_to_stdout_is_an_input_error(tmp_path, unbuffered):
+    # a buffered stdout fails only at the flush; the flush at exit must not
+    # retry it and exit 120 with an "Exception ignored" report
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "conhoch"] + _SMALL_VERIFY,
+                                stdout=full, stderr=subprocess.PIPE, text=True,
+                                cwd=tmp_path, env=_child_env(PYTHONUNBUFFERED=unbuffered))
+    _assert_input_error(result)
+    assert "[Errno 28]" in result.stderr
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(capsys):
+    # only the launcher freezes; tests, the tracer and library callers of
+    # main keep normal collection
+    frozen = gc.get_freeze_count()
+    assert cli.main(_SMALL_VERIFY + ["--jobs", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_match"] is True
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("module", ["conhoch", "conhoch.cli"])
+def test_command_exits_with_a_frozen_heap(tmp_path, module):
+    # python -m conhoch and python -m conhoch.cli end through cli.run,
+    # which freezes the heap before the interpreter's final collections;
+    # atexit handlers still run
+    code = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+            "sys.argv = ['conhoch'] + sys.argv[1:]\n"
+            f"runpy.run_module({module!r}, run_name='__main__')\n")
+    result = _python(["-c", code] + _SMALL_VERIFY, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["all_match"] is True
+    label, count = result.stderr.split()
+    assert label == "frozen" and int(count) > 0
+
+
+@pytest.mark.parametrize("args, code", [
+    (_SMALL_VERIFY, 0),
+    (["verify-theorem", "--model", "2,3,1"], 1),
+    (["verify-theorem", "--kmax", "2"], 2),
+    (_SMALL_VERIFY + ["--out", "report.json"], 0),
+], ids=["success", "input-error", "usage-error", "out-file"])
+def test_both_module_entries_behave_alike(tmp_path, args, code):
+    # python -m conhoch and python -m conhoch.cli share one launcher
+    runs = []
+    for module in ("conhoch", "conhoch.cli"):
+        cwd = tmp_path / module
+        cwd.mkdir()
+        result = _python(["-m", module] + args, cwd=cwd)
+        report = cwd / "report.json"
+        runs.append((result.returncode, result.stdout, result.stderr,
+                     report.read_bytes() if report.exists() else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code
+    assert (runs[0][3] is not None) == ("--out" in args)
+
+
+def test_console_script_runs_through_the_launcher():
+    # a text check, as tomllib is missing on Python 3.10
+    text = README.with_name("pyproject.toml").read_text(encoding="utf-8")
+    assert 'conhoch = "conhoch.cli:run"' in text.splitlines()
 
 
 def test_delta_command_reproduces_counterexample(tmp_path):
