@@ -3,9 +3,9 @@
 Every command reads JSON objects (formats in serialize.py), writes a
 deterministic JSON report (or an aligned table with --format table) and
 exits 0 on success, 1 on input errors and 2 when a verification command
-found a mismatch.  Slice jobs of verify-theorem and hh-dim can fan out
-over a worker pool (--jobs, default from CONHOCH_JOBS); results are
-merged in slice-key order, so output is identical for every pool width.
+found a mismatch.  verify-theorem and hh-dim compute their slices one
+after another in this process; --jobs N is accepted and checked (N must
+be at least 1) but changes nothing, so output is the same for every N.
 
 This module holds only the parser, :func:`main`, the dispatch table and
 JSON emission, and importing it compiles only errors and model (the
@@ -37,6 +37,7 @@ that runs it in-process keeps normal collection.
 from __future__ import annotations
 
 import gc
+import io
 import json
 import os
 import sys
@@ -59,24 +60,6 @@ def _parse_model(text: str) -> FlatModel:
     return FlatModel(n_total, n_wobs, n_null)
 
 
-def _resolve_jobs(flag: Optional[int]) -> int:
-    """Worker count from --jobs, else from CONHOCH_JOBS, else 1.  Read
-    when a command runs, so a bad value is an input error like any
-    other."""
-    if flag is not None:
-        if flag < 1:
-            raise ValueError(f"--jobs must be at least 1 (got {flag})")
-        return flag
-    env = os.environ.get("CONHOCH_JOBS", "1")
-    try:
-        jobs = int(env)
-    except ValueError:
-        jobs = None
-    if jobs is None or jobs < 1:
-        raise ValueError(f"CONHOCH_JOBS must be a positive integer (got {env!r})")
-    return jobs
-
-
 def emit_report(result: dict, fmt: str = "json") -> str:
     """Render a report as machine JSON or an aligned human table; symbols
     appear in the canonical term order either way."""
@@ -89,8 +72,16 @@ def emit_report(result: dict, fmt: str = "json") -> str:
 def _write(text: str, out: Optional[str]) -> None:
     if out is None:
         try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            raw = getattr(sys.stdout, "buffer", None)
+            if isinstance(raw, io.FileIO):
+                # unbuffered (python -u): TextIOWrapper drops what a short
+                # write leaves over, so write until the OS takes every byte
+                data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+                while data:
+                    data = data[os.write(raw.fileno(), data):]
+            else:
+                sys.stdout.write(text)
+                sys.stdout.flush()
         except OSError:
             # the flush at exit would retry the same bytes and exit 120;
             # send them to the null device, as the signal docs do for SIGPIPE
@@ -135,7 +126,7 @@ _OPTIONS = {
     "--kmax": ("kmax", int, None, 3, None),
     "--cmax": ("cmax", int, None, 2, None),
     "--degree": ("degree", int, (0, 1, 2), 2, None),
-    "--jobs": ("jobs", int, None, None, None),
+    "--jobs": ("jobs", int, None, 1, None),
     "--reps": ("reps", None, None, False, None),
     "--format": ("format", str, ("json", "table"), "json", None),
 }
@@ -196,10 +187,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = sys.argv[1:]
     args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
-        args.jobs = _resolve_jobs(args.jobs)
-        for flag, value in (("--kmax", args.kmax), ("--cmax", args.cmax)):
-            if value < 0:
-                raise ValueError(f"{flag} must be at least 0 (got {value})")
+        for flag, value, least in (("--jobs", args.jobs, 1), ("--kmax", args.kmax, 0),
+                                   ("--cmax", args.cmax, 0)):
+            if value < least:
+                raise ValueError(f"{flag} must be at least {least} (got {value})")
         if (args.command in ("hh-dim", "verify-theorem")
                 and args.tag not in (None, "wobs", "null")):
             raise ValueError("cohomology slices carry wobs/null tags")

@@ -23,9 +23,8 @@ The main entry points:
   classification predicts: observable (or null) bivectors plus words of
   distribution letters with one normal letter.
 * :func:`cmd_hh_dim` and :func:`cmd_verify_theorem` - the handlers of
-  the hh-dim and verify-theorem commands.  Their slice jobs can fan out
-  over a worker pool; results are merged in slice-key order, so the
-  output is identical for every pool width.
+  the hh-dim and verify-theorem commands.  They report the degree-2
+  slices in (tag, K, c) order, one after another in this process.
 """
 
 from __future__ import annotations
@@ -197,46 +196,30 @@ def hh2_slice_report(model: FlatModel, tag: SubspaceTag, sym_degree: int,
 
 
 # ---------------------------------------------------------------------------
-# the slice commands (jobs at top level, so pool workers can import them)
+# the slice commands
 # ---------------------------------------------------------------------------
 
 
-def _hh2_job(args) -> dict:
-    dims, tag_value, sym_degree, coeff_degree, with_reps = args
-    model = FlatModel(*dims)
-    report = hh2_slice_report(model, SubspaceTag(tag_value), sym_degree, coeff_degree,
-                              with_representatives=with_reps)
-    row = dict(report, model=model._asdict())
-    if with_reps:
-        from . import serialize
-        row["representatives"] = [serialize.chain_to_json(ch)
-                                  for ch in report["representatives"]]
-    return row
-
-
-def _run_slice_jobs(jobs: List[tuple], workers: int) -> List[dict]:
-    if workers <= 1 or len(jobs) <= 1:
-        return [_hh2_job(j) for j in jobs]
-    from multiprocessing import Pool
-    with Pool(processes=min(workers, len(jobs))) as pool:
-        return pool.map(_hh2_job, jobs)
-
-
-def _hh_rows(model: FlatModel, tags: List[str], kmax: int, cmax: int, workers: int,
+def _hh_rows(model: FlatModel, tags: List[str], kmax: int, cmax: int,
              with_reps: bool) -> List[dict]:
-    jobs = [(
-        (model.n_total, model.n_wobs, model.n_null), tag, K, c, with_reps)
-        for tag in tags
-        for K in range(2, kmax + 1)
-        for c in range(0, cmax + 1)]
-    return _run_slice_jobs(jobs, workers)
+    """The degree-2 slice reports in (tag, K, c) order as JSON rows."""
+    rows = []
+    for tag, K, c in itertools.product(tags, range(2, kmax + 1), range(cmax + 1)):
+        row = hh2_slice_report(model, SubspaceTag(tag), K, c, with_representatives=with_reps)
+        row["model"] = model._asdict()
+        if with_reps:
+            from . import serialize
+            row["representatives"] = [serialize.chain_to_json(ch)
+                                      for ch in row["representatives"]]
+        rows.append(row)
+    return rows
 
 
 def cmd_hh_dim(model: FlatModel, args) -> dict:
     tag = SubspaceTag(args.tag or "wobs")
     if args.degree == 2:
         return {"rows": _hh_rows(model, [tag.value], args.kmax, args.cmax,
-                                 args.jobs, with_reps=False)}
+                                 with_reps=False)}
     head = {"model": model._asdict(), "tag": tag.value, "degree": args.degree}
     if args.degree == 0:
         rows = [dict(head, c=c, hh_dim=hh0_dimension(model, tag, c))
@@ -249,5 +232,5 @@ def cmd_hh_dim(model: FlatModel, args) -> dict:
 
 def cmd_verify_theorem(model: FlatModel, args) -> dict:
     tags = [args.tag] if args.tag else ["wobs", "null"]
-    rows = _hh_rows(model, tags, args.kmax, args.cmax, args.jobs, with_reps=args.reps)
+    rows = _hh_rows(model, tags, args.kmax, args.cmax, with_reps=args.reps)
     return {"rows": rows, "all_match": all(r["match"] for r in rows)}

@@ -1,4 +1,4 @@
-"""Command line: exit codes, determinism, worker-pool invariance, and every
+"""Command line: exit codes, determinism for every --jobs width, and every
 documented example."""
 
 import ast
@@ -73,9 +73,9 @@ def test_child_imports_package_under_test(tmp_path):
 
 
 def test_cli_import_loads_only_the_parser_and_model(tmp_path):
-    # start-up guard: the pool, dataclasses (and its inspect), fractions
-    # (and its decimal), argparse (and its gettext and locale) and every
-    # computing module of the package (the polynomials, JSON codecs,
+    # start-up guard: multiprocessing, dataclasses (and its inspect),
+    # fractions (and its decimal), argparse (and its gettext and locale)
+    # and every computing module of the package (the polynomials, JSON codecs,
     # words, symbols, multivectors, vector fields, windows, slice count,
     # kernel, dense reference, decompositions, operators, operator
     # checks, star products and the printer) load only in the commands
@@ -119,7 +119,7 @@ _ROUTE_INPUTS = {
         "agree_to": 0},
 }
 #: standard-library modules that a command loads only when it needs them
-_OUTSIDE = ("fractions", "decimal", "argparse", "gettext", "locale")
+_OUTSIDE = ("fractions", "decimal", "argparse", "gettext", "locale", "multiprocessing")
 _ROUTE_CODE = ("import json, sys; from conhoch import cli\n"
                "code = cli.main(sys.argv[1:] + ['--model', '3,2,1', '--out', 'report.json']) "
                "if len(sys.argv) > 1 else 0\n"
@@ -168,24 +168,26 @@ def command_route(tmp_path_factory):
     (_FIND_POTENTIAL, _SOLVER),
     (_DECOMPOSE_COCYCLE, _SOLVER | {"multivector", "decompose"}),
     (_VERIFY_THEOREM, _SLICE_COUNT),
+    (_VERIFY_THEOREM + ["--jobs", "2"], _SLICE_COUNT),
     (["hh-dim", "--degree", "0"], _SLICE_COUNT),
     (["classify-function", "--in", "poly.json", "--format", "table"],
      {"serialize", "poly", "printer"}),
     (_VERIFY_THEOREM + ["--format", "table"], _SLICE_COUNT | {"printer"}),
 ], ids=["import", "classify-function", "classify-field", "bigd", "star-check", "star-equiv",
-        "reduce", "find-potential", "decompose-cocycle", "verify-theorem", "hh-dim-degree-0",
+        "reduce", "find-potential", "decompose-cocycle", "verify-theorem",
+        "verify-theorem-jobs-2", "hh-dim-degree-0",
         "classify-function-table", "verify-theorem-table"])
 def test_command_loads_only_the_modules_it_runs(command_route, args, extra):
     # each command compiles the start-up modules plus what its handler
     # calls; the slice count builds no polynomial and no Fraction, even
-    # in a table; only --format table loads the printer; and a plain
-    # command line never loads argparse
+    # in a table; only --format table loads the printer; a plain command
+    # line never loads argparse; and no --jobs width starts a process pool
     loaded = command_route(args)
     conhoch_loaded = {m for m in loaded if m.partition(".")[0] == "conhoch"}
     assert conhoch_loaded == _START_UP | {f"conhoch.{m}" for m in extra}
     if "poly" not in extra:
         assert not {"fractions", "decimal"} & loaded, loaded
-    assert not {"argparse", "gettext", "locale"} & loaded, loaded
+    assert not {"argparse", "gettext", "locale", "multiprocessing"} & loaded, loaded
 
 
 def _compiled_nodes(modules):
@@ -202,13 +204,14 @@ def _compiled_nodes(modules):
 
 #: each route's size once the multivectors, the operator checks and the
 #: dense reference left the modules it compiles, plus about 400 nodes for
-#: the plain command-line reader
+#: the plain command-line reader, less what the slice worker pool and
+#: CONHOCH_JOBS took (154 nodes on verify-theorem, 17 in cli elsewhere)
 @pytest.mark.parametrize("args, bound", [
-    (_STAR_CHECK, 11100),
-    (_STAR_EQUIV, 13100),
-    (_VERIFY_THEOREM, 6750),
-    (_FIND_POTENTIAL, 10050),
-    (_DECOMPOSE_COCYCLE, 13400),
+    (_STAR_CHECK, 11083),
+    (_STAR_EQUIV, 13083),
+    (_VERIFY_THEOREM, 6596),
+    (_FIND_POTENTIAL, 10033),
+    (_DECOMPOSE_COCYCLE, 13383),
 ], ids=["star-check", "star-equiv", "verify-theorem", "find-potential", "decompose-cocycle"])
 def test_command_compiles_within_its_node_budget(command_route, args, bound):
     # the solver and slice-count routes compile what they call and little
@@ -440,21 +443,25 @@ def test_exit_code_two_on_verification_mismatch(monkeypatch, capsys):
 
 
 def test_output_deterministic_across_runs_and_pool_widths(tmp_path):
+    # every --jobs width runs the same code, and CONHOCH_JOBS is not read
     base = ["verify-theorem", "--model", "3,2,1", "--kmax", "3", "--cmax", "1",
             "--reps"]
     first = _run(base + ["--jobs", "1"], cwd=tmp_path)
-    second = _run(base + ["--jobs", "1"], cwd=tmp_path)
-    pooled = _run(base + ["--jobs", "2"], cwd=tmp_path)
-    assert first.returncode == second.returncode == pooled.returncode == 0
-    assert first.stdout == second.stdout == pooled.stdout
+    runs = [_run(base + ["--jobs", "1"], cwd=tmp_path),
+            _run(base + ["--jobs", "2"], cwd=tmp_path),
+            _run(base + ["--jobs", "3"], cwd=tmp_path),
+            _run(base, cwd=tmp_path, CONHOCH_JOBS="abc")]
+    assert first.returncode == 0 and first.stderr == ""
+    for run in runs:
+        assert (run.returncode, run.stdout, run.stderr) == (0, first.stdout, "")
     rows = json.loads(first.stdout)["rows"]
     assert rows and all("representatives" in r for r in rows)
     hh2 = ["hh-dim", "--model", "3,2,1", "--degree", "2", "--kmax", "3", "--cmax", "1"]
-    serial = _run(hh2 + ["--jobs", "1"], cwd=tmp_path)
-    pooled = _run(hh2 + ["--jobs", "2"], cwd=tmp_path)
-    assert serial.returncode == pooled.returncode == 0
-    assert serial.stdout == pooled.stdout
-    assert len(json.loads(serial.stdout)["rows"]) == 4
+    one = _run(hh2 + ["--jobs", "1"], cwd=tmp_path)
+    two = _run(hh2 + ["--jobs", "2"], cwd=tmp_path)
+    assert one.returncode == two.returncode == 0
+    assert one.stdout == two.stdout
+    assert len(json.loads(one.stdout)["rows"]) == 4
 
 
 def test_out_flag_writes_file(tmp_path):
@@ -488,12 +495,23 @@ _SMALL_VERIFY = _VERIFY_THEOREM + ["--model", "3,2,1"]
 def test_failed_write_to_stdout_is_an_input_error(tmp_path, unbuffered):
     # a buffered stdout fails only at the flush; the flush at exit must not
     # retry it and exit 120 with an "Exception ignored" report
+    env = _child_env(PYTHONUNBUFFERED=unbuffered)
     with open("/dev/full", "w") as full:
         result = subprocess.run([sys.executable, "-m", "conhoch"] + _SMALL_VERIFY,
                                 stdout=full, stderr=subprocess.PIPE, text=True,
-                                cwd=tmp_path, env=_child_env(PYTHONUNBUFFERED=unbuffered))
+                                cwd=tmp_path, env=env)
     _assert_input_error(result)
     assert "[Errno 28]" in result.stderr
+    # a reader that closes after 10 bytes of a 2.7 MB report: an unbuffered
+    # stdout takes part of one write, and the rest must fail, not exit 0
+    args = [sys.executable, "-m", "conhoch", "verify-theorem", "--model", "7,4,2", "--reps"]
+    with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          cwd=tmp_path, env=env) as child:
+        assert len(os.read(child.stdout.fileno(), 10)) == 10
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+    _assert_input_error(subprocess.CompletedProcess(args, child.returncode, "", stderr))
+    assert "[Errno 32]" in stderr
 
 
 def test_main_in_process_leaves_the_heap_unfrozen(capsys):
@@ -627,20 +645,10 @@ def test_reduce_multivector_command(tmp_path):
                             'result: (1) d1^d2\n')
 
 
-def test_jobs_default_from_environment(tmp_path):
-    args = ["verify-theorem", "--model", "3,2,1", "--kmax", "2", "--cmax", "0"]
-    plain = _run(args, cwd=tmp_path, CONHOCH_JOBS=None)
-    result = _run(args, cwd=tmp_path, CONHOCH_JOBS="2")
-    assert plain.returncode == 0
-    assert result.returncode == 0
-    assert result.stdout == plain.stdout
-
-
 def test_bad_worker_count_is_an_input_error(tmp_path):
     args = ["verify-theorem", "--model", "3,2,1", "--kmax", "2", "--cmax", "0"]
-    _assert_input_error(_run(args, cwd=tmp_path, CONHOCH_JOBS="abc"))
-    _assert_input_error(_run(args, cwd=tmp_path, CONHOCH_JOBS="0"))
-    _assert_input_error(_run(args + ["--jobs", "0"], cwd=tmp_path, CONHOCH_JOBS=None))
+    _assert_input_error(_run(args + ["--jobs", "0"], cwd=tmp_path))
+    _assert_input_error(_run(args + ["--jobs", "-1"], cwd=tmp_path))
 
 
 _ONE = {"terms": [{"coeff": [1, 1], "exp": [0, 0, 0]}]}
