@@ -21,7 +21,7 @@ _EXPORTS = {
                "NotWobsError", "PreconditionError", "SolveFailureError",
                "UnsupportedTagError"),
     "model": ("FlatModel", "FunctionClass", "SubspaceTag", "monomials_of_degree"),
-    "poly": ("Poly", "monomials_up_to_degree"),
+    "poly": ("Poly",),
     "fields": ("VectorField", "bracket", "vf_membership"),
     "symbols": ("SymbolChain", "chain_membership", "differential_d", "monomial_member",
                 "vee"),
@@ -31,8 +31,7 @@ _EXPORTS = {
                   "decompose_tensor2", "matrix_of_D", "normal_class_basis", "pr1",
                   "pr1_top", "reduce_multivector", "slice_basis"),
     "diffops": ("MultiDiffOp",),
-    "hochschild": ("FlatConnection", "SymCovTensor", "chain_map_check", "hochschild_delta",
-                   "op_membership", "sym_cov_derivative"),
+    "hochschild": ("chain_map_check", "hochschild_delta", "op_membership"),
     "cohomology": ("find_constraint_potential", "find_potential"),
     "slicecount": ("classified_hh2_dimension", "hh0_dimension", "hh2_slice_report",
                    "hh_dimension"),

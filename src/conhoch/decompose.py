@@ -29,8 +29,8 @@ from .errors import (InvariantError, NotConstraintError, NotWobsError, Precondit
 from .model import Exponent, FlatModel, SubspaceTag, monomials_of_degree
 from .poly import Poly
 from .multivector import MultiVector, hkr, mv_membership
-from .symbols import SymbolChain, chain_membership, word_category
-from .words import Slots
+from .symbols import SymbolChain, chain_membership, monomial_member
+from .words import Slots, _slot_profile
 
 
 def pr1(chain: SymbolChain) -> SymbolChain:
@@ -63,7 +63,7 @@ def decompose_sym(chain: SymbolChain) -> Tuple[SymbolChain, SymbolChain]:
         raise ValueError("decompose_sym acts on arity-1 chains")
     model = chain.model
     normal, rest = chain.split(lambda gamma, slots: model.unit_counts(gamma)[2] == 0
-                               and any(i > model.n_wobs for i in slots[0]))
+                               and _slot_profile(model, slots[0])[2] >= 1)
     return rest, normal
 
 
@@ -91,16 +91,8 @@ def decompose_tensor2(chain: SymbolChain) -> Tensor2Decomposition:
     if chain.arity != 2:
         raise ValueError("decompose_tensor2 acts on arity-2 chains")
     model = chain.model
-
-    def is_that(gamma, slots) -> bool:
-        cats = [word_category(model, w) for w in slots]
-        return (model.unit_counts(gamma)[2] == 0
-                and all(c in ("that", "wnhat") for c in cats) and "that" in cats)
-
-    tnw_chain, fw_chain = chain.split(is_that)
-    if not chain_membership(tnw_chain, SubspaceTag.TOTAL_NOT_WOBS):
-        raise InvariantError("decompose_tensor2: the complement part "
-                             f"{tnw_chain!r} is not in the total_not_wobs block")
+    tnw_chain, fw_chain = chain.split(lambda gamma, slots: monomial_member(
+        model, gamma, slots, SubspaceTag.TOTAL_NOT_WOBS))
 
     van_chain = nnv_chain = None
     if chain_membership(chain, SubspaceTag.NULL):
@@ -123,28 +115,11 @@ def reduce_multivector(x: MultiVector, tag: SubspaceTag = SubspaceTag.WOBS) -> M
     if not mv_membership(x, SubspaceTag.WOBS):
         raise NotWobsError("multivector is not observable")
     model = x.model
-    reduced = model.reduced_model()
-    terms: List[Tuple[Tuple[int, ...], Poly]] = []
-    for idx, coeff in x.terms.items():
-        if any(i <= model.n_null or i > model.n_wobs for i in idx):
-            continue
-        restricted = model.restrict_to_c(coeff)
-        if restricted.is_zero():
-            continue
-        new_terms = {}
-        for exp, q in restricted.terms.items():
-            # observability forces the surviving coefficients to be
-            # constant along the distribution on C
-            if any(exp[: model.n_null]):
-                raise InvariantError(
-                    f"reduce_multivector: the {idx} coefficient of an observable "
-                    f"multivector restricted to C depends on a distribution variable: {exp}")
-            new = exp[model.n_null : model.n_wobs]
-            new = new + (0,) * (reduced.n_total - len(new))
-            new_terms[new] = q
-        new_idx = tuple(i - model.n_null for i in idx)
-        terms.append((new_idx, Poly(reduced.n_total, new_terms)))
-    return MultiVector(reduced, x.degree, terms)
+    terms = [(tuple(i - model.n_null for i in idx),
+              model.to_reduced(coeff, f"reduce_multivector at {idx}"))
+             for idx, coeff in x.terms.items()
+             if all(model.n_null < i <= model.n_wobs for i in idx)]
+    return MultiVector(model.reduced_model(), x.degree, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +154,8 @@ def _validate_normal_part(psi: SymbolChain) -> None:
         word = slots[0]
         if len(word) < 2:
             raise ValueError("normal-part words need symmetric degree >= 2")
-        normal_letters = [i for i in word if i > model.n_wobs]
-        other = [i for i in word if i <= model.n_wobs]
-        if len(normal_letters) != 1 or any(i > model.n_null for i in other):
+        _, np_, nt = _slot_profile(model, word)
+        if nt != 1 or np_:
             raise ValueError(
                 f"word {word} is not distribution letters with one normal letter")
         _, _, t = model.unit_counts(gamma)

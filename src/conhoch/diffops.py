@@ -14,9 +14,9 @@ This module holds what star products run: :class:`MultiDiffOp` and its
 evaluation, the Leibniz splittings of derivative words, the symbol of a
 Gerstenhaber composition (:func:`compose_symbols`) and the fast
 evaluation on monomial arguments.  The operator-level checks - the
-Hochschild coboundary, the chain-map check, operator membership, the
-flat connection - and the handlers of classify-operator and delta live
-in :mod:`conhoch.hochschild`, so no star-product command compiles them.
+Hochschild coboundary, the chain-map check, operator membership - and
+the handlers of classify-operator and delta live in
+:mod:`conhoch.hochschild`, so no star-product command compiles them.
 """
 
 from __future__ import annotations

@@ -4,10 +4,11 @@ A :class:`VectorField` holds one polynomial component per coordinate
 (component i multiplies d_i).  Membership in the observable and null
 classes is decided from the definitions, on the components restricted
 to C, not per monomial, so this leaf module needs no slot word: it
-imports only errors, model and poly.  The flat connection of
-:mod:`conhoch.diffops` and the decoder ``serialize.field_from_json``
-import it on use, and :func:`cmd_classify_field` is the handler of the
-classify-field command, so no other command compiles this module.
+imports only errors, model and poly.  The flat covariant derivative
+of Y along X is ``VectorField(model, [X.apply(c) for c in
+Y.components])``.  The decoder ``serialize.field_from_json`` imports
+this module on use, and :func:`cmd_classify_field` is the handler of
+the classify-field command, so no other command compiles it.
 """
 
 from __future__ import annotations

@@ -8,76 +8,23 @@ shuffle-coproduct differential on the symbol side, and the equality
 Op(D phi) = delta(Op(phi)) (:func:`chain_map_check`) is a genuine
 cross-check between the two routes.
 
-This module also holds the flat connection and the symmetrized
-covariant derivatives, the constraint membership of operators, and the
+This module also holds the constraint membership of operators and the
 handlers of classify-operator and delta.  Star products evaluate
 operators but never take a coboundary at operator level, so the star
-routes do not compile this module.  The flat connection imports
-:class:`~conhoch.fields.VectorField` when it runs, and
-:func:`op_membership` imports the chain membership test when it runs.
+routes do not compile this module.  :func:`op_membership` imports the
+chain membership test when it runs.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, Dict, NamedTuple, Sequence
+from typing import Dict
 
 from .diffops import MultiDiffOp, _leibniz_splits
-from .errors import InvariantError, ModelMismatchError, UnsupportedTagError
-from .model import FlatModel, SubspaceTag
+from .errors import InvariantError, UnsupportedTagError
+from .model import SubspaceTag
 from .poly import Poly
 from .symbols import SymbolChain, differential_d
-from .words import Slots, Word
-
-if TYPE_CHECKING:  # the flat connection imports it on use
-    from .fields import VectorField
-
-
-# ---------------------------------------------------------------------------
-# flat connection and symmetrized derivatives
-# ---------------------------------------------------------------------------
-
-
-class FlatConnection:
-    """The standard flat covariant derivative; Christoffel symbols vanish,
-    so it is torsion-free, and on the flat model it satisfies the three
-    constraint conditions (verified in the test suite on sampled
-    fields)."""
-
-    def __init__(self, model: FlatModel):
-        self.model = model
-
-    def covariant_derivative(self, x: VectorField, y: VectorField) -> VectorField:
-        from .fields import VectorField
-        if x.model != self.model or y.model != self.model:
-            raise ModelMismatchError("fields over a different model")
-        return VectorField(self.model, [x.apply(comp) for comp in y.components])
-
-
-class SymCovTensor(NamedTuple):
-    """Symmetrized k-th covariant derivative of a function; for the flat
-    connection the entry at a sorted index multiset is the corresponding
-    iterated partial derivative."""
-
-    model: FlatModel
-    degree: int
-    entries: Dict[Word, Poly]
-
-    def entry(self, word: Sequence[int]) -> Poly:
-        key = tuple(sorted(word))
-        return self.entries.get(key, Poly.zero(self.model.n_total))
-
-
-def sym_cov_derivative(model: FlatModel, f: Poly, k: int) -> SymCovTensor:
-    if k < 1:
-        raise ValueError("derivative order must be positive")
-    model.check_poly(f)
-    entries: Dict[Word, Poly] = {}
-    for word in itertools.combinations_with_replacement(range(1, model.n_total + 1), k):
-        value = f.partial_word(word)
-        if not value.is_zero():
-            entries[word] = value
-    return SymCovTensor(model, k, entries)
+from .words import Slots
 
 
 # ---------------------------------------------------------------------------

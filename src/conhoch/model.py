@@ -165,7 +165,6 @@ class FlatModel(_Dimensions):
         """Finest class of f, by the definitional criterion: null when the
         restriction to C vanishes, observable when every derivative along
         the distribution restricts to zero on C."""
-        self.check_poly(f)
         if self.restrict_to_c(f).is_zero():
             return FunctionClass.NULL
         if all(self.restrict_to_c(f.partial(a)).is_zero() for a in self.d_indices):
@@ -175,30 +174,31 @@ class FlatModel(_Dimensions):
     def function_in_class(self, f: Poly, tag: FunctionClass) -> bool:
         return tag.contains(self.classify_function(f))
 
-    def reduce_function(self, f: Poly) -> Poly:
-        """Image of an observable function on the reduced space.
-
-        Restricts to C and re-expresses the result in the coordinates
-        x_{n_null+1}..x_{n_wobs}, reindexed to 1..n_reduced.  Raises
-        NotWobsError outside the observable class.
-        """
+    def to_reduced(self, f: Poly, caller: str) -> Poly:
+        """Restrict an observable coefficient to C and re-express it in the
+        coordinates x_{n_null+1}..x_{n_wobs}, reindexed to 1..n_reduced:
+        the one map of observables onto the reduced space, behind
+        :meth:`reduce_function` and ``decompose.reduce_multivector``."""
         from .poly import Poly
-        if not self.function_in_class(f, FunctionClass.WOBS):
-            raise NotWobsError(f"function {f} is not observable")
-        restricted = self.restrict_to_c(f)
-        reduced_model = self.reduced_model()
+        n = self.reduced_model().n_total
+        pad = (0,) * (n - self.n_reduced)  # a reduced point keeps one coordinate
         terms = {}
-        for exp, coeff in restricted.terms.items():
+        for exp, coeff in self.restrict_to_c(f).terms.items():
             # independence of the distribution variables is forced by the
             # observable condition; a violation would falsify the class
             if any(exp[: self.n_null]):
                 raise InvariantError(
-                    "reduce_function: observable function restricted to C "
+                    f"{caller}: an observable coefficient restricted to C "
                     f"depends on a distribution variable: {exp}")
-            new = exp[self.n_null : self.n_wobs]
-            new = new + (0,) * (reduced_model.n_total - len(new))
-            terms[new] = coeff
-        return Poly(reduced_model.n_total, terms)
+            terms[exp[self.n_null : self.n_wobs] + pad] = coeff
+        return Poly(n, terms)
+
+    def reduce_function(self, f: Poly) -> Poly:
+        """Image of an observable function on the reduced space; raises
+        NotWobsError outside the observable class."""
+        if not self.function_in_class(f, FunctionClass.WOBS):
+            raise NotWobsError(f"function {f} is not observable")
+        return self.to_reduced(f, "reduce_function")
 
 
 def _same_model(a: FlatModel, b: FlatModel) -> None:

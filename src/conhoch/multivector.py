@@ -22,16 +22,13 @@ import itertools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .model import FlatModel, SubspaceTag, _same_model
 from .poly import Poly
 from .symbols import SymbolChain, _TermMap
 from .words import Slots, mv_monomial_member
-
-if TYPE_CHECKING:  # vector_field_as_multivector reads one without importing it
-    from .fields import VectorField
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -109,14 +106,6 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
         for ib, cb in b.terms.items():
             out = out + MultiVector.wedge_of_frames(a.model, ia + ib, ca * cb)
     return out
-
-
-def vector_field_as_multivector(x: VectorField) -> MultiVector:
-    terms = {}
-    for i, comp in enumerate(x.components, start=1):
-        if not comp.is_zero():
-            terms[(i,)] = comp
-    return MultiVector(x.model, 1, terms)
 
 
 def hkr(x: MultiVector) -> SymbolChain:

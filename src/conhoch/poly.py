@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple, Union
 
-from .model import Exponent, monomials_of_degree
+from .model import Exponent, monomials_of_degree  # noqa: F401 (re-exported)
 
 Scalar = Union[int, Fraction]
 
@@ -32,14 +32,6 @@ Scalar = Union[int, Fraction]
 def grlex_key(exp: Exponent) -> Tuple[int, Exponent]:
     """Sort key for the graded lexicographic term order (ascending)."""
     return (sum(exp), exp)
-
-
-def monomials_up_to_degree(nvars: int, max_degree: int) -> List[Exponent]:
-    """All exponent tuples of total degree 0..max_degree."""
-    out: List[Exponent] = []
-    for d in range(max_degree + 1):
-        out.extend(monomials_of_degree(nvars, d))
-    return out
 
 
 class Poly:
@@ -98,10 +90,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
 
     def sorted_terms(self) -> List[Tuple[Exponent, Fraction]]:
         """Terms in canonical order: graded lexicographic, largest first."""
@@ -214,6 +202,9 @@ class Poly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
+        # a zero or constant polynomial equals its scalar, so it hashes as one
+        if not any(map(any, self.terms)):
+            return hash(self.terms.get((0,) * self.nvars, 0))
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:

@@ -43,18 +43,6 @@ def json_integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def model_to_json(model: FlatModel) -> dict:
-    return model._asdict()
-
-
-def model_from_json(data: dict) -> FlatModel:
-    try:
-        return FlatModel(*(json_integer(data[key], key)
-                           for key in ("n_total", "n_wobs", "n_null")))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed model: {exc}") from exc
-
-
 def poly_to_json(p: Poly) -> dict:
     return {"terms": [{"coeff": [c.numerator, c.denominator], "exp": list(e)}
                       for e, c in p.sorted_terms()]}
@@ -160,10 +148,6 @@ def multivector_from_json(data: dict, model: FlatModel) -> MultiVector:
         return MultiVector(model, json_integer(data["degree"], "'degree'"), terms)
     except IndexError as exc:
         raise ValueError(f"multivector does not fit model {model}: {exc}") from exc
-
-
-def star_to_json(star: TruncatedStar) -> dict:
-    return {"order": star.order, "cochains": [op_to_json(c) for c in star.cochains]}
 
 
 def star_from_json(data: dict, model: FlatModel) -> TruncatedStar:

@@ -208,14 +208,8 @@ class SymbolChain(_TermMap):
                            {s: c for s, c in self.terms.items()
                             if sum(len(w) for w in s) == k})
 
-    def sym_degrees(self) -> List[int]:
-        return sorted({sum(len(w) for w in s) for s in self.terms})
-
     def max_total_order(self) -> int:
         return max((sum(len(w) for w in s) for s in self.terms), default=0)
-
-    def max_coeff_degree(self) -> int:
-        return max((c.total_degree() for c in self.terms.values()), default=0)
 
     def coefficient(self, slots: Sequence[Sequence[int]]) -> Poly:
         key = tuple(tuple(w) for w in slots)
@@ -246,15 +240,12 @@ def differential_d(chain: SymbolChain) -> SymbolChain:
 def word_category(model: FlatModel, word: Word) -> str:
     """Exactly one of: 'that' (contains a normal letter), 'nhat' (tangent
     letters with at least one distribution letter), 'wnhat' (letters all
-    transverse-in-C)."""
-    if any(i > model.n_wobs for i in word):
-        return "that"
-    if any(i <= model.n_null for i in word):
-        return "nhat"
-    return "wnhat"
+    transverse-in-C), read from the word's letter profile."""
+    nd, _, nt = _slot_profile(model, word)
+    return "that" if nt else "nhat" if nd else "wnhat"
 
 
-#: the word categories of each hatted tag at arity 1
+#: the word categories of each hatted tag; a monomial needs one word of them
 _HAT_WORDS = {SubspaceTag.NULL_NOT_VAN: ("nhat",), SubspaceTag.WOBS_NOT_NULL: ("wnhat",),
               SubspaceTag.TOTAL_NOT_WOBS: ("that",),
               SubspaceTag.TOTAL_NOT_NULL: ("that", "wnhat")}
@@ -276,17 +267,15 @@ def monomial_member(model: FlatModel, gamma: Exponent, slots: Slots,
     if tag in (SubspaceTag.WOBS, SubspaceTag.NULL):
         profiles = tuple(_slot_profile(model, w) for w in slots)
         return _tensor_member(d, t, profiles, tag)
-    # hatted tags: sections over C only, so no normal variables at all
-    arity = len(slots)
-    _check_tag_arity(tag, arity)
-    if arity == 1:
-        return t == 0 and word_category(model, slots[0]) in _HAT_WORDS[tag]
+    # hatted tags: sections over C only, so no normal variables at all;
+    # one word of the tag's categories, and an 'nhat' word only in the
+    # null complement
+    _check_tag_arity(tag, len(slots))
     if t != 0:
         return False
     cats = [word_category(model, w) for w in slots]
-    if tag is SubspaceTag.TOTAL_NOT_WOBS:
-        return all(c in ("that", "wnhat") for c in cats) and "that" in cats
-    return "nhat" in cats
+    return (any(c in _HAT_WORDS[tag] for c in cats)
+            and (tag is SubspaceTag.NULL_NOT_VAN or "nhat" not in cats))
 
 
 def chain_membership(chain: SymbolChain, tag: SubspaceTag) -> bool:

@@ -8,7 +8,8 @@ from typing import List, Tuple
 
 import pytest
 
-from conhoch import (FlatModel, Poly, SubspaceTag, SymbolChain, VectorField)
+from conhoch import (FlatModel, Poly, SubspaceTag, SymbolChain, VectorField,
+                     monomials_of_degree)
 from conhoch.decompose import Slice, slice_monomials
 
 
@@ -33,6 +34,10 @@ def mono(nvars: int, exp, coeff=1) -> Poly:
 
 def var(model: FlatModel, i: int) -> Poly:
     return Poly.variable(model.n_total, i)
+
+
+def monomials_up_to(nvars: int, max_degree: int) -> list:
+    return [e for d in range(max_degree + 1) for e in monomials_of_degree(nvars, d)]
 
 
 def all_models(n_total_max: int, require_proper: bool = False) -> List[FlatModel]:

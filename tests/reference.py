@@ -55,7 +55,8 @@ def sufficiency_degree(chain: SymbolChain) -> int:
     """Evaluation-degree window that separates operators of the given
     order and coefficient degree: max operator order + coefficient
     degree + 1."""
-    return chain.max_total_order() + max(chain.max_coeff_degree(), 0) + 1
+    return chain.max_total_order() + max((sum(g) for g, _, _ in chain.monomials()),
+                                         default=0) + 1
 
 
 def op_membership_functional(op: MultiDiffOp, tag: SubspaceTag,

@@ -11,10 +11,9 @@ from conhoch import (FlatModel, FunctionClass, MultiDiffOp, MultiVector, Poly,
                      chain_membership, monomial_member, mv_membership,
                      vf_membership)
 from conhoch.errors import UnsupportedTagError
-from conhoch.poly import monomials_up_to_degree
 from conhoch.words import mv_monomial_member
 
-from conftest import all_models, monomial_field, rand_poly, var
+from conftest import all_models, monomial_field, monomials_up_to, rand_poly, var
 from reference import op_membership_functional
 
 
@@ -102,7 +101,7 @@ def _mv_spanning_oracle(model: FlatModel, gamma, pair, tag: SubspaceTag,
     null_fields = []
     all_fields = []
     for i in range(1, model.n_total + 1):
-        for exp in monomials_up_to_degree(model.n_total, max_degree):
+        for exp in monomials_up_to(model.n_total, max_degree):
             f = monomial_field(model, i, exp)
             all_fields.append((i, exp))
             if vf_membership(f, SubspaceTag.WOBS):
@@ -128,7 +127,7 @@ def _mv_spanning_oracle(model: FlatModel, gamma, pair, tag: SubspaceTag,
 
 def test_mv_monomials_against_spanning_oracle():
     for model in (FlatModel(3, 2, 1), FlatModel(3, 3, 2), FlatModel(4, 2, 1)):
-        for gamma in monomials_up_to_degree(model.n_total, 2):
+        for gamma in monomials_up_to(model.n_total, 2):
             for pair in itertools.combinations(range(1, model.n_total + 1), 2):
                 for tag in (SubspaceTag.WOBS, SubspaceTag.NULL):
                     assert mv_monomial_member(model, gamma, pair, tag) == \
@@ -167,7 +166,7 @@ def test_chain_null_implies_wobs(m321):
 def test_chain_membership_matches_vector_fields(m321):
     # arity-1 symmetric-degree-1 chains are vector fields
     for i in range(1, 4):
-        for exp in monomials_up_to_degree(3, 2):
+        for exp in monomials_up_to(3, 2):
             chain = SymbolChain.from_term(m321, [(i,)], Poly.monomial(exp))
             field = monomial_field(m321, i, exp)
             for tag in (SubspaceTag.WOBS, SubspaceTag.NULL):
@@ -181,7 +180,7 @@ def test_chain_membership_matches_functional_oracle():
         words1 = [(i,) for i in range(1, model.n_total + 1)]
         words2 = [tuple(sorted(p)) for p in
                   itertools.combinations_with_replacement(range(1, model.n_total + 1), 2)]
-        gammas = monomials_up_to_degree(model.n_total, 1)
+        gammas = monomials_up_to(model.n_total, 1)
         cases = []
         for g in gammas:
             cases.extend((g, (w,)) for w in words1 + words2)
@@ -228,7 +227,7 @@ def test_mixed_distribution_slot_forces_null(m321):
     # every observable argument into the null class
     op = MultiDiffOp(SymbolChain.from_term(m321, [(1, 2)]))
     assert chain_membership(op.symbol, SubspaceTag.NULL)
-    for exp in monomials_up_to_degree(3, 4):
+    for exp in monomials_up_to(3, 4):
         f = Poly.monomial(exp)
         if m321.function_in_class(f, FunctionClass.WOBS):
             assert m321.function_in_class(op.apply([f]), FunctionClass.NULL)

@@ -1,11 +1,15 @@
 """Function classes on the flat constraint model."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conhoch import FlatModel, FunctionClass, Poly, monomials_of_degree
+from conhoch import (FlatModel, FunctionClass, MultiVector, Poly, SubspaceTag,
+                     monomials_of_degree, reduce_multivector)
 from conhoch.errors import NotWobsError
+from conhoch.words import mv_monomial_member
 
 from conftest import all_models, rand_poly, var
 from reference import function_slice_basis
@@ -103,6 +107,33 @@ def test_reduce_function_is_algebra_morphism():
         for g in wobs:
             assert model.reduce_function(f * g) == \
                 model.reduce_function(f) * model.reduce_function(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reduce_multivector_is_a_module_map(data):
+    # reduction of f*X is reduce_function(f) times the reduction of X, for
+    # observable f and observable bivectors X.  Both classes are spanned by
+    # their monomials: a monomial without normal variables is made
+    # observable by dropping its distribution variables, which fixes every
+    # observable monomial; X draws one term per index pair and drops the
+    # terms outside the class
+    model = data.draw(st.sampled_from(all_models(5)))
+    n = model.n_total
+
+    def observable(e):
+        return e if model.unit_counts(e)[2] else (0,) * model.n_null + e[model.n_null:]
+
+    monomials = st.tuples(st.tuples(*[st.integers(0, 2)] * n).map(observable),
+                          st.integers(-3, 3))
+    f = Poly(n, data.draw(st.lists(monomials, max_size=3)))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    terms = zip(pairs, data.draw(st.lists(monomials, min_size=len(pairs),
+                                          max_size=len(pairs))))
+    x = MultiVector(model, 2, [(pair, Poly.monomial(e, q)) for pair, (e, q) in terms
+                               if mv_monomial_member(model, e, pair, SubspaceTag.WOBS)])
+    assert reduce_multivector(x.scale(f)) == \
+        reduce_multivector(x).scale(model.reduce_function(f))
 
 
 def test_function_slice_basis_examples(m321):

@@ -54,6 +54,17 @@ def test_canonical_form_drops_zero_terms():
     assert list(p.terms) == [(1, 0)]
 
 
+@pytest.mark.parametrize("poly, scalar", [
+    (Poly.constant(2, 3), 3),
+    (Poly.zero(2), 0),
+    (Poly.constant(2, Fraction(-3, 4)), Fraction(-3, 4)),
+], ids=["int-constant", "zero", "fraction-constant"])
+def test_constant_hashes_as_its_scalar(poly, scalar):
+    # a polynomial equal to a scalar must hash as it, so a set keeps one
+    assert poly == scalar
+    assert len({poly, scalar}) == 1 and len({scalar, poly}) == 1
+
+
 def test_partial_word_iterates():
     f = Poly.monomial((2, 0, 1))
     assert f.partial_word((1, 3)) == Poly.monomial((1, 0, 0), 2)
