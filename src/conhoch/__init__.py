@@ -17,9 +17,8 @@ from importlib import import_module
 
 _EXPORTS = {
     "errors": ("ConhochError", "InvariantError", "ModelMismatchError",
-               "NotClosedError", "NotCocycleError", "NotConstraintError",
-               "NotWobsError", "PreconditionError", "SolveFailureError",
-               "UnsupportedTagError"),
+               "NotClosedError", "NotConstraintError", "NotWobsError",
+               "PreconditionError", "SolveFailureError", "UnsupportedTagError"),
     "model": ("FlatModel", "FunctionClass", "SubspaceTag", "monomials_of_degree"),
     "poly": ("Poly",),
     "fields": ("VectorField", "bracket", "vf_membership"),
@@ -37,9 +36,8 @@ _EXPORTS = {
                    "hh_dimension"),
     "starprod": ("OMITTED_BRACKET_PREFACTOR", "AssociativityViolation",
                  "TruncatedStar", "associator", "check_associativity",
-                 "classify_infinitesimal", "equivalence_report", "equivalence_step",
-                 "is_constraint_star", "plain_equivalence_step",
-                 "poisson_from_star"),
+                 "classify_infinitesimal", "equivalence_report",
+                 "is_constraint_star", "poisson_from_star"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .errors import NotCocycleError, NotConstraintError, PreconditionError
+from .errors import NotClosedError, NotConstraintError, PreconditionError
 from .linalg import sparse_solve
-from .model import Exponent, FlatModel, SubspaceTag
+from .model import Exponent, FlatModel, SubspaceTag, monomials_of_degree
 from .words import Slots, Word, _slot_profile, _tensor_member, unit_differential
 
 if TYPE_CHECKING:  # the solvers import these on use
@@ -52,24 +52,16 @@ if TYPE_CHECKING:  # the solvers import these on use
     from .symbols import SymbolChain
 
 
-def _positive_compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for head in range(1, total - parts + 2):
-        for tail in _positive_compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 @lru_cache(maxsize=None)
 def _all_slot_tuples(model: FlatModel, arity: int, sym_degree: int) -> Tuple[Slots, ...]:
     """Every tuple of slot words with the given arity and total symmetric
     degree, in deterministic order."""
     letters = range(1, model.n_total + 1)
     out: List[Slots] = []
-    for split in _positive_compositions(sym_degree, arity):
-        pools = [tuple(itertools.combinations_with_replacement(letters, k))
+    # word lengths are the compositions of sym_degree into arity positive
+    # parts, in ascending lexicographic order
+    for split in reversed(monomials_of_degree(arity, sym_degree - arity)):
+        pools = [tuple(itertools.combinations_with_replacement(letters, k + 1))
                  for k in split]
         out.extend(itertools.product(*pools))
     return tuple(out)
@@ -184,7 +176,7 @@ def find_potential(phi: SymbolChain) -> Optional[SymbolChain]:
     if phi.arity < 2:
         raise PreconditionError("a potential needs a chain of arity at least 2")
     if not differential_d(phi).is_zero():
-        raise NotCocycleError("chain is not closed")
+        raise NotClosedError("chain is not closed")
     return _solve_d(phi, None)
 
 
@@ -195,7 +187,7 @@ def _require_closed_constraint(phi: SymbolChain) -> None:
     if not chain_membership(phi, SubspaceTag.WOBS):
         raise NotConstraintError("chain is not in the observable subspace")
     if not differential_d(phi).is_zero():
-        raise NotCocycleError("chain is not closed")
+        raise NotClosedError("chain is not closed")
 
 
 def cmd_find_potential(model, args) -> dict:

@@ -32,7 +32,9 @@ from .symbols import Slots, SymbolChain, Word, vee
 
 
 class MultiDiffOp:
-    """Multi-differential operator, fully determined by its symbol."""
+    """Multi-differential operator: its symbol plus evaluation.  The
+    operator is determined by its symbol, so sums, scalings and zero
+    tests are done on ``symbol``."""
 
     __slots__ = ("symbol",)
 
@@ -46,10 +48,6 @@ class MultiDiffOp:
     @property
     def arity(self) -> int:
         return self.symbol.arity
-
-    @classmethod
-    def zero(cls, model: FlatModel, arity: int) -> "MultiDiffOp":
-        return cls(SymbolChain.zero(model, arity))
 
     def apply(self, fs: Sequence[Poly]) -> Poly:
         """Evaluate on a tuple of polynomials (one per argument slot)."""
@@ -66,21 +64,6 @@ class MultiDiffOp:
                     break
             out = out + term
         return out
-
-    def __add__(self, other: "MultiDiffOp") -> "MultiDiffOp":
-        return MultiDiffOp(self.symbol + other.symbol)
-
-    def __sub__(self, other: "MultiDiffOp") -> "MultiDiffOp":
-        return MultiDiffOp(self.symbol - other.symbol)
-
-    def __neg__(self) -> "MultiDiffOp":
-        return MultiDiffOp(-self.symbol)
-
-    def scale(self, q) -> "MultiDiffOp":
-        return MultiDiffOp(self.symbol.scale(q))
-
-    def is_zero(self) -> bool:
-        return self.symbol.is_zero()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiDiffOp) and self.symbol == other.symbol
@@ -155,21 +138,13 @@ def compose_symbols(outer: SymbolChain, inner: SymbolChain, slot: int) -> Symbol
 
 def monomial_argument_tuples(model: FlatModel, arity: int,
                              max_total_degree: int) -> Iterator[Tuple[Exponent, ...]]:
-    """All tuples of monomial exponents with the given total degree bound."""
+    """All tuples of monomial exponents with the given total degree bound,
+    by total degree, then by the degrees of the arguments ascending."""
     nvars = model.n_total
     for total in range(max_total_degree + 1):
-        for split in _degree_splits(total, arity):
+        for split in reversed(monomials_of_degree(arity, total)):
             pools = [monomials_of_degree(nvars, d) for d in split]
             yield from itertools.product(*pools)
-
-
-def _degree_splits(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _degree_splits(total - head, parts - 1):
-            yield (head,) + tail
 
 
 def apply_to_monomials(op: MultiDiffOp, args: Sequence[Exponent]) -> Dict[Exponent, Fraction]:

@@ -13,16 +13,13 @@ class NotWobsError(ConhochError):
     """Reduction was requested for an object outside the observable class."""
 
 
-class NotCocycleError(ConhochError):
-    """A decomposition was requested for a chain that is not closed."""
-
-
 class NotConstraintError(ConhochError):
     """An operation required a constraint (observable-class) object."""
 
 
 class NotClosedError(ConhochError):
-    """A first-order cochain was expected to be a Hochschild cocycle."""
+    """A chain or cochain was expected to be closed (a cocycle) and is
+    not."""
 
 
 class SolveFailureError(ConhochError):

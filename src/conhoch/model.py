@@ -40,8 +40,9 @@ Exponent = Tuple[int, ...]
 
 def monomials_of_degree(nvars: int, degree: int) -> List[Exponent]:
     """All exponent tuples of the given total degree, in descending
-    lexicographic order (so x1^d comes first).  Deterministic."""
-    if nvars == 0:
+    lexicographic order (so x1^d comes first); none for a negative
+    degree.  Deterministic."""
+    if nvars == 0 or degree < 0:
         return [()] if degree == 0 else []
 
     def rec(remaining: int, slots: int) -> Iterator[Tuple[int, ...]]:

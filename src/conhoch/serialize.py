@@ -59,7 +59,7 @@ def _items(data: dict, key: str, what: str) -> list:
 def poly_from_json(data: dict, nvars: int) -> Poly:
     if not isinstance(data, dict) or "terms" not in data:
         raise ValueError("polynomial JSON needs a 'terms' array")
-    terms = {}
+    terms = []
     for item in _items(data, "terms", "polynomial"):
         try:
             num, den = item["coeff"]
@@ -70,7 +70,7 @@ def poly_from_json(data: dict, nvars: int) -> Poly:
             raise ValueError(f"malformed polynomial term {item}: {exc}") from exc
         if len(exp) != nvars:
             raise ValueError(f"exponent {exp} does not match {nvars} variables")
-        terms[exp] = terms.get(exp, Fraction(0)) + coeff
+        terms.append((exp, coeff))
     return Poly(nvars, terms)
 
 

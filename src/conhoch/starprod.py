@@ -9,8 +9,8 @@ construction.
 Implemented here: exact order-by-order associativity (the associator
 as a symbol chain built from Gerstenhaber compositions), the constraint
 property (every cochain observable), extraction of the first-order
-antisymmetric bracket, the order-(k+1) equivalence solvers (plain and
-constraint), and the classification of infinitesimal constraint star
+antisymmetric bracket, the order-(k+1) equivalence report (plain and
+constraint solves), and the classification of infinitesimal constraint star
 products by a bivector plus a normal-word class.  The compatibility of
 a bivector with the embedded submanifold (coisotropy) is a bivector
 condition and lives in :mod:`conhoch.multivector`.
@@ -23,7 +23,7 @@ closedness, equivalence or classification, which are all linear.
 
 Associativity is decided on symbols alone, so this module imports
 cohomology (and with it the elimination kernel) only inside the
-equivalence solvers, and decompose (and with it the multivectors) only
+equivalence report, and decompose (and with it the multivectors) only
 when a bracket is extracted or a class computed: star-check compiles
 none of them, and no star command compiles the operator-level checks of
 :mod:`conhoch.hochschild`.  The handlers of the
@@ -37,8 +37,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .diffops import (MultiDiffOp, apply_to_monomials, compose_symbols,
                       monomial_argument_tuples)
-from .errors import (InvariantError, NotClosedError, NotConstraintError,
-                     PreconditionError)
+from .errors import InvariantError, NotClosedError, PreconditionError
 from .model import FlatModel
 from .poly import Poly
 from .symbols import SubspaceTag, SymbolChain, chain_membership, differential_d
@@ -176,11 +175,12 @@ def poisson_from_star(star: TruncatedStar) -> MultiVector:
     return pr1_top(antisym)
 
 
-def _orderwise_difference(a: TruncatedStar, b: TruncatedStar, k: int) -> SymbolChain:
-    return a.cochain(k).symbol - b.cochain(k).symbol
-
-
-def _check_equivalence_preconditions(a: TruncatedStar, b: TruncatedStar, k: int) -> None:
+def equivalence_report(a: TruncatedStar, b: TruncatedStar, k: int) -> dict:
+    """Plain and constraint order-(k+1) equivalence of two constraint
+    star products agreeing up to order k, in one record.  "S" is a map
+    whose coboundary is C_{k+1} - C'_{k+1}: an observable one when the
+    difference is constraint-exact, else a plain one, else None.  The
+    preconditions are checked once for both solves."""
     if k < 0:
         raise PreconditionError("agreement order must be non-negative")
     if a.model != b.model:
@@ -188,63 +188,34 @@ def _check_equivalence_preconditions(a: TruncatedStar, b: TruncatedStar, k: int)
     if a.order < k + 1 or b.order < k + 1:
         raise PreconditionError(f"both star products must carry order {k + 1}")
     for r in range(1, k + 1):
-        if not _orderwise_difference(a, b, r).is_zero():
+        if a.cochain(r) != b.cochain(r):
             raise PreconditionError(f"star products differ already at order {r}")
     if not (is_constraint_star(a) and is_constraint_star(b)):
         raise PreconditionError("both star products must be constraint")
     if check_associativity(a, k + 1) is not None or check_associativity(b, k + 1) is not None:
         raise PreconditionError(f"star products must be associative to order {k + 1}")
-
-
-def _solve_equivalence(a: TruncatedStar, b: TruncatedStar, k: int,
-                       constraint: bool) -> Optional[MultiDiffOp]:
-    from .cohomology import find_constraint_potential, find_potential
-    diff = _orderwise_difference(a, b, k + 1)
-    if diff.is_zero():
-        return MultiDiffOp.zero(a.model, 1)
-    solution = find_constraint_potential(diff) if constraint else find_potential(diff)
-    return None if solution is None else MultiDiffOp(solution)
-
-
-def equivalence_step(a: TruncatedStar, b: TruncatedStar, k: int) -> Optional[MultiDiffOp]:
-    """Solve for the constraint equivalence map at order k+1 of two
-    constraint star products agreeing up to order k: an observable S
-    with coboundary C_{k+1} - C'_{k+1}.  None exactly when the
-    difference is not constraint-exact."""
-    _check_equivalence_preconditions(a, b, k)
-    return _solve_equivalence(a, b, k, constraint=True)
-
-
-def plain_equivalence_step(a: TruncatedStar, b: TruncatedStar, k: int) -> Optional[MultiDiffOp]:
-    """Same solve without the observable restriction on S."""
-    _check_equivalence_preconditions(a, b, k)
-    return _solve_equivalence(a, b, k, constraint=False)
-
-
-def equivalence_report(a: TruncatedStar, b: TruncatedStar, k: int) -> dict:
-    """Plain and constraint order-(k+1) equivalence in one record; the
-    preconditions are checked once for both solves."""
-    _check_equivalence_preconditions(a, b, k)
-    plain = _solve_equivalence(a, b, k, constraint=False)
-    constraint = _solve_equivalence(a, b, k, constraint=True)
-    return {
-        "order": k + 1,
-        "plain_equivalent": plain is not None,
-        "constraint_equivalent": constraint is not None,
-        "S": constraint if constraint is not None else plain,
-    }
+    diff = a.cochain(k + 1).symbol - b.cochain(k + 1).symbol
+    if diff.is_zero():  # the zero map, without loading the solvers
+        plain = constraint = SymbolChain.zero(a.model, 1)
+    else:
+        # the preconditions make diff a closed constraint 2-cochain, so it
+        # goes to the solver ungated; _solve_d is looked up per call so
+        # that bench/tracer.py's rebinding reaches it
+        from . import cohomology
+        plain = cohomology._solve_d(diff, None)
+        constraint = cohomology._solve_d(diff, SubspaceTag.WOBS)
+    s = constraint if constraint is not None else plain
+    return {"order": k + 1,
+            "plain_equivalent": plain is not None,
+            "constraint_equivalent": constraint is not None,
+            "S": None if s is None else MultiDiffOp(s)}
 
 
 def classify_infinitesimal(c1: MultiDiffOp) -> CocycleClass:
     """Constraint equivalence class of an infinitesimal constraint star
     product with first cochain c1: the observable bivector and the
-    normal-word chain of its cocycle decomposition."""
-    if c1.arity != 2:
-        raise PreconditionError("first-order cochains have two arguments")
-    if not chain_membership(c1.symbol, SubspaceTag.WOBS):
-        raise NotConstraintError("first-order cochain is not constraint")
-    if not differential_d(c1.symbol).is_zero():
-        raise NotClosedError("first-order cochain is not closed")
+    normal-word chain of its cocycle decomposition, which checks that
+    c1 is a closed constraint 2-cochain."""
     from .decompose import decompose_2cocycle
     return decompose_2cocycle(c1.symbol).cocycle_class
 
@@ -280,10 +251,7 @@ def cmd_star_equiv(model, args) -> dict:
         raise ValueError(f"star-equiv input needs 'star' and 'star_prime': {exc}") from exc
     report = equivalence_report(a, b, agree_to)
     s = report["S"]
-    return {"order": report["order"],
-            "plain_equivalent": report["plain_equivalent"],
-            "constraint_equivalent": report["constraint_equivalent"],
-            "S": None if s is None else serialize.op_to_json(s)}
+    return {**report, "S": None if s is None else serialize.op_to_json(s)}
 
 
 def cmd_classify_star(model, args) -> dict:

@@ -16,7 +16,7 @@ from conhoch import (CocycleClass, FlatModel, MultiVector, Poly, Slice,
 from conhoch import cohomology, slicecount
 from conhoch.slicecount import normal_class_monomials
 from conhoch.decompose import slice_monomials
-from conhoch.errors import (InvariantError, NotCocycleError, NotConstraintError,
+from conhoch.errors import (InvariantError, NotClosedError, NotConstraintError,
                             PreconditionError, SolveFailureError)
 from conhoch.dense import RationalMatrix
 from conhoch.linalg import sparse_rank
@@ -28,6 +28,27 @@ from reference import function_slice_basis, tagged_slots_by_monomial
 # ---------------------------------------------------------------------------
 # slices and matrices
 # ---------------------------------------------------------------------------
+
+
+def test_slot_tuples_keep_their_order():
+    # sorted by the tuple of word lengths, then lexicographically: the
+    # solvers keep the earliest independent columns in this order, so it
+    # decides which potential find-potential and decompose-cocycle print
+    assert cohomology._all_slot_tuples(FlatModel(3, 2, 1), 2, 3) == (
+        ((1,), (1, 1)), ((1,), (1, 2)), ((1,), (1, 3)), ((1,), (2, 2)), ((1,), (2, 3)),
+        ((1,), (3, 3)), ((2,), (1, 1)), ((2,), (1, 2)), ((2,), (1, 3)), ((2,), (2, 2)),
+        ((2,), (2, 3)), ((2,), (3, 3)), ((3,), (1, 1)), ((3,), (1, 2)), ((3,), (1, 3)),
+        ((3,), (2, 2)), ((3,), (2, 3)), ((3,), (3, 3)), ((1, 1), (1,)), ((1, 1), (2,)),
+        ((1, 1), (3,)), ((1, 2), (1,)), ((1, 2), (2,)), ((1, 2), (3,)), ((1, 3), (1,)),
+        ((1, 3), (2,)), ((1, 3), (3,)), ((2, 2), (1,)), ((2, 2), (2,)), ((2, 2), (3,)),
+        ((2, 3), (1,)), ((2, 3), (2,)), ((2, 3), (3,)), ((3, 3), (1,)), ((3, 3), (2,)),
+        ((3, 3), (3,)))
+
+
+@pytest.mark.parametrize("model", [FlatModel(2, 1, 1), FlatModel(3, 2, 1)],
+                         ids=["2,1,1", "3,2,1"])
+def test_negative_coefficient_degree_has_no_classes(model):
+    assert classified_hh2_dimension(model, SubspaceTag.WOBS, 2, -1) == 0
 
 
 def test_slice_basis_examples(m321):
@@ -382,7 +403,7 @@ def test_decompose_examples(m321):
 def test_decompose_rejects_bad_input(m321):
     not_closed = SymbolChain.from_term(m321, [(1, 1), (1,)])
     assert not differential_d(not_closed).is_zero()
-    with pytest.raises(NotCocycleError):
+    with pytest.raises(NotClosedError):
         decompose_2cocycle(not_closed)
     not_constraint = SymbolChain.from_term(m321, [(2,), (3,)])
     with pytest.raises(NotConstraintError):

@@ -86,6 +86,12 @@ def test_monomials_of_degree_counts_and_order():
     assert monomials_of_degree(0, 1) == []
 
 
+@pytest.mark.parametrize("degree", [-2, -1])
+@pytest.mark.parametrize("nvars", range(5))
+def test_monomials_of_a_negative_degree_are_none(nvars, degree):
+    assert monomials_of_degree(nvars, degree) == []
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(7)
     for _ in range(50):
