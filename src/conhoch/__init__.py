@@ -17,8 +17,8 @@ from importlib import import_module
 
 _EXPORTS = {
     "errors": ("ConhochError", "InvariantError", "ModelMismatchError",
-               "NotClosedError", "NotConstraintError", "NotWobsError",
-               "PreconditionError", "SolveFailureError", "UnsupportedTagError"),
+               "NotClosedError", "NotConstraintError", "PreconditionError",
+               "SolveFailureError", "UnsupportedTagError"),
     "model": ("FlatModel", "FunctionClass", "SubspaceTag", "monomials_of_degree"),
     "poly": ("Poly",),
     "fields": ("VectorField", "bracket", "vf_membership"),

@@ -6,14 +6,15 @@ maps: the projection of an arity-1 chain onto symmetric degree one, the
 bivector of the slotwise degree-1 part of an arity-2 chain, the
 splitting of chains into an observable-span part and a part built from
 prolonged normal directions, and the reduction of observable
-multivectors to the reduced model.  :func:`decompose_2cocycle` splits a
-closed observable 2-chain into a coboundary, an antisymmetric bivector
-part and a symmetric normal-word part.  The chain bases of the slices
-(:class:`Slice`, :func:`slice_basis`, :func:`matrix_of_D`, the
-bivector and normal-word class bases) live here too, as the slice count
-never builds a chain.  Those functions and :func:`decompose_2cocycle`
-import :mod:`conhoch.cohomology` (and with it the elimination kernel) on
-first use, and the class bases take their monomials from
+multivectors to the reduced model (NotConstraintError for any other).
+:func:`decompose_2cocycle` splits a closed observable 2-chain into a
+coboundary, an antisymmetric bivector part and a symmetric normal-word
+part.  The chain bases of the slices (:class:`Slice`,
+:func:`slice_basis`, :func:`matrix_of_D`, the bivector and normal-word
+class bases) live here too, as the slice count never builds a chain.
+Those functions and :func:`decompose_2cocycle` import
+:mod:`conhoch.cohomology` (and with it the elimination kernel) on first
+use, and the class bases take their monomials from
 :mod:`conhoch.slicecount`, so reducing a multivector compiles none of
 them.  :func:`cmd_decompose_cocycle` is the handler of the
 decompose-cocycle command.  Neither the start-up route of the CLI nor
@@ -24,8 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .errors import (InvariantError, NotConstraintError, NotWobsError, PreconditionError,
-                     SolveFailureError, UnsupportedTagError)
+from .errors import InvariantError, NotConstraintError, PreconditionError, SolveFailureError
 from .model import Exponent, FlatModel, SubspaceTag, monomials_of_degree
 from .poly import Poly
 from .multivector import MultiVector, hkr, mv_membership
@@ -106,14 +106,13 @@ def decompose_tensor2(chain: SymbolChain) -> Tensor2Decomposition:
     return Tensor2Decomposition(fw_chain, tnw_chain, van_chain, nnv_chain)
 
 
-def reduce_multivector(x: MultiVector, tag: SubspaceTag = SubspaceTag.WOBS) -> MultiVector:
+def reduce_multivector(x: MultiVector) -> MultiVector:
     """Image of an observable multivector on the reduced model: restrict
     the coefficients to C, drop every term touching a distribution or
-    normal direction, and reindex to the reduced coordinates."""
-    if tag is not SubspaceTag.WOBS:
-        raise UnsupportedTagError("reduction is defined on the observable class")
+    normal direction, and reindex to the reduced coordinates.  Raises
+    NotConstraintError outside the observable class."""
     if not mv_membership(x, SubspaceTag.WOBS):
-        raise NotWobsError("multivector is not observable")
+        raise NotConstraintError("multivector is not observable")
     model = x.model
     terms = [(tuple(i - model.n_null for i in idx),
               model.to_reduced(coeff, f"reduce_multivector at {idx}"))
@@ -144,23 +143,17 @@ class CocycleClass(_ClassFields):
             raise ValueError("need a bivector and an arity-1 chain")
         if not mv_membership(self.bivector, SubspaceTag.WOBS):
             raise NotConstraintError("bivector is not observable")
-        _validate_normal_part(self.normal_part)
+        model = self.normal_part.model
+        for gamma, (word,), _ in self.normal_part.monomials():
+            if len(word) < 2:
+                raise ValueError("normal-part words need symmetric degree >= 2")
+            _, np_, nt = _slot_profile(model, word)
+            if nt != 1 or np_:
+                raise ValueError(
+                    f"word {word} is not distribution letters with one normal letter")
+            if model.unit_counts(gamma)[2] != 0:
+                raise ValueError("normal-part coefficients must only use variables on C")
         return self
-
-
-def _validate_normal_part(psi: SymbolChain) -> None:
-    model = psi.model
-    for gamma, slots, _ in psi.monomials():
-        word = slots[0]
-        if len(word) < 2:
-            raise ValueError("normal-part words need symmetric degree >= 2")
-        _, np_, nt = _slot_profile(model, word)
-        if nt != 1 or np_:
-            raise ValueError(
-                f"word {word} is not distribution letters with one normal letter")
-        _, _, t = model.unit_counts(gamma)
-        if t != 0:
-            raise ValueError("normal-part coefficients must only use variables on C")
 
 
 class CocycleDecomposition(NamedTuple):
@@ -189,8 +182,6 @@ def decompose_2cocycle(phi: SymbolChain) -> CocycleDecomposition:
     from .symbols import chain_membership, differential_d
     cohomology._require_closed_constraint(phi)
     bivector = pr1_top(phi)
-    if not mv_membership(bivector, SubspaceTag.WOBS):
-        raise NotConstraintError("top part of the cocycle is not an observable bivector")
     rhs = phi - hkr(bivector)
     psi = cohomology._solve_d(rhs, None)
     if psi is None:
@@ -198,12 +189,13 @@ def decompose_2cocycle(phi: SymbolChain) -> CocycleDecomposition:
                                 "this contradicts the degree-2 classification")
     potential, normal = decompose_sym(psi)
     try:
-        _validate_normal_part(normal - pr1(normal))
+        # the class checks its bivector (observable, as the top part of an
+        # observable chain always is) and its normal-word part
+        cls = CocycleClass(bivector, normal - pr1(normal))
     except ValueError as exc:
-        raise SolveFailureError(f"normal component escaped its class: {exc}") from exc
+        raise SolveFailureError(f"class representative escaped its class: {exc}") from exc
     if not chain_membership(potential, SubspaceTag.WOBS):
         raise SolveFailureError("potential component escaped the observable slice")
-    cls = CocycleClass(bivector, normal - pr1(normal))
     rebuilt = (differential_d(potential) + hkr(bivector)
                + differential_d(cls.normal_part))
     if rebuilt != phi:

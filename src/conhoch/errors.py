@@ -9,12 +9,9 @@ class ModelMismatchError(ConhochError):
     """Two objects built over different flat models were combined."""
 
 
-class NotWobsError(ConhochError):
-    """Reduction was requested for an object outside the observable class."""
-
-
 class NotConstraintError(ConhochError):
-    """An operation required a constraint (observable-class) object."""
+    """An operation required a constraint (observable-class) object, such
+    as the reduction of a function or a multivector."""
 
 
 class NotClosedError(ConhochError):

@@ -1,7 +1,9 @@
 """Polynomial vector fields: the Lie bracket and constraint membership.
 
-A :class:`VectorField` holds one polynomial component per coordinate
-(component i multiplies d_i).  Membership in the observable and null
+A :class:`VectorField` is its polynomial components, one per coordinate
+(component i multiplies d_i), plus evaluation on functions; it has no
+arithmetic of its own, so a sum of fields is built from the summed
+components.  Membership in the observable and null
 classes is decided from the definitions, on the components restricted
 to C, not per monomial, so this leaf module needs no slot word: it
 imports only errors, model and poly.  The flat covariant derivative
@@ -34,28 +36,11 @@ class VectorField:
         self.components = tuple(components)
 
     @classmethod
-    def zero(cls, model: FlatModel) -> "VectorField":
-        return cls(model, [Poly.zero(model.n_total)] * model.n_total)
-
-    @classmethod
     def frame(cls, model: FlatModel, index: int, coeff: Optional[Poly] = None) -> "VectorField":
         """coeff * d_index (1-based); coeff defaults to 1."""
         comps = [Poly.zero(model.n_total) for _ in range(model.n_total)]
         comps[index - 1] = Poly.constant(model.n_total, 1) if coeff is None else coeff
         return cls(model, comps)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _same_model(self.model, other.model)
-        return VectorField(self.model, [a + b for a, b in zip(self.components, other.components)])
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.model, [-a for a in self.components])
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + (-other)
-
-    def scale(self, f) -> "VectorField":
-        return VectorField(self.model, [a * f for a in self.components])
 
     def apply(self, f: Poly) -> Poly:
         """Derivative of a function along the field."""
@@ -64,9 +49,6 @@ class VectorField:
             if not comp.is_zero():
                 out = out + comp * f.partial(i)
         return out
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, VectorField) and self.model == other.model

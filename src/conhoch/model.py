@@ -22,7 +22,9 @@ a tag without loading the symbol calculus.  So do the exponent helpers
 (:data:`Exponent`, :func:`monomials_of_degree`) that :mod:`conhoch.poly`
 re-exports: the slice count reads coefficient monomials as exponent
 tuples and never builds a polynomial, so only the methods that do
-import :class:`~conhoch.poly.Poly`, on first use.
+import :class:`~conhoch.poly.Poly`, on first use.  Reducing a function
+outside the observable class raises NotConstraintError, the one "not
+observable" error, as reducing a multivector does.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Tuple
 
-from .errors import InvariantError, ModelMismatchError, NotWobsError
+from .errors import InvariantError, ModelMismatchError, NotConstraintError
 
 if TYPE_CHECKING:  # the methods that build polynomials import it on first use
     from .poly import Poly
@@ -196,9 +198,9 @@ class FlatModel(_Dimensions):
 
     def reduce_function(self, f: Poly) -> Poly:
         """Image of an observable function on the reduced space; raises
-        NotWobsError outside the observable class."""
+        NotConstraintError outside the observable class."""
         if not self.function_in_class(f, FunctionClass.WOBS):
-            raise NotWobsError(f"function {f} is not observable")
+            raise NotConstraintError(f"function {f} is not observable")
         return self.to_reduced(f, "reduce_function")
 
 

@@ -4,6 +4,9 @@ All rationals travel as exact [numerator, denominator] pairs; no
 floating point appears in any interface.  Encoders emit terms in the
 canonical order so output is byte-deterministic; decoders validate and
 raise ValueError on malformed input (the CLI maps that to exit code 1).
+Chains and multivectors share one decoder, :func:`_term_map`: the grade
+under the class's JSON grade key (``arity`` or ``degree``), then a
+coefficient and a key per term.
 The human text of an encoded value comes from :mod:`conhoch.printer`.
 
 :func:`_load` reads the JSON object of ``--in FILE`` for every command
@@ -80,24 +83,31 @@ def chain_to_json(chain: SymbolChain) -> dict:
                       for slots, coeff in chain.sorted_terms()]}
 
 
-def chain_from_json(data: dict, model: FlatModel) -> SymbolChain:
-    from .symbols import SymbolChain
-    if not isinstance(data, dict) or "arity" not in data or "terms" not in data:
-        raise ValueError("symbol chain JSON needs 'arity' and 'terms'")
-    arity = json_integer(data["arity"], "'arity'")
+def _term_map(data: dict, model: FlatModel, cls, what: str, read_key):
+    """Decode a chain or a multivector: the grade under the class's JSON
+    grade key, then per term a coefficient and the key that read_key
+    reads from the term."""
+    grade = cls._grade_name
+    if not isinstance(data, dict) or grade not in data or "terms" not in data:
+        raise ValueError(f"{what} JSON needs {grade!r} and 'terms'")
+    n = json_integer(data[grade], repr(grade))
     terms = []
-    for item in _items(data, "terms", "symbol chain"):
+    for item in _items(data, "terms", what):
         try:
             coeff = poly_from_json(item["coeff_poly"], model.n_total)
-            slots = tuple(tuple(sorted(json_integer(i, "a slot letter") for i in w))
-                          for w in item["slots"])
+            terms.append((read_key(item), coeff))
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed chain term {item}: {exc}") from exc
-        terms.append((slots, coeff))
+            raise ValueError(f"malformed {what} term {item}: {exc}") from exc
     try:
-        return SymbolChain(model, arity, terms)
+        return cls(model, n, terms)
     except IndexError as exc:
-        raise ValueError(f"symbol chain does not fit model {model}: {exc}") from exc
+        raise ValueError(f"{what} does not fit model {model}: {exc}") from exc
+
+
+def chain_from_json(data: dict, model: FlatModel) -> SymbolChain:
+    from .symbols import SymbolChain
+    return _term_map(data, model, SymbolChain, "symbol chain", lambda item: tuple(
+        tuple(sorted(json_integer(i, "a slot letter") for i in w)) for w in item["slots"]))
 
 
 def op_to_json(op: MultiDiffOp) -> dict:
@@ -134,20 +144,8 @@ def multivector_to_json(x: MultiVector) -> dict:
 
 def multivector_from_json(data: dict, model: FlatModel) -> MultiVector:
     from .multivector import MultiVector
-    if not isinstance(data, dict) or "degree" not in data or "terms" not in data:
-        raise ValueError("multivector JSON needs 'degree' and 'terms'")
-    terms = []
-    for item in _items(data, "terms", "multivector"):
-        try:
-            coeff = poly_from_json(item["coeff_poly"], model.n_total)
-            idx = tuple(json_integer(i, "an index") for i in item["indices"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed multivector term {item}: {exc}") from exc
-        terms.append((idx, coeff))
-    try:
-        return MultiVector(model, json_integer(data["degree"], "'degree'"), terms)
-    except IndexError as exc:
-        raise ValueError(f"multivector does not fit model {model}: {exc}") from exc
+    return _term_map(data, model, MultiVector, "multivector",
+                     lambda item: tuple(json_integer(i, "an index") for i in item["indices"]))
 
 
 def star_from_json(data: dict, model: FlatModel) -> TruncatedStar:

@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from . import cohomology
-from .errors import PreconditionError
+from .errors import PreconditionError, UnsupportedTagError
 from .linalg import sparse_rank
 from .model import Exponent, FlatModel, FunctionClass, SubspaceTag, monomials_of_degree
 from .words import Word, mv_monomial_member
@@ -90,7 +90,7 @@ def hh_dimension(model: FlatModel, tag: SubspaceTag, degree: int,
     if degree not in (1, 2):
         raise PreconditionError("slice cohomology is computed in degrees 1 and 2")
     if tag not in (SubspaceTag.WOBS, SubspaceTag.NULL):
-        raise PreconditionError("cohomology slices carry wobs/null tags")
+        raise UnsupportedTagError("cohomology slices carry wobs/null tags")
     total = 0
     for gamma in monomials_of_degree(model.n_total, coeff_degree):
         d, _, t = model.unit_counts(gamma)
@@ -111,7 +111,7 @@ def hh0_dimension(model: FlatModel, tag: SubspaceTag, coeff_degree: int) -> int:
     spanned, so its monomials are counted without building one."""
     cls = {SubspaceTag.WOBS: FunctionClass.WOBS, SubspaceTag.NULL: FunctionClass.NULL}
     if tag not in cls:
-        raise PreconditionError("degree 0 carries wobs/null tags")
+        raise UnsupportedTagError("degree 0 carries wobs/null tags")
     if coeff_degree < 0:
         raise ValueError("degree must be non-negative")
     return sum(1 for exp in monomials_of_degree(model.n_total, coeff_degree)
@@ -155,7 +155,7 @@ def classified_hh2_dimension(model: FlatModel, tag: SubspaceTag,
     if sym_degree < 2:
         raise PreconditionError("the degree-2 classification needs K >= 2")
     if tag not in (SubspaceTag.WOBS, SubspaceTag.NULL):
-        raise PreconditionError("classification carries wobs/null tags")
+        raise UnsupportedTagError("classification carries wobs/null tags")
     total = len(normal_class_monomials(model, sym_degree, coeff_degree))
     if sym_degree == 2:
         total += len(bivector_slice_monomials(model, tag, coeff_degree))

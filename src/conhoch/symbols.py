@@ -18,7 +18,7 @@ This module provides
 
 * one term-map core for multivectors and chains (storage, merge,
   arithmetic, equality, splitting, the ``--format table`` repr),
-* the symmetric product of words and the tensor operations on chains,
+* the symmetric product of words,
 * the tensor differential, built from the unit differential of
   :mod:`conhoch.words`,
 * membership of chains, decided per monomial: the tagged subspaces by
@@ -185,15 +185,6 @@ class SymbolChain(_TermMap):
         poly = coeff if isinstance(coeff, Poly) else Poly.constant(model.n_total, coeff)
         slots = tuple(tuple(sorted(w)) for w in slots)
         return cls(model, len(slots), {slots: poly})
-
-    def tensor(self, other: "SymbolChain") -> "SymbolChain":
-        """Concatenation of tensor slots (coefficients multiply)."""
-        _same_model(self.model, other.model)
-        terms = []
-        for sa, ca in self.terms.items():
-            for sb, cb in other.terms.items():
-                terms.append((sa + sb, ca * cb))
-        return SymbolChain(self.model, self.arity + other.arity, terms)
 
     def transpose(self) -> "SymbolChain":
         """Swap the two slots of an arity-2 chain."""

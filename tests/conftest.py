@@ -115,7 +115,7 @@ def rand_field_in_class(rng: random.Random, model: FlatModel, tag: SubspaceTag,
     that satisfy the component conditions."""
     from conhoch import vf_membership
 
-    field = VectorField.zero(model)
+    comps = [Poly.zero(model.n_total)] * model.n_total
     tries = 0
     while n_terms and tries < 200:
         tries += 1
@@ -126,6 +126,6 @@ def rand_field_in_class(rng: random.Random, model: FlatModel, tag: SubspaceTag,
         candidate = VectorField.frame(
             model, i, Poly.monomial(tuple(exp), rand_fraction(rng)))
         if vf_membership(candidate, tag):
-            field = field + candidate
+            comps[i - 1] = comps[i - 1] + candidate.components[i - 1]
             n_terms -= 1
-    return field
+    return VectorField(model, comps)

@@ -202,22 +202,16 @@ def _compiled_nodes(modules):
     return total
 
 
-#: each route's size once the multivectors, the operator checks and the
-#: dense reference left the modules it compiles, plus about 400 nodes for
-#: the plain command-line reader, less what the slice worker pool and
-#: CONHOCH_JOBS took (154 nodes on verify-theorem, 17 in cli elsewhere),
-#: less what the unread aliases and codecs and the second reduction took
-#: (257 nodes on every route through poly, symbols and serialize, 581 on
-#: decompose-cocycle), less what the operator arithmetic, the second and
-#: third equivalence entry points and composition generators took (412 on
-#: star-check, 485 on star-equiv, 74 on verify-theorem, 83 on
-#: find-potential, 83 on decompose-cocycle)
+#: each route's compiled size plus a margin of at most 300 nodes: a
+#: definition that lands on a route it does not serve, or a module the
+#: route should not load, takes the route over its budget; a change that
+#: sheds nodes from a route lowers its budget by the same amount
 @pytest.mark.parametrize("args, bound", [
-    (_STAR_CHECK, 10414),
-    (_STAR_EQUIV, 12341),
-    (_VERIFY_THEOREM, 6522),
-    (_FIND_POTENTIAL, 9693),
-    (_DECOMPOSE_COCYCLE, 12719),
+    (_STAR_CHECK, 10256),
+    (_STAR_EQUIV, 12183),
+    (_VERIFY_THEOREM, 6517),
+    (_FIND_POTENTIAL, 9535),
+    (_DECOMPOSE_COCYCLE, 12484),
 ], ids=["star-check", "star-equiv", "verify-theorem", "find-potential", "decompose-cocycle"])
 def test_command_compiles_within_its_node_budget(command_route, args, bound):
     # the solver and slice-count routes compile what they call and little

@@ -9,7 +9,7 @@ from conhoch import (FlatModel, Poly, SubspaceTag, SymbolChain,
                      chain_membership, decompose_sym, decompose_tensor2,
                      differential_d, reduce_multivector)
 from conhoch import MultiVector, decompose
-from conhoch.errors import InvariantError, NotWobsError
+from conhoch.errors import InvariantError, NotConstraintError
 
 from conftest import rand_chain, rand_tagged_chain, var
 from reference import in_function_span_wobs
@@ -155,5 +155,5 @@ def test_reduce_multivector_drops_restricted_coefficients():
 
 
 def test_reduce_multivector_requires_observable(m321):
-    with pytest.raises(NotWobsError):
+    with pytest.raises(NotConstraintError):
         reduce_multivector(MultiVector.wedge_of_frames(m321, (2, 3)))

@@ -8,7 +8,8 @@ import pytest
 
 from conhoch import (FlatModel, FunctionClass, MultiDiffOp, MultiVector, Poly,
                      SubspaceTag, SymbolChain, VectorField, bracket,
-                     chain_membership, monomial_member, mv_membership,
+                     chain_membership, classified_hh2_dimension, hh0_dimension,
+                     hh_dimension, monomial_member, mv_membership, op_membership,
                      vf_membership)
 from conhoch.errors import UnsupportedTagError
 from conhoch.words import mv_monomial_member
@@ -304,3 +305,24 @@ def test_hatted_tags_limited_to_low_arity(m321):
     with pytest.raises(UnsupportedTagError):
         chain_membership(SymbolChain.zero(m321, 2), SubspaceTag.WOBS_NOT_NULL)
     assert chain_membership(SymbolChain.zero(m321, 2), SubspaceTag.NULL_NOT_VAN)
+
+
+_M321 = FlatModel(3, 2, 1)
+_HATTED = [tag for tag in SubspaceTag if tag not in (SubspaceTag.WOBS, SubspaceTag.NULL)]
+
+
+@pytest.mark.parametrize("tag", _HATTED, ids=[tag.value for tag in _HATTED])
+@pytest.mark.parametrize("check", [
+    lambda tag: hh_dimension(_M321, tag, 2, 2, 0),
+    lambda tag: hh0_dimension(_M321, tag, 0),
+    lambda tag: classified_hh2_dimension(_M321, tag, 2, 0),
+    lambda tag: mv_membership(MultiVector.wedge_of_frames(_M321, (1, 2)), tag),
+    lambda tag: vf_membership(VectorField.frame(_M321, 1), tag),
+    lambda tag: op_membership(MultiDiffOp(SymbolChain.from_term(_M321, [(1,)])), tag),
+], ids=["hh_dimension", "hh0_dimension", "classified_hh2_dimension", "mv_membership",
+        "vf_membership", "op_membership"])
+def test_objects_without_hatted_blocks_refuse_hatted_tags(check, tag):
+    # cohomology slices, multivectors, vector fields and operators carry
+    # only the wobs/null tags; all of them refuse the rest with one type
+    with pytest.raises(UnsupportedTagError):
+        check(tag)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conhoch import (FlatModel, FunctionClass, MultiVector, Poly, SubspaceTag,
                      monomials_of_degree, reduce_multivector)
-from conhoch.errors import NotWobsError
+from conhoch.errors import NotConstraintError
 from conhoch.words import mv_monomial_member
 
 from conftest import all_models, rand_poly, var
@@ -93,7 +93,7 @@ def test_reduce_function_examples(m321):
 
 
 def test_reduce_function_rejects_non_observables(m321):
-    with pytest.raises(NotWobsError):
+    with pytest.raises(NotConstraintError):
         m321.reduce_function(var(m321, 1))
 
 

@@ -27,9 +27,7 @@ def test_vee_symmetry():
 
 
 def test_tensor_bookkeeping(m321):
-    a = SymbolChain.from_term(m321, [(1,)])
-    b = SymbolChain.from_term(m321, [(2, 2)])
-    t = a.tensor(b)
+    t = SymbolChain.from_term(m321, [(1,), (2, 2)])
     assert t.arity == 2
     assert list(t.terms) == [((1,), (2, 2))]
     assert t.max_total_order() == 3
