@@ -16,12 +16,13 @@ chain bases of :mod:`conhoch.decompose` and the solvers share:
   only through its letter profile.  A normal unit (t >= 1) makes every
   chain null, and wobs reads d only as d = 0, so a (tag, d, t) window is
   one of three kinds (:func:`_window`): every tuple, the null tuples or
-  the wobs tuples.  Windows are decided per word and cached per (model,
-  arity, K, window).
-* Letter-content blocks.  The differential only splits slot words, so
-  it keeps the multiset of letters across all slots (the letter
-  content) and is block-diagonal over it; :func:`_image_columns` builds
-  one integer sparse column per domain word.
+  the wobs tuples.
+* Letter-content blocks, the one unit of the slice count and the
+  solvers.  The differential keeps the letters of all slots together
+  (the letter content) and is block-diagonal over them.
+  :func:`_content_words` lists one block's domain words and
+  :func:`_image_columns` their integer sparse columns; only the chain
+  bases list a whole window (:func:`_tagged_slots_for_units`).
 * :func:`find_potential` and :func:`find_constraint_potential` - exact
   solves of D(psi) = phi through the sparse exact kernel of
   :mod:`conhoch.linalg`, one solve per letter-content block; the
@@ -39,32 +40,17 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import NotClosedError, NotConstraintError, PreconditionError
 from .linalg import sparse_solve
-from .model import Exponent, FlatModel, SubspaceTag, monomials_of_degree
-from .words import Slots, Word, _slot_profile, _tensor_member, unit_differential
+from .model import Exponent, FlatModel, SubspaceTag
+from .words import Slots, Word, _slot_profile, _tensor_member, _word_splits, unit_differential
 
 if TYPE_CHECKING:  # the solvers import these on use
     from fractions import Fraction
 
     from .symbols import SymbolChain
-
-
-@lru_cache(maxsize=None)
-def _all_slot_tuples(model: FlatModel, arity: int, sym_degree: int) -> Tuple[Slots, ...]:
-    """Every tuple of slot words with the given arity and total symmetric
-    degree, in deterministic order."""
-    letters = range(1, model.n_total + 1)
-    out: List[Slots] = []
-    # word lengths are the compositions of sym_degree into arity positive
-    # parts, in ascending lexicographic order
-    for split in reversed(monomials_of_degree(arity, sym_degree - arity)):
-        pools = [tuple(itertools.combinations_with_replacement(letters, k + 1))
-                 for k in split]
-        out.extend(itertools.product(*pools))
-    return tuple(out)
 
 
 def _window(tag: str, d_units: int, t_units: int) -> str:
@@ -77,20 +63,48 @@ def _window(tag: str, d_units: int, t_units: int) -> str:
     return "null" if tag == "null" or d_units >= 1 else "wobs"
 
 
+def _window_order(slots: Slots) -> tuple:
+    """Slot tuples sort by their word lengths, then lexicographically."""
+    return tuple(map(len, slots)), slots
+
+
+@lru_cache(maxsize=None)
+def _content_words(model: FlatModel, arity: int, content: Word,
+                   window: str) -> Tuple[Slots, ...]:
+    """The domain words of one letter-content block of a :func:`_window`
+    kind: the tuples of arity slot words that split content one word at a
+    time (``_word_splits``), kept by the window's rule, in window order."""
+    words = [(content,)] if arity == 1 else [
+        (left,) + rest for left, right, _ in _word_splits(content)
+        for rest in _content_words(model, arity - 1, right, "total")]
+    if window != "total":
+        subtag = SubspaceTag(window)
+        words = [s for s in words
+                 if _tensor_member(0, 0, tuple(_slot_profile(model, w) for w in s), subtag)]
+    return tuple(sorted(words, key=_window_order))
+
+
+def _contents(model: FlatModel, sym_degree: int) -> Iterable[Word]:
+    """Every letter content of a symmetric degree (none below 1)."""
+    letters = range(1, model.n_total + 1)
+    return itertools.combinations_with_replacement(letters, sym_degree) if sym_degree > 0 else ()
+
+
 @lru_cache(maxsize=None)
 def _tagged_slots_for_units(model: FlatModel, arity: int, sym_degree: int,
                             window: str) -> Tuple[Slots, ...]:
-    """Slot tuples of a :func:`_window` kind, in the order of
-    :func:`_all_slot_tuples`; decided once per word profile and once per
-    tuple of profiles."""
-    all_slots = _all_slot_tuples(model, arity, sym_degree)
-    if window == "total":
-        return all_slots
-    subtag = SubspaceTag(window)
-    profile = {w: _slot_profile(model, w)
-               for w in set(itertools.chain.from_iterable(all_slots))}.__getitem__
-    member = lru_cache(maxsize=None)(lambda profiles: _tensor_member(0, 0, profiles, subtag))
-    return tuple(s for s in all_slots if member(tuple(map(profile, s))))
+    """Every slot tuple of a :func:`_window` kind, in window order: the
+    content blocks of the window merged.  Only the chain bases of
+    :mod:`conhoch.decompose` list a whole window."""
+    return tuple(sorted(itertools.chain.from_iterable(
+        _content_words(model, arity, content, window)
+        for content in _contents(model, sym_degree)), key=_window_order))
+
+
+@lru_cache(maxsize=None)
+def _all_slot_tuples(model: FlatModel, arity: int, sym_degree: int) -> Tuple[Slots, ...]:
+    """Every slot tuple of an (arity, K) window, in window order."""
+    return _tagged_slots_for_units(model, arity, sym_degree, "total")
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +113,7 @@ def _tagged_slots_for_units(model: FlatModel, arity: int, sym_degree: int,
 
 
 def _letter_content(slots: Slots) -> Word:
-    """Sorted letters of all slots together.  The differential only
-    splits words, so it keeps this multiset and is block-diagonal over
-    it."""
+    """Sorted letters of all slots together: the differential keeps them."""
     return tuple(sorted(itertools.chain.from_iterable(slots)))
 
 
@@ -112,18 +124,6 @@ def _image_columns(model: FlatModel, words: Sequence[Slots]) -> List[Dict[Slots,
     the words.  The model is part of the signature the callers share;
     the shuffles themselves do not depend on it."""
     return [unit_differential(slots) for slots in words]
-
-
-@lru_cache(maxsize=None)
-def _letter_blocks(model: FlatModel, arity: int, sym_degree: int,
-                   window: str) -> Dict[Word, Tuple[Slots, ...]]:
-    """The domain words of a window grouped by letter content, in
-    enumeration order within each group.  Callers must not mutate the
-    shared result."""
-    blocks: Dict[Word, List[Slots]] = {}
-    for slots in _tagged_slots_for_units(model, arity, sym_degree, window):
-        blocks.setdefault(_letter_content(slots), []).append(slots)
-    return {content: tuple(words) for content, words in blocks.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +149,9 @@ def _solve_d(rhs: SymbolChain, tag: Optional[SubspaceTag]) -> Optional[SymbolCha
     solution_terms: List[Tuple[Slots, Poly]] = []
     for (sym_degree, gamma), targets in sorted(blocks.items()):
         d, _, t = model.unit_counts(gamma)
-        domain = _letter_blocks(model, rhs.arity - 1, sym_degree, _window(tag_name, d, t))
+        window = _window(tag_name, d, t)
         for content, target in targets.items():
-            words = domain.get(content, ())
+            words = _content_words(model, rhs.arity - 1, content, window)
             columns = _image_columns(model, words)
             solution = sparse_solve(columns, target)
             if solution is None:

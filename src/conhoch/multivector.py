@@ -5,7 +5,7 @@ A :class:`MultiVector` shares the term-map core of
 index tuples.  This module holds the wedge product, the
 antisymmetrisation :func:`hkr` into chains whose slots all have
 symmetric degree one, the constraint membership of multivectors
-(decided per monomial by :func:`conhoch.words.mv_monomial_member`), the
+(decided per monomial by :func:`conhoch.words.mv_members`), the
 coisotropy of a bivector and the handler of the hkr command.
 
 Star products, operators and the solvers never build a multivector, so
@@ -28,7 +28,7 @@ from .errors import PreconditionError
 from .model import FlatModel, SubspaceTag, _same_model
 from .poly import Poly
 from .symbols import SymbolChain, _TermMap
-from .words import Slots, mv_monomial_member
+from .words import Slots, mv_members
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -125,9 +125,9 @@ def hkr(x: MultiVector) -> SymbolChain:
 
 def mv_membership(x: MultiVector, tag: SubspaceTag) -> bool:
     """Constraint membership of a multivector, decided per monomial (both
-    tagged classes are monomially spanned)."""
-    return all(mv_monomial_member(x.model, gamma, idx, tag)
-               for gamma, idx, _ in x.monomials())
+    tagged classes are monomially spanned); a hatted tag raises, on zero too."""
+    monomials = [(gamma, idx) for gamma, idx, _ in x.monomials()]
+    return len(mv_members(x.model, tag, monomials)) == len(monomials)
 
 
 def coisotropy_check(pi: MultiVector) -> bool:

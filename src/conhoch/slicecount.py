@@ -1,17 +1,18 @@
 """The slice count: cohomology dimensions of tagged slices and the
 dimensions the degree-2 classification predicts.
 
-The windows and letter-content blocks come from :mod:`conhoch.cohomology`,
-read through the module (``cohomology._window``, ...) so that a
-rebinding of those names reaches every call.  Relabelling letters inside
-a coordinate block keeps every letter profile and commutes with the
-differential, so blocks of one :func:`_pattern` have equal rank: one
-block per pattern is eliminated, and each window's rank is cached.
-Coefficients are read as exponent tuples and columns are integer, so
-this module loads neither :mod:`conhoch.poly`, :mod:`fractions` nor the
-symbol calculus; only the representatives of ``--reps`` import
-:mod:`conhoch.decompose`, :mod:`conhoch.multivector` and
-:mod:`conhoch.symbols`, on use.
+The window kinds and letter-content blocks come from
+:mod:`conhoch.cohomology`, read through the module
+(``cohomology._window``, ...) so that a rebinding of those names reaches
+every call.  Relabelling letters inside a coordinate block keeps every
+letter profile and commutes with the differential, so blocks of one
+pattern have equal size and rank: :func:`_window_dims` builds and ranks
+one block per pattern, times its number of contents, and lists no window
+whole.  Coefficients are read as exponent tuples and columns are
+integer, so this module loads neither :mod:`conhoch.poly`,
+:mod:`fractions` nor the symbol calculus; only the representatives of
+``--reps`` import :mod:`conhoch.decompose`, :mod:`conhoch.multivector`
+and :mod:`conhoch.symbols`, on use.
 
 The main entry points:
 
@@ -38,7 +39,7 @@ from . import cohomology
 from .errors import PreconditionError, UnsupportedTagError
 from .linalg import sparse_rank
 from .model import Exponent, FlatModel, FunctionClass, SubspaceTag, monomials_of_degree
-from .words import Word, mv_monomial_member
+from .words import Word, mv_members
 
 if TYPE_CHECKING:  # the representatives import it on use
     from .symbols import SymbolChain
@@ -50,30 +51,33 @@ if TYPE_CHECKING:  # the representatives import it on use
 
 
 @lru_cache(maxsize=None)
-def _pattern(model: FlatModel, content: Word) -> Tuple[Tuple[int, int], ...]:
-    """The sorted (coordinate block, multiplicity) pairs of the letters of
-    a letter content, blocks numbered 0, 1, 2 for D, D-perp, TC-perp: the
-    content up to relabelling letters inside their blocks."""
-    return tuple(sorted(((letter > model.n_null) + (letter > model.n_wobs), n)
-                        for letter, n in Counter(content).items()))
+def _patterns(model: FlatModel, sym_degree: int) -> Tuple[Tuple[int, Word], ...]:
+    """The letter contents of a symmetric degree grouped by pattern, the
+    sorted (coordinate block, multiplicity) pairs of their letters with
+    blocks numbered 0, 1, 2 for D, D-perp, TC-perp: a content up to
+    relabelling letters inside their blocks.  Per pattern: how many
+    contents have it, and the first of them."""
+    table: Dict[tuple, List] = {}
+    for content in cohomology._contents(model, sym_degree):
+        pattern = tuple(sorted(((letter > model.n_null) + (letter > model.n_wobs), n)
+                               for letter, n in Counter(content).items()))
+        table.setdefault(pattern, [0, content])[0] += 1
+    return tuple(map(tuple, table.values()))
 
 
 @lru_cache(maxsize=None)
-def _rank_of_d(model: FlatModel, arity: int, sym_degree: int, window: str) -> int:
-    """Rank of the differential on an (arity, K) window, for every
-    coefficient monomial whose tag and unit counts give this window: the
-    differential never touches the coefficient.  Blocks of one
-    :func:`_pattern` have equal rank, so one block per pattern is
-    eliminated."""
-    blocks = cohomology._letter_blocks(model, arity, sym_degree, window)
-    ranks: Dict[tuple, int] = {}
-    total = 0
-    for content, words in blocks.items():
-        key = _pattern(model, content)
-        if key not in ranks:
-            ranks[key] = sparse_rank(cohomology._image_columns(model, words))
-        total += ranks[key]
-    return total
+def _window_dims(model: FlatModel, arity: int, sym_degree: int,
+                 window: str) -> Tuple[int, int]:
+    """Size and rank of the differential on an (arity, K) window, for
+    every coefficient monomial whose tag and unit counts give this
+    window (the differential never touches the coefficient)."""
+    size = rank = 0
+    for count, content in _patterns(model, sym_degree):
+        words = cohomology._content_words(model, arity, content, window)
+        if words:
+            size += count * len(words)
+            rank += count * sparse_rank(cohomology._image_columns(model, words))
+    return size, rank
 
 
 def hh_dimension(model: FlatModel, tag: SubspaceTag, degree: int,
@@ -84,8 +88,8 @@ def hh_dimension(model: FlatModel, tag: SubspaceTag, degree: int,
     differential from functions vanishes by commutativity).  Degree 2:
     kernel on tagged arity-2 chains minus the rank coming from tagged
     arity-1 chains.  Both are assembled blockwise per coefficient
-    monomial, which the differential never mixes, from the window ranks
-    cached per :func:`_window` kind.
+    monomial, which the differential never mixes, from the window sizes
+    and ranks cached per :func:`_window` kind.
     """
     if degree not in (1, 2):
         raise PreconditionError("slice cohomology is computed in degrees 1 and 2")
@@ -95,12 +99,9 @@ def hh_dimension(model: FlatModel, tag: SubspaceTag, degree: int,
     for gamma in monomials_of_degree(model.n_total, coeff_degree):
         d, _, t = model.unit_counts(gamma)
         window = (sym_degree, cohomology._window(tag.value, d, t))
-        dim1 = len(cohomology._tagged_slots_for_units(model, 1, *window))
-        if degree == 1:
-            total += dim1 - _rank_of_d(model, 1, *window)
-            continue
-        dim2 = len(cohomology._tagged_slots_for_units(model, 2, *window))
-        total += dim2 - _rank_of_d(model, 2, *window) - _rank_of_d(model, 1, *window)
+        size, rank = _window_dims(model, degree, *window)
+        incoming = _window_dims(model, 1, *window)[1] if degree == 2 else 0
+        total += size - rank - incoming
     return total
 
 
@@ -125,10 +126,9 @@ def hh0_dimension(model: FlatModel, tag: SubspaceTag, coeff_degree: int) -> int:
 
 def bivector_slice_monomials(model: FlatModel, tag: SubspaceTag,
                              coeff_degree: int) -> List[Tuple[Exponent, Tuple[int, int]]]:
-    return [(gamma, pair)
-            for gamma in monomials_of_degree(model.n_total, coeff_degree)
-            for pair in itertools.combinations(range(1, model.n_total + 1), 2)
-            if mv_monomial_member(model, gamma, pair, tag)]
+    return mv_members(model, tag, itertools.product(
+        monomials_of_degree(model.n_total, coeff_degree),
+        itertools.combinations(range(1, model.n_total + 1), 2)))
 
 
 def normal_class_monomials(model: FlatModel, sym_degree: int,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .errors import UnsupportedTagError
 from .model import Exponent, FlatModel, SubspaceTag
@@ -121,18 +121,18 @@ def _tensor_member(d_units: int, t_units: int,
     return null or (d_units == 0 and all(nt == 0 for _, _, nt in profiles))
 
 
-def mv_monomial_member(model: FlatModel, gamma: Exponent,
-                       idx: Tuple[int, ...], tag: SubspaceTag) -> bool:
-    """Membership of a single monomial multivector term in the tagged
-    class.  The null multivectors are wedges of arbitrary fields with
-    one null factor, so a monomial qualifies when a distribution letter
-    is present or the coefficient carries a normal variable; the
-    observable ones additionally admit wedges of observable fields."""
+def mv_members(model: FlatModel, tag: SubspaceTag,
+               monomials: Iterable[Tuple[Exponent, Word]]) -> List[Tuple[Exponent, Word]]:
+    """The (coefficient exponent, index tuple) monomial multivectors among
+    these in the tagged class, after refusing a hatted tag.  Null ones are
+    wedges with one null factor (a distribution letter or a normal
+    coefficient variable); observable ones also wedges of observable fields."""
     if tag not in (SubspaceTag.WOBS, SubspaceTag.NULL):
         raise UnsupportedTagError(f"multivectors carry only wobs/null tags, not {tag.value}")
-    d, _, t = model.unit_counts(gamma)
-    nd, np_, nt = _slot_profile(model, idx)
-    null_route = nd >= 1 or t >= 1
-    if tag is SubspaceTag.NULL:
-        return null_route
-    return null_route or _word_wobs_ok(t, d, nd, np_, nt)
+    kept = []
+    for gamma, idx in monomials:
+        d, _, t = model.unit_counts(gamma)
+        nd, np_, nt = _slot_profile(model, idx)
+        if nd >= 1 or t >= 1 or (tag is SubspaceTag.WOBS and _word_wobs_ok(t, d, nd, np_, nt)):
+            kept.append((gamma, idx))
+    return kept

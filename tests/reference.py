@@ -11,9 +11,11 @@ that the library decides it with:
   (:func:`op_membership_functional`);
 * the order-r associator of a star product, evaluated from its cochains
   on every monomial triple of a window (:func:`sampled_defects`);
-* the tagged slot tuples of a slice window, filtered monomial by
-  monomial through the public membership test with one witness
-  coefficient (:func:`tagged_slots_by_monomial`).
+* the slot tuples of a slice window, listed as a product of word pools
+  per tuple of word lengths (:func:`slot_tuples_by_pools`), and the
+  tagged ones among them, filtered monomial by monomial through the
+  public membership test with one witness coefficient
+  (:func:`tagged_slots_by_monomial`).
 
 It also holds test-only constructions that no command and no library
 routine calls: the monomial basis of a function class
@@ -32,7 +34,6 @@ from typing import List, Sequence
 from conhoch import (FlatModel, FunctionClass, MultiDiffOp, Poly, SubspaceTag, SymbolChain,
                      TruncatedStar, monomial_member, vee)
 from conhoch import starprod
-from conhoch.cohomology import _all_slot_tuples
 from conhoch.diffops import apply_to_monomials, monomial_argument_tuples
 from conhoch.errors import UnsupportedTagError
 from conhoch.model import _same_model, monomials_of_degree
@@ -121,6 +122,20 @@ def _witness_exponent(model: FlatModel, d_units: int, t_units: int):
     return tuple(exp)
 
 
+def slot_tuples_by_pools(model: FlatModel, arity: int, sym_degree: int):
+    """Every tuple of slot words with the given arity and total symmetric
+    degree: per tuple of word lengths (the compositions of sym_degree
+    into arity positive parts, in ascending lexicographic order), the
+    product of the pools of sorted words of those lengths."""
+    letters = range(1, model.n_total + 1)
+    out = []
+    for split in reversed(monomials_of_degree(arity, sym_degree - arity)):
+        pools = [tuple(itertools.combinations_with_replacement(letters, k + 1))
+                 for k in split]
+        out.extend(itertools.product(*pools))
+    return tuple(out)
+
+
 def tagged_slots_by_monomial(model: FlatModel, arity: int, sym_degree: int,
                              tag: str, d_units: int, t_units: int):
     """Every slot tuple of the (arity, K) window whose monomial chain, with
@@ -128,7 +143,7 @@ def tagged_slots_by_monomial(model: FlatModel, arity: int, sym_degree: int,
     monomial_member, in the order of the untagged enumeration."""
     gamma = _witness_exponent(model, d_units, t_units)
     subtag = SubspaceTag(tag)
-    return tuple(s for s in _all_slot_tuples(model, arity, sym_degree)
+    return tuple(s for s in slot_tuples_by_pools(model, arity, sym_degree)
                  if monomial_member(model, gamma, s, subtag))
 
 

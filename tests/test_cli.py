@@ -208,9 +208,9 @@ def _compiled_nodes(modules):
 #: sheds nodes from a route lowers its budget by the same amount
 @pytest.mark.parametrize("args, bound", [
     (_STAR_CHECK, 10256),
-    (_STAR_EQUIV, 12183),
-    (_VERIFY_THEOREM, 6517),
-    (_FIND_POTENTIAL, 9535),
+    (_STAR_EQUIV, 12178),
+    (_VERIFY_THEOREM, 6516),
+    (_FIND_POTENTIAL, 9530),
     (_DECOMPOSE_COCYCLE, 12484),
 ], ids=["star-check", "star-equiv", "verify-theorem", "find-potential", "decompose-cocycle"])
 def test_command_compiles_within_its_node_budget(command_route, args, bound):

@@ -1,6 +1,8 @@
 """Slice bases, matrices of the differential, cohomology dimensions and the
 constructive degree-2 decomposition."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -22,7 +24,7 @@ from conhoch.dense import RationalMatrix
 from conhoch.linalg import sparse_rank
 
 from conftest import all_models, rand_fraction, rand_tagged_chain, var
-from reference import function_slice_basis, tagged_slots_by_monomial
+from reference import function_slice_basis, slot_tuples_by_pools, tagged_slots_by_monomial
 
 
 # ---------------------------------------------------------------------------
@@ -146,31 +148,59 @@ def test_tagged_window_equals_the_monomial_filter(window):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_windows())
-def test_pattern_rank_equals_the_rank_of_every_block(window):
-    # one elimination per letter-multiplicity pattern gives the same rank
-    # as eliminating every letter-content block of the window
-    model, arity, K, tag, d, t = window
-    kind = cohomology._window(tag, d, t)
-    blocks = cohomology._letter_blocks(model, arity, K, kind)
-    every_block = sum(sparse_rank(cohomology._image_columns(model, words))
-                      for words in blocks.values())
-    assert slicecount._rank_of_d(model, arity, K, kind) == every_block
+@given(st.sampled_from(all_models(5)), st.integers(1, 3), st.integers(1, 5),
+       st.sampled_from(("total", "null", "wobs")))
+def test_content_blocks_agree_with_the_listing_by_word_pools(model, arity, K, kind):
+    # the words of a window come one letter-content block at a time; the
+    # whole listing equals the product of word pools in the same order,
+    # each block is the subsequence of the tagged window with its content
+    # (so the solvers keep the same earliest columns), and one ranked
+    # block per pattern gives the size and rank of every block together
+    assert cohomology._all_slot_tuples(model, arity, K) == slot_tuples_by_pools(model, arity, K)
+    window = cohomology._tagged_slots_for_units(model, arity, K, kind)
+    by_content = {}
+    for slots in window:
+        by_content.setdefault(cohomology._letter_content(slots), []).append(slots)
+    rank = 0
+    for content in itertools.combinations_with_replacement(range(1, model.n_total + 1), K):
+        block = cohomology._content_words(model, arity, content, kind)
+        assert block == tuple(by_content.get(content, ()))
+        rank += sparse_rank(cohomology._image_columns(model, block))
+    assert slicecount._window_dims(model, arity, K, kind) == (len(window), rank)
+
+
+def test_untagged_window_gives_the_hkr_count():
+    # Hochschild, Kostant and Rosenberg (1962): the degree-2 Hochschild
+    # cohomology of a polynomial algebra is its bivectors, so on the
+    # untagged window (every coefficient monomial alike) the kernel
+    # leaves C(n, 2) classes at K = 2 and none at K >= 3
+    for model in all_models(5):
+        for K in range(2, 6):
+            dim2, rank2 = slicecount._window_dims(model, 2, K, "total")
+            rank1 = slicecount._window_dims(model, 1, K, "total")[1]
+            expected = math.comb(model.n_total, 2) if K == 2 else 0
+            assert dim2 - rank2 - rank1 == expected, (model, K)
 
 
 def test_slice_reports_rank_each_window_kind_once():
     # (7,4,2) with K = 2..5 and c <= 2 meets every window kind (total,
-    # null, wobs) at both arities: 2 * 4 * 3 ranks, whatever the unit
-    # counts of the coefficients
-    for cached in (cohomology._tagged_slots_for_units, cohomology._letter_blocks,
-                   slicecount._rank_of_d):
+    # null, wobs) at both arities: 2 * 4 * 3 window sizes and ranks,
+    # whatever the unit counts of the coefficients.  Neither the slice
+    # count nor a solve lists a whole window.
+    listings = (cohomology._all_slot_tuples, cohomology._tagged_slots_for_units)
+    for cached in listings + (cohomology._content_words, slicecount._patterns,
+                              slicecount._window_dims):
         cached.cache_clear()
     model = FlatModel(7, 4, 2)
     for tag in (SubspaceTag.WOBS, SubspaceTag.NULL):
         for K in range(2, 6):
             for c in range(3):
                 slicecount.hh2_slice_report(model, tag, K, c)
-    assert slicecount._rank_of_d.cache_info().misses == 24
+    assert slicecount._window_dims.cache_info().misses == 24
+    assert [f.cache_info().misses for f in listings] == [0, 0]
+    phi = differential_d(SymbolChain.from_term(model, [(1, 3, 4)]))
+    assert find_constraint_potential(phi) is not None
+    assert [f.cache_info().misses for f in listings] == [0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ import random
 import pytest
 
 from conhoch import (FlatModel, FunctionClass, MultiDiffOp, MultiVector, Poly,
-                     SubspaceTag, SymbolChain, VectorField, bracket,
+                     SubspaceTag, SymbolChain, VectorField, bivector_slice_basis, bracket,
                      chain_membership, classified_hh2_dimension, hh0_dimension,
                      hh_dimension, monomial_member, mv_membership, op_membership,
                      vf_membership)
 from conhoch.errors import UnsupportedTagError
-from conhoch.words import mv_monomial_member
+from conhoch.words import mv_members
 
 from conftest import all_models, monomial_field, monomials_up_to, rand_poly, var
 from reference import op_membership_functional
@@ -131,7 +131,7 @@ def test_mv_monomials_against_spanning_oracle():
         for gamma in monomials_up_to(model.n_total, 2):
             for pair in itertools.combinations(range(1, model.n_total + 1), 2):
                 for tag in (SubspaceTag.WOBS, SubspaceTag.NULL):
-                    assert mv_monomial_member(model, gamma, pair, tag) == \
+                    assert bool(mv_members(model, tag, [(gamma, pair)])) == \
                         _mv_spanning_oracle(model, gamma, pair, tag), \
                         (model, gamma, pair, tag)
 
@@ -317,12 +317,15 @@ _HATTED = [tag for tag in SubspaceTag if tag not in (SubspaceTag.WOBS, SubspaceT
     lambda tag: hh0_dimension(_M321, tag, 0),
     lambda tag: classified_hh2_dimension(_M321, tag, 2, 0),
     lambda tag: mv_membership(MultiVector.wedge_of_frames(_M321, (1, 2)), tag),
+    lambda tag: mv_membership(MultiVector.zero(_M321, 2), tag),
+    lambda tag: bivector_slice_basis(_M321, tag, 0),
     lambda tag: vf_membership(VectorField.frame(_M321, 1), tag),
     lambda tag: op_membership(MultiDiffOp(SymbolChain.from_term(_M321, [(1,)])), tag),
 ], ids=["hh_dimension", "hh0_dimension", "classified_hh2_dimension", "mv_membership",
-        "vf_membership", "op_membership"])
+        "mv_membership-zero", "bivector_slice_basis", "vf_membership", "op_membership"])
 def test_objects_without_hatted_blocks_refuse_hatted_tags(check, tag):
     # cohomology slices, multivectors, vector fields and operators carry
-    # only the wobs/null tags; all of them refuse the rest with one type
+    # only the wobs/null tags; all of them refuse the rest with one type,
+    # also where no monomial is there to test
     with pytest.raises(UnsupportedTagError):
         check(tag)

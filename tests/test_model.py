@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conhoch import (FlatModel, FunctionClass, MultiVector, Poly, SubspaceTag,
                      monomials_of_degree, reduce_multivector)
 from conhoch.errors import NotConstraintError
-from conhoch.words import mv_monomial_member
+from conhoch.words import mv_members
 
 from conftest import all_models, rand_poly, var
 from reference import function_slice_basis
@@ -131,7 +131,7 @@ def test_reduce_multivector_is_a_module_map(data):
     terms = zip(pairs, data.draw(st.lists(monomials, min_size=len(pairs),
                                           max_size=len(pairs))))
     x = MultiVector(model, 2, [(pair, Poly.monomial(e, q)) for pair, (e, q) in terms
-                               if mv_monomial_member(model, e, pair, SubspaceTag.WOBS)])
+                               if mv_members(model, SubspaceTag.WOBS, [(e, pair)])])
     assert reduce_multivector(x.scale(f)) == \
         reduce_multivector(x).scale(model.reduce_function(f))
 
