@@ -73,9 +73,10 @@ def _content_words(model: FlatModel, arity: int, content: Word,
                    window: str) -> Tuple[Slots, ...]:
     """The domain words of one letter-content block of a :func:`_window`
     kind: the tuples of arity slot words that split content one word at a
-    time (``_word_splits``), kept by the window's rule, in window order."""
+    time (the proper ``_word_splits``), kept by the window's rule, in
+    window order."""
     words = [(content,)] if arity == 1 else [
-        (left,) + rest for left, right, _ in _word_splits(content)
+        (left,) + rest for left, right, _ in _word_splits(content)[1:-1]
         for rest in _content_words(model, arity - 1, right, "total")]
     if window != "total":
         subtag = SubspaceTag(window)

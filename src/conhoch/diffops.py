@@ -11,24 +11,26 @@ this way vanish on constants in every argument because every slot has
 symmetric degree at least one.
 
 This module holds what star products run: :class:`MultiDiffOp` and its
-evaluation, the Leibniz splittings of derivative words, the symbol of a
+evaluation, the spread of a derivative word over several factors (from
+the one splitting table ``words._word_splits``), the symbol of a
 Gerstenhaber composition (:func:`compose_symbols`) and the fast
-evaluation on monomial arguments.  The operator-level checks - the
-Hochschild coboundary, the chain-map check, operator membership - and
-the handlers of classify-operator and delta live in
-:mod:`conhoch.hochschild`, so no star-product command compiles them.
+evaluation on monomial arguments, each merged once by ``merge_terms``.
+The operator-level checks - the Hochschild coboundary, the chain-map
+check, operator membership - and the handlers of classify-operator and
+delta live in :mod:`conhoch.hochschild`, so no star-product command
+compiles them.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
 from typing import Dict, Iterator, Sequence, Tuple
 
 from .model import FlatModel
-from .poly import Exponent, Poly, monomials_of_degree
-from .symbols import Slots, SymbolChain, Word, vee
+from .poly import Exponent, Poly, merge_terms, monomials_of_degree
+from .symbols import SymbolChain, Word, vee
+from .words import _word_splits
 
 
 class MultiDiffOp:
@@ -73,24 +75,8 @@ class MultiDiffOp:
 
 
 # ---------------------------------------------------------------------------
-# Leibniz splittings and Gerstenhaber composition
+# Leibniz spreads and Gerstenhaber composition
 # ---------------------------------------------------------------------------
-
-
-def _leibniz_splits(word: Word) -> Iterator[Tuple[Word, Word, int]]:
-    """All splittings of an iterated-derivative word over a product of two
-    functions: sub-multiset, complement, multinomial multiplicity."""
-    letters = sorted(set(word))
-    mults = [word.count(v) for v in letters]
-    for choice in itertools.product(*(range(m + 1) for m in mults)):
-        left: Tuple[int, ...] = ()
-        right: Tuple[int, ...] = ()
-        multiplicity = 1
-        for v, m, j in zip(letters, mults, choice):
-            left += (v,) * j
-            right += (v,) * (m - j)
-            multiplicity *= comb(m, j)
-        yield left, right, multiplicity
 
 
 def _leibniz_spread(word: Word, parts: int) -> Iterator[Tuple[Tuple[Word, ...], int]]:
@@ -99,7 +85,7 @@ def _leibniz_spread(word: Word, parts: int) -> Iterator[Tuple[Tuple[Word, ...], 
     if parts == 1:
         yield (word,), 1
         return
-    for left, right, mult in _leibniz_splits(word):
+    for left, right, mult in _word_splits(word):
         for rest, rest_mult in _leibniz_spread(right, parts - 1):
             yield (left,) + rest, mult * rest_mult
 
@@ -115,7 +101,7 @@ def compose_symbols(outer: SymbolChain, inner: SymbolChain, slot: int) -> Symbol
     others lengthen the inner words.  Inner words are nonempty, so no
     constant slot appears."""
     i = slot - 1
-    terms: Dict[Slots, Poly] = {}
+    pairs = []
     for outer_slots, a in outer.terms.items():
         head, tail = outer_slots[:i], outer_slots[i + 1:]
         spreads = list(_leibniz_spread(outer_slots[i], inner.arity + 1))
@@ -125,10 +111,8 @@ def compose_symbols(outer: SymbolChain, inner: SymbolChain, slot: int) -> Symbol
                 if coeff.is_zero():
                     continue
                 key = head + tuple(vee(s, u) for s, u in zip(inner_slots, on_slots)) + tail
-                value = a * coeff * mult
-                acc = terms.get(key)
-                terms[key] = value if acc is None else acc + value
-    return SymbolChain(outer.model, outer.arity + inner.arity - 1, terms)
+                pairs.append((key, a * coeff * mult))
+    return outer._like(merge_terms(pairs), outer.arity + inner.arity - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -150,31 +134,20 @@ def monomial_argument_tuples(model: FlatModel, arity: int,
 def apply_to_monomials(op: MultiDiffOp, args: Sequence[Exponent]) -> Dict[Exponent, Fraction]:
     """Fast evaluation on monomial arguments; returns the result as a raw
     exponent-to-coefficient map."""
-    result: Dict[Exponent, Fraction] = {}
+    pairs = []
     for slots, coeff in op.symbol.terms.items():
         factor = 1
         residual = [0] * op.model.n_total
-        dead = False
         for word, arg in zip(slots, args):
             exps = list(arg)
             for letter in word:
-                e = exps[letter - 1]
-                if e == 0:
-                    dead = True
-                    break
-                factor *= e
-                exps[letter - 1] = e - 1
-            if dead:
+                factor *= exps[letter - 1]  # 0 once a letter finds no power
+                exps[letter - 1] -= 1
+            if not factor:
                 break
             for pos, e in enumerate(exps):
                 residual[pos] += e
-        if dead:
-            continue
-        for exp, q in coeff.terms.items():
-            key = tuple(r + e for r, e in zip(residual, exp))
-            total = result.get(key, Fraction(0)) + q * factor
-            if total:
-                result[key] = total
-            else:
-                result.pop(key, None)
-    return result
+        else:
+            pairs.extend((tuple(r + e for r, e in zip(residual, exp)), q * factor)
+                         for exp, q in coeff.terms.items())
+    return merge_terms(pairs)

@@ -2,8 +2,9 @@
 
 The Hochschild coboundary is implemented here directly from its
 operator-level formula (multiplication boundary terms plus alternating
-argument merges, expanded on symbols through the Leibniz rule of
-:mod:`conhoch.diffops`).  It is therefore independent of the
+argument merges, expanded on symbols through the Leibniz splittings of
+``words._word_splits`` and merged once by
+:func:`~conhoch.poly.merge_terms`).  It is therefore independent of the
 shuffle-coproduct differential on the symbol side, and the equality
 Op(D phi) = delta(Op(phi)) (:func:`chain_map_check`) is a genuine
 cross-check between the two routes.
@@ -17,14 +18,12 @@ chain membership test when it runs.
 
 from __future__ import annotations
 
-from typing import Dict
-
-from .diffops import MultiDiffOp, _leibniz_splits
+from .diffops import MultiDiffOp
 from .errors import InvariantError, UnsupportedTagError
 from .model import SubspaceTag
-from .poly import Poly
+from .poly import merge_terms
 from .symbols import SymbolChain, differential_d
-from .words import Slots
+from .words import _word_splits
 
 
 # ---------------------------------------------------------------------------
@@ -47,34 +46,23 @@ def hochschild_delta(op: MultiDiffOp) -> MultiDiffOp:
     vanishes on constants (checked: InvariantError otherwise).
     """
     n = op.arity
-    model = op.model
-    augmented: Dict[Slots, Poly] = {}
-
-    def accumulate(key: Slots, value: Poly) -> None:
-        acc = augmented.get(key)
-        total = value if acc is None else acc + value
-        if total.is_zero():
-            augmented.pop(key, None)
-        else:
-            augmented[key] = total
-
+    pairs = []
     for slots, coeff in op.symbol.terms.items():
-        accumulate(((),) + slots, coeff)
+        pairs.append((((),) + slots, coeff))
         sign_last = -1 if (n + 1) % 2 else 1
-        accumulate(slots + ((),), coeff * sign_last)
+        pairs.append((slots + ((),), coeff * sign_last))
         for i in range(n):
             sign = -1 if (i + 1) % 2 else 1
-            for left, right, mult in _leibniz_splits(slots[i]):
+            for left, right, mult in _word_splits(slots[i]):
                 key = slots[:i] + (left, right) + slots[i + 1:]
-                accumulate(key, coeff * (sign * mult))
+                pairs.append((key, coeff * (sign * mult)))
 
-    proper: Dict[Slots, Poly] = {}
-    for key, value in augmented.items():
+    terms = merge_terms(pairs)
+    for key in terms:
         if any(len(w) == 0 for w in key):
             raise InvariantError("hochschild_delta: coboundary of a normalized "
                                  f"operator kept a constant slot: {key}")
-        proper[key] = value
-    return MultiDiffOp(SymbolChain(model, n + 1, proper))
+    return MultiDiffOp(op.symbol._like(terms, n + 1))
 
 
 def chain_map_check(phi: SymbolChain) -> bool:

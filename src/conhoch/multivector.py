@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -58,10 +57,6 @@ class MultiVector(_TermMap):
     _too_low = "multivector degree must be at least 1"
     _encoder = "multivector_to_json"
 
-    def __init__(self, model: FlatModel, degree: int,
-                 terms: Mapping[Tuple[int, ...], Poly] = ()):
-        super().__init__(model, degree, terms)
-
     @property
     def degree(self) -> int:
         return self._grade
@@ -69,8 +64,8 @@ class MultiVector(_TermMap):
     @staticmethod
     def _check_key(model: FlatModel, degree: int, idx) -> Tuple[int, ...]:
         idx = tuple(idx)
-        if len(idx) != degree:
-            raise ValueError(f"index tuple {idx} has wrong length")
+        if len(idx) != degree or not all(type(i) is int for i in idx):
+            raise ValueError(f"index tuple {idx} needs {degree} int entries")
         if list(idx) != sorted(set(idx)):
             raise ValueError(f"indices must be strictly increasing, got {idx}")
         if not all(1 <= i <= model.n_total for i in idx):

@@ -12,6 +12,12 @@ coefficients, and the canonical term order is graded lexicographic
 (higher total degree first, then lexicographically larger exponent
 tuple first), which makes printing and serialisation deterministic.
 
+The constructor checks input from outside (non-negative ``int``
+exponents; ``int`` or ``Fraction`` coefficients, never a float), and the
+arithmetic builds its canonical results through the trusted
+``Poly._trusted``.  :func:`merge_terms` is the one merge of every term
+map in the package.
+
 Variable indices in the public API are 1-based, matching the coordinate
 labels x1..xn used throughout the package.  The exponent helpers
 ``Exponent`` and :func:`monomials_of_degree` live in :mod:`conhoch.model`,
@@ -34,6 +40,30 @@ def grlex_key(exp: Exponent) -> Tuple[int, Exponent]:
     return (sum(exp), exp)
 
 
+def merge_terms(pairs: Iterable[tuple]) -> dict:
+    """The term map of (key, value) pairs: values of repeated keys summed,
+    zero values and zero sums dropped.  Values are ``Fraction`` or
+    :class:`Poly`."""
+    out: dict = {}
+    for key, value in pairs:
+        acc = out.get(key)
+        if acc is not None:
+            value = acc + value
+        if value:
+            out[key] = value
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _scalar(value: Scalar) -> Fraction:
+    """An exact coefficient from outside the program: an int or a
+    Fraction; a float, a bool or anything else is refused."""
+    if type(value) is bool or not isinstance(value, (int, Fraction)):
+        raise ValueError(f"coefficient {value!r} is not an int or a Fraction")
+    return Fraction(value)
+
+
 class Poly:
     """Immutable sparse polynomial with rational coefficients."""
 
@@ -42,23 +72,24 @@ class Poly:
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar] = ()):
         if nvars < 0:
             raise ValueError("nvars must be non-negative")
-        clean: Dict[Exponent, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
+        checked = []
         for exp, coeff in items:
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != nvars:
-                raise ValueError(f"exponent {exp} has wrong length for {nvars} variables")
-            if any(e < 0 for e in exp):
-                raise ValueError(f"negative exponent in {exp}")
-            q = Fraction(coeff)
-            if q != 0:
-                q += clean.get(exp, Fraction(0))
-                if q:
-                    clean[exp] = q
-                else:
-                    clean.pop(exp, None)
+            exp = tuple(exp)
+            if len(exp) != nvars or not all(type(e) is int and e >= 0 for e in exp):
+                raise ValueError(f"exponent {exp} needs {nvars} non-negative int entries")
+            checked.append((exp, _scalar(coeff)))
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", merge_terms(checked))
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: Dict[Exponent, Fraction]) -> "Poly":
+        """A polynomial owning terms already canonical (exponents of
+        length nvars to nonzero Fractions); nothing is checked or copied."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Poly is immutable")
@@ -71,7 +102,7 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars: int, value: Scalar) -> "Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
@@ -84,7 +115,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, exp: Exponent, coeff: Scalar = 1) -> "Poly":
-        return cls(len(exp), {tuple(exp): Fraction(coeff)})
+        return cls(len(exp), {tuple(exp): coeff})
 
     # -- structure -------------------------------------------------------
 
@@ -108,23 +139,14 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.constant(self.nvars, other)
         self._check(other)
-        terms = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            q = terms.get(exp, Fraction(0)) + coeff
-            if q:
-                terms[exp] = q
-            else:
-                terms.pop(exp, None)
-        return Poly(self.nvars, terms)
+        return Poly._trusted(self.nvars, merge_terms([*self.terms.items(), *other.terms.items()]))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union["Poly", Scalar]) -> "Poly":
-        if not isinstance(other, Poly):
-            other = Poly.constant(self.nvars, other)
         return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "Poly":
@@ -132,19 +154,12 @@ class Poly:
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if not isinstance(other, Poly):
-            q = Fraction(other)
-            return Poly(self.nvars, {e: c * q for e, c in self.terms.items()})
+            q = _scalar(other)
+            return Poly._trusted(self.nvars, merge_terms((e, c * q) for e, c in self.terms.items()))
         self._check(other)
-        prod: Dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(a + b for a, b in zip(ea, eb))
-                q = prod.get(exp, Fraction(0)) + ca * cb
-                if q:
-                    prod[exp] = q
-                else:
-                    prod.pop(exp, None)
-        return Poly(self.nvars, prod)
+        return Poly._trusted(self.nvars, merge_terms(
+            (tuple(a + b for a, b in zip(ea, eb)), ca * cb)
+            for ea, ca in self.terms.items() for eb, cb in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -167,14 +182,8 @@ class Poly:
         if not 1 <= index <= self.nvars:
             raise IndexError(f"variable index {index} out of range [1, {self.nvars}]")
         i = index - 1
-        terms: Dict[Exponent, Fraction] = {}
-        for exp, coeff in self.terms.items():
-            if exp[i] == 0:
-                continue
-            new = list(exp)
-            new[i] -= 1
-            terms[tuple(new)] = coeff * exp[i]
-        return Poly(self.nvars, terms)
+        return Poly._trusted(self.nvars, {exp[:i] + (exp[i] - 1,) + exp[i + 1:]: coeff * exp[i]
+                                          for exp, coeff in self.terms.items() if exp[i]})
 
     def partial_word(self, word: Iterable[int]) -> "Poly":
         """Iterated partial derivative along a word of 1-based indices."""
@@ -188,8 +197,8 @@ class Poly:
     def substitute_zero(self, positions: Iterable[int]) -> "Poly":
         """Set the variables at the given 0-based positions to zero."""
         pos = set(positions)
-        return Poly(self.nvars, {e: c for e, c in self.terms.items()
-                                 if all(e[p] == 0 for p in pos)})
+        return Poly._trusted(self.nvars, {e: c for e, c in self.terms.items()
+                                          if all(e[p] == 0 for p in pos)})
 
     # -- comparison / display ---------------------------------------------
 

@@ -16,8 +16,9 @@ membership questions below reduce to combinatorial checks per monomial.
 
 This module provides
 
-* one term-map core for multivectors and chains (storage, merge,
-  arithmetic, equality, splitting, the ``--format table`` repr),
+* one term-map core for multivectors and chains (checked storage,
+  arithmetic through the trusted ``_like``, equality, splitting, the
+  ``--format table`` repr),
 * the symmetric product of words,
 * the tensor differential, built from the unit differential of
   :mod:`conhoch.words`,
@@ -41,11 +42,11 @@ classifies a function or a vector field never compiles it.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 from .errors import UnsupportedTagError
 from .model import FlatModel, SubspaceTag, _same_model
-from .poly import Exponent, Poly
+from .poly import Exponent, Poly, merge_terms
 from .words import Slots, Word, _slot_profile, _tensor_member, unit_differential
 
 if TYPE_CHECKING:  # only annotations name it here
@@ -66,8 +67,9 @@ class _TermMap:
     """Map from basis keys to nonzero polynomial coefficients over one
     model, graded by the key length (the degree of a multivector, the
     arity of a chain).  The constructor checks each key with the
-    subclass's ``_check_key``, merges repeated keys and drops zero
-    coefficients; the repr is the ``--format table`` text."""
+    subclass's ``_check_key`` and each coefficient's model, then merges
+    repeated keys and drops zero coefficients; the repr is the
+    ``--format table`` text."""
 
     __slots__ = ("model", "_grade", "terms")
     #: set by each subclass: the grade's name in a mismatch error, the
@@ -77,34 +79,31 @@ class _TermMap:
     def __init__(self, model: FlatModel, grade: int, terms=()):
         if grade < 1:
             raise ValueError(self._too_low)
-        clean: Dict[tuple, Poly] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
+        checked = []
         for key, coeff in items:
-            key = self._check_key(model, grade, key)
             model.check_poly(coeff)
-            if not coeff.is_zero():
-                acc = clean.get(key)
-                coeff = coeff if acc is None else acc + coeff
-                if coeff.is_zero():
-                    clean.pop(key, None)
-                else:
-                    clean[key] = coeff
+            checked.append((self._check_key(model, grade, key), coeff))
         self.model = model
         self._grade = grade
-        self.terms = clean
+        self.terms = merge_terms(checked)
 
     @classmethod
     def zero(cls, model: FlatModel, grade: int):
         return cls(model, grade, {})
 
-    def _like(self, terms):
-        return type(self)(self.model, self._grade, terms)
+    def _like(self, terms: dict, grade: int = 0):
+        """A term map of this class, model and grade (unless another is
+        given) owning canonical terms; nothing is checked again."""
+        new = object.__new__(type(self))
+        new.model, new._grade, new.terms = self.model, grade or self._grade, terms
+        return new
 
     def __add__(self, other):
         _same_model(self.model, other.model)
         if self._grade != other._grade:
             raise ValueError(f"{self._grade_name} mismatch")
-        return self._like(list(self.terms.items()) + list(other.terms.items()))
+        return self._like(merge_terms([*self.terms.items(), *other.terms.items()]))
 
     def __neg__(self):
         return self._like({k: -v for k, v in self.terms.items()})
@@ -113,7 +112,7 @@ class _TermMap:
         return self + (-other)
 
     def scale(self, q):
-        return self._like({k: v * q for k, v in self.terms.items()})
+        return self._like(merge_terms((k, v * q) for k, v in self.terms.items()))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -132,8 +131,8 @@ class _TermMap:
         the test, and the others; the two always sum to self."""
         parts: Tuple[list, list] = ([], [])
         for exp, key, q in self.monomials():
-            parts[not test(exp, key)].append((key, Poly.monomial(exp, q)))
-        return self._like(parts[0]), self._like(parts[1])
+            parts[not test(exp, key)].append((key, Poly._trusted(self.model.n_total, {exp: q})))
+        return self._like(merge_terms(parts[0])), self._like(merge_terms(parts[1]))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, type(self)) and self.model == other.model
@@ -157,10 +156,6 @@ class SymbolChain(_TermMap):
     _too_low = "arity must be at least 1"
     _encoder = "chain_to_json"
 
-    def __init__(self, model: FlatModel, arity: int,
-                 terms: Mapping[Slots, Poly] = ()):
-        super().__init__(model, arity, terms)
-
     @property
     def arity(self) -> int:
         return self._grade
@@ -171,6 +166,8 @@ class SymbolChain(_TermMap):
         if len(slots) != arity:
             raise ValueError(f"term {slots} has wrong arity")
         for w in slots:
+            if not all(type(i) is int for i in w):
+                raise ValueError(f"slot word {w} needs int letters")
             if len(w) < 1:
                 raise ValueError("every slot needs symmetric degree >= 1")
             if list(w) != sorted(w):
@@ -190,14 +187,12 @@ class SymbolChain(_TermMap):
         """Swap the two slots of an arity-2 chain."""
         if self.arity != 2:
             raise ValueError("transpose is defined for arity 2")
-        return SymbolChain(self.model, 2,
-                           {(b, a): c for (a, b), c in self.terms.items()})
+        return self._like({(b, a): c for (a, b), c in self.terms.items()})
 
     def sym_degree_part(self, k: int) -> "SymbolChain":
         """Part of total symmetric degree k (sum of slot lengths)."""
-        return SymbolChain(self.model, self.arity,
-                           {s: c for s, c in self.terms.items()
-                            if sum(len(w) for w in s) == k})
+        return self._like({s: c for s, c in self.terms.items()
+                           if sum(len(w) for w in s) == k})
 
     def max_total_order(self) -> int:
         return max((sum(len(w) for w in s) for s in self.terms), default=0)
@@ -216,11 +211,9 @@ def differential_d(chain: SymbolChain) -> SymbolChain:
     """The tensor differential: alternating sum over slots of the reduced
     shuffle coproduct, with sign (-1)^i at slot i (1-based).  Raises the
     arity by one and preserves total symmetric degree and coefficients."""
-    out_terms: List[Tuple[Slots, Poly]] = []
-    for slots, coeff in chain.terms.items():
-        for image, n in unit_differential(slots).items():
-            out_terms.append((image, coeff * n))
-    return SymbolChain(chain.model, chain.arity + 1, out_terms)
+    return chain._like(merge_terms(
+        (image, coeff * n) for slots, coeff in chain.terms.items()
+        for image, n in unit_differential(slots).items()), chain.arity + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Slot words: shuffle splittings and per-monomial membership.
+"""Slot words: splittings and per-monomial membership.
 
 A word is a sorted tuple of 1-based coordinate letters with repetition
 (e.g. (1, 1, 3) stands for d1 v d1 v d3), one per slot of a monomial
 chain.  This leaf module holds what the slice kernel of
 :mod:`conhoch.cohomology` and :mod:`conhoch.slicecount` reads about
-words: shuffle splittings, the differential of one unit monomial chain,
+words: the one splitting table (:func:`_word_splits`, which the Leibniz
+rule of :mod:`conhoch.diffops` and :mod:`conhoch.hochschild` reads too),
+the differential of one unit monomial chain,
 letter profiles by coordinate block and the wobs/null membership rules
 of chain and multivector monomials.  It imports only errors and model.
 The rules of the hatted complement blocks, which only the symbol
@@ -15,7 +17,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Tuple
+from math import comb
+from typing import Dict, Iterable, List, Tuple
 
 from .errors import UnsupportedTagError
 from .model import Exponent, FlatModel, SubspaceTag
@@ -24,28 +27,26 @@ Word = Tuple[int, ...]
 Slots = Tuple[Word, ...]
 
 
-def shuffle_pairs(word: Word) -> Iterator[Tuple[Word, Word]]:
-    """All splittings of a word into an ordered pair of nonempty blocks,
-    one pair per (l, k-l)-shuffle.  Repeated letters produce repeated
-    pairs, which is exactly the shuffle multiplicity."""
-    k = len(word)
-    positions = range(k)
-    for ell in range(1, k):
-        for left_pos in itertools.combinations(positions, ell):
-            left = tuple(word[p] for p in left_pos)
-            right_set = set(left_pos)
-            right = tuple(word[p] for p in positions if p not in right_set)
-            yield left, right
-
-
 @lru_cache(maxsize=None)
 def _word_splits(word: Word) -> Tuple[Tuple[Word, Word, int], ...]:
-    """The distinct (left, right) splittings of a word with their shuffle
-    multiplicities."""
-    counts: Dict[Tuple[Word, Word], int] = {}
-    for pair in shuffle_pairs(word):
-        counts[pair] = counts.get(pair, 0) + 1
-    return tuple((left, right, n) for (left, right), n in counts.items())
+    """Every splitting of a word into a sub-multiset and its complement,
+    as (left, right, multiplicity) with multiplicity prod_v C(m_v, j_v)
+    over the letters v (m_v copies in the word, j_v on the left).  That
+    is both the Leibniz coefficient of a derivative word over a product
+    of two functions and the number of shuffles giving the pair.  The
+    first entry puts the whole word on the right and the last on the
+    left, so ``[1:-1]`` are the proper splittings (both sides nonempty)."""
+    letters = sorted(set(word))
+    mults = [word.count(v) for v in letters]
+    splits = []
+    for choice in itertools.product(*(range(m + 1) for m in mults)):
+        left, right, n = (), (), 1
+        for v, m, j in zip(letters, mults, choice):
+            left += (v,) * j
+            right += (v,) * (m - j)
+            n *= comb(m, j)
+        splits.append((left, right, n))
+    return tuple(splits)
 
 
 def unit_differential(slots: Slots) -> Dict[Slots, int]:
@@ -58,7 +59,7 @@ def unit_differential(slots: Slots) -> Dict[Slots, int]:
     for i, word in enumerate(slots):
         sign = 1 if i % 2 else -1  # (-1)^i for the 1-based slot i + 1
         head, tail = slots[:i], slots[i + 1:]
-        for left, right, n in _word_splits(word):
+        for left, right, n in _word_splits(word)[1:-1]:
             out[head + (left, right) + tail] = sign * n
     return out
 

@@ -19,9 +19,11 @@ that the library decides it with:
 
 It also holds test-only constructions that no command and no library
 routine calls: the monomial basis of a function class
-(:func:`function_slice_basis`), the reduced shuffle coproduct of a
-single word (:func:`shuffle_coproduct`), the symmetric product of
-arity-1 chains and its collapse of arity-2 chains (:func:`chain_vee`,
+(:func:`function_slice_basis`), the shuffles of a word
+(:func:`shuffle_pairs`, the oracle of ``words._word_splits``) and the
+reduced shuffle coproduct they give (:func:`shuffle_coproduct`), the
+symmetric product of arity-1 chains and its collapse of arity-2 chains
+(:func:`chain_vee`,
 :func:`vee_collapse`), and membership in the function span of the
 observable chains (:func:`in_function_span_wobs`).
 """
@@ -37,7 +39,21 @@ from conhoch import starprod
 from conhoch.diffops import apply_to_monomials, monomial_argument_tuples
 from conhoch.errors import UnsupportedTagError
 from conhoch.model import _same_model, monomials_of_degree
-from conhoch.words import _slot_profile, _tensor_member, shuffle_pairs
+from conhoch.words import _slot_profile, _tensor_member
+
+
+def shuffle_pairs(word: Sequence[int]):
+    """All splittings of a word into an ordered pair of nonempty blocks,
+    one pair per (l, k-l)-shuffle.  Repeated letters produce repeated
+    pairs, which is exactly the shuffle multiplicity."""
+    k = len(word)
+    positions = range(k)
+    for ell in range(1, k):
+        for left_pos in itertools.combinations(positions, ell):
+            left = tuple(word[p] for p in left_pos)
+            right_set = set(left_pos)
+            right = tuple(word[p] for p in positions if p not in right_set)
+            yield left, right
 
 
 def operators_equal_on_window(a: MultiDiffOp, b: MultiDiffOp,

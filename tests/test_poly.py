@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conhoch import Poly, monomials_of_degree
+from conhoch import FlatModel, MultiVector, Poly, SymbolChain, monomials_of_degree
 
 from conftest import rand_poly
 import random
@@ -116,3 +116,30 @@ def test_string_rendering():
     f = Poly.monomial((2, 0, 1)) - Poly.constant(3, Fraction(1, 2))
     assert str(f) == "x1^2*x3 - 1/2"
     assert str(Poly.zero(2)) == "0"
+
+
+_M321 = FlatModel(3, 2, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Poly(2, {(1.5, 0): 1}),
+    lambda: Poly(2, {("1", True): 1}),
+    lambda: Poly(2, {(True, 0): 1}),
+    lambda: Poly(2, {(1, 0): 0.1}),
+    lambda: Poly(2, {(1, 0): True}),
+    lambda: Poly.constant(2, 0.5),
+    lambda: Poly.variable(2, 1) * 0.5,
+    lambda: SymbolChain(_M321, 1, {((1.0, 2),): Poly.constant(3, 1)}),
+    lambda: SymbolChain(_M321, 1, {((True,),): Poly.constant(3, 1)}),
+    lambda: MultiVector(_M321, 1, {(1.0,): Poly.constant(3, 1)}),
+    lambda: MultiVector(_M321, 2, {(True, 2): Poly.constant(3, 1)}),
+], ids=["float-exponent", "str-and-bool-exponent", "bool-exponent", "float-coefficient",
+        "bool-coefficient", "float-constant", "float-scalar", "float-letter", "bool-letter",
+        "float-index", "bool-index"])
+def test_constructors_refuse_what_is_not_an_int_or_exact(build):
+    # the constructors are the one check of outside input that the trusted
+    # arithmetic relies on: a float or bool exponent, letter or index, or a
+    # float coefficient, would otherwise be stored as an int or a binary
+    # fraction
+    with pytest.raises(ValueError):
+        build()

@@ -1,17 +1,20 @@
 """Words, chains, the shuffle-coproduct differential and antisymmetrisation."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conhoch import (FlatModel, MultiVector, Poly, SymbolChain, VectorField,
                      bracket, differential_d, hkr, pr1, pr1_top, vee, wedge)
 from conhoch.errors import ModelMismatchError
-from conhoch.words import shuffle_pairs
+from conhoch.words import _word_splits
 
 from conftest import monomials_up_to, rand_chain, rand_poly, var
-from reference import chain_vee, shuffle_coproduct, vee_collapse
+from reference import chain_vee, shuffle_coproduct, shuffle_pairs, vee_collapse
 
 
 def test_wedge_antisymmetry(m321):
@@ -56,6 +59,20 @@ def test_shuffle_split_count():
     pairs = list(shuffle_pairs((1, 2, 3)))
     assert sum(1 for left, _ in pairs if len(left) == 1) == 3
     assert len(pairs) == 6
+    # the one splitting table against the shuffles, on every sorted word
+    # of length <= 6 over letters 1-4: the proper splittings counted with
+    # multiplicity are the shuffles, and all of them are the 2^k subsets
+    # of positions
+    for k in range(7):
+        for word in itertools.combinations_with_replacement(range(1, 5), k):
+            splits = _word_splits(word)
+            proper = Counter()
+            for left, right, n in splits[1:-1]:
+                proper[left, right] += n
+            assert proper == Counter(shuffle_pairs(word)), word
+            assert sum(n for _, _, n in splits) == 2 ** k, word
+            if k:
+                assert splits[0][:2] == ((), word) and splits[-1][:2] == (word, ()), word
 
 
 def test_differential_examples(m321):
@@ -194,3 +211,62 @@ def test_transpose(m321):
     c = SymbolChain.from_term(m321, [(1,), (2, 3)], var(m321, 1))
     assert c.transpose() == SymbolChain.from_term(m321, [(2, 3), (1,)], var(m321, 1))
     assert c.transpose().transpose() == c
+
+
+def _canonical_poly(p: Poly, nvars: int) -> bool:
+    """Stored terms are nvars non-negative int exponents to nonzero Fractions."""
+    return p.nvars == nvars and all(
+        type(e) is tuple and len(e) == nvars and all(type(i) is int and i >= 0 for i in e)
+        and type(c) is Fraction and c != 0 for e, c in p.terms.items())
+
+
+def _canonical_chain(x: SymbolChain, model: FlatModel, arity: int) -> bool:
+    """Stored terms are arity sorted nonempty int words to nonzero
+    canonical polynomials over the model."""
+    return x.model == model and x.arity == arity and all(
+        len(slots) == arity and all(
+            type(w) is tuple and w and list(w) == sorted(w)
+            and all(type(i) is int and 1 <= i <= model.n_total for i in w) for w in slots)
+        and coeff and _canonical_poly(coeff, model.n_total) for slots, coeff in x.terms.items())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32), st.fractions(min_value=-3, max_value=3, max_denominator=3))
+def test_trusted_arithmetic_matches_the_checked_constructor(seed, q):
+    # every result the arithmetic builds through the trusted path equals
+    # the same raw (key, value) pairs put through the checked constructor,
+    # and stores only canonical terms; b and y repeat some terms of a and
+    # x negated, so sums cancel
+    rng = random.Random(seed)
+    model = FlatModel(3, 2, 1)
+    n = model.n_total
+    a = rand_poly(rng, n, 3, 3)
+    pa = list(a.terms.items())
+    b = Poly(n, list(rand_poly(rng, n, 3, 2).terms.items())
+             + [(e, -c) for e, c in pa if rng.random() < 0.5])
+    pb = list(b.terms.items())
+    i = rng.randint(1, n)
+    for result, raw in [
+            (a + b, pa + pb),
+            (a - b, pa + [(e, -c) for e, c in pb]),
+            (a * b, [(tuple(u + v for u, v in zip(ea, eb)), ca * cb)
+                     for ea, ca in pa for eb, cb in pb]),
+            (a * q, [(e, c * q) for e, c in pa]),
+            (a.partial(i), [(e[:i - 1] + (e[i - 1] - 1,) + e[i:], c * e[i - 1])
+                            for e, c in pa if e[i - 1]])]:
+        assert result == Poly(n, raw)
+        assert _canonical_poly(result, n)
+
+    x = rand_chain(rng, model, 2, 4, 2, n_terms=3)
+    px = list(x.terms.items())
+    y = SymbolChain(model, 2, list(rand_chain(rng, model, 2, 4, 2).terms.items())
+                    + [(k, -v) for k, v in px if rng.random() < 0.5])
+    for result, arity, raw in [
+            (x + y, 2, px + list(y.terms.items())),
+            (x.scale(q), 2, [(k, v * q) for k, v in px]),
+            (x.transpose(), 2, [((s2, s1), v) for (s1, s2), v in px]),
+            (differential_d(x), 3, [(s[:j] + (left, right) + s[j + 1:], v * (-1) ** (j + 1))
+                                    for s, v in px for j in range(2)
+                                    for left, right in shuffle_pairs(s[j])])]:
+        assert result == SymbolChain(model, arity, raw)
+        assert _canonical_chain(result, model, arity)
