@@ -11,12 +11,11 @@ subspaces are monomially spanned on the flat model).
 This module holds what the slice count of :mod:`conhoch.slicecount`, the
 chain bases of :mod:`conhoch.decompose` and the solvers share:
 
-* One window per kind.  Membership in the wobs or null subspace reads
-  the coefficient only through its unit counts (d, t) and each slot word
-  only through its letter profile.  A normal unit (t >= 1) makes every
-  chain null, and wobs reads d only as d = 0, so a (tag, d, t) window is
-  one of three kinds (:func:`_window`): every tuple, the null tuples or
-  the wobs tuples.
+* One window per kind.  Membership in the wobs or null subspace is the
+  one rule of :mod:`conhoch.words`: the coefficient's unit counts (d, t)
+  pick a window kind (``words._window``: every tuple, the null tuples or
+  the wobs tuples), and the slot words' letter profiles are tested
+  against it (``words._member``).
 * Letter-content blocks, the one unit of the slice count and the
   solvers.  The differential keeps the letters of all slots together
   (the letter content) and is block-diagonal over them.
@@ -45,22 +44,13 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 from .errors import NotClosedError, NotConstraintError, PreconditionError
 from .linalg import sparse_solve
 from .model import Exponent, FlatModel, SubspaceTag
-from .words import Slots, Word, _slot_profile, _tensor_member, _word_splits, unit_differential
+from .words import (Slots, Word, _member, _slot_profile, _window, _word_splits,
+                    unit_differential)
 
 if TYPE_CHECKING:  # the solvers import these on use
     from fractions import Fraction
 
     from .symbols import SymbolChain
-
-
-def _window(tag: str, d_units: int, t_units: int) -> str:
-    """The kind of window a tag takes with a coefficient of these unit
-    counts: "total" (every tuple) when a normal unit makes every chain
-    null or the tag is total, "null" when wobs membership reduces to null
-    membership (d >= 1), else "wobs"."""
-    if tag == "total" or t_units >= 1:
-        return "total"
-    return "null" if tag == "null" or d_units >= 1 else "wobs"
 
 
 def _window_order(slots: Slots) -> tuple:
@@ -71,17 +61,15 @@ def _window_order(slots: Slots) -> tuple:
 @lru_cache(maxsize=None)
 def _content_words(model: FlatModel, arity: int, content: Word,
                    window: str) -> Tuple[Slots, ...]:
-    """The domain words of one letter-content block of a :func:`_window`
+    """The domain words of one letter-content block of a ``_window``
     kind: the tuples of arity slot words that split content one word at a
-    time (the proper ``_word_splits``), kept by the window's rule, in
-    window order."""
+    time (the proper ``_word_splits``), kept by the membership rule
+    (``_member``), in window order."""
     words = [(content,)] if arity == 1 else [
         (left,) + rest for left, right, _ in _word_splits(content)[1:-1]
         for rest in _content_words(model, arity - 1, right, "total")]
     if window != "total":
-        subtag = SubspaceTag(window)
-        words = [s for s in words
-                 if _tensor_member(0, 0, tuple(_slot_profile(model, w) for w in s), subtag)]
+        words = [s for s in words if _member(window, [_slot_profile(model, w) for w in s])]
     return tuple(sorted(words, key=_window_order))
 
 
@@ -94,7 +82,7 @@ def _contents(model: FlatModel, sym_degree: int) -> Iterable[Word]:
 @lru_cache(maxsize=None)
 def _tagged_slots_for_units(model: FlatModel, arity: int, sym_degree: int,
                             window: str) -> Tuple[Slots, ...]:
-    """Every slot tuple of a :func:`_window` kind, in window order: the
+    """Every slot tuple of a ``_window`` kind, in window order: the
     content blocks of the window merged.  Only the chain bases of
     :mod:`conhoch.decompose` list a whole window."""
     return tuple(sorted(itertools.chain.from_iterable(

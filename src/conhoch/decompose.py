@@ -30,7 +30,7 @@ from .model import Exponent, FlatModel, SubspaceTag, monomials_of_degree
 from .poly import Poly
 from .multivector import MultiVector, hkr, mv_membership
 from .symbols import SymbolChain, chain_membership, monomial_member
-from .words import Slots, _slot_profile
+from .words import Slots, _slot_profile, _window
 
 
 def pr1(chain: SymbolChain) -> SymbolChain:
@@ -55,15 +55,15 @@ def pr1_top(chain: SymbolChain) -> MultiVector:
 
 def decompose_sym(chain: SymbolChain) -> Tuple[SymbolChain, SymbolChain]:
     """Split an arity-1 chain into (observable-span part, prolonged-normal
-    part).  A monomial goes to the second component exactly when its
-    word contains a normal letter while its coefficient is a function on
-    C (no normal variables); everything else goes to the first.  The
-    split is exact: the two parts always sum back to the input."""
+    part).  A monomial goes to the second component exactly when it lies
+    in the total_not_wobs block (its word contains a normal letter while
+    its coefficient is a function on C), as in :func:`decompose_tensor2`;
+    everything else goes to the first.  The split is exact: the two parts
+    always sum back to the input."""
     if chain.arity != 1:
         raise ValueError("decompose_sym acts on arity-1 chains")
-    model = chain.model
-    normal, rest = chain.split(lambda gamma, slots: model.unit_counts(gamma)[2] == 0
-                               and _slot_profile(model, slots[0])[2] >= 1)
+    normal, rest = chain.split(lambda gamma, slots: monomial_member(
+        chain.model, gamma, slots, SubspaceTag.TOTAL_NOT_WOBS))
     return rest, normal
 
 
@@ -262,7 +262,7 @@ def slice_monomials(slc: Slice) -> List[Tuple[Exponent, Slots]]:
     out: List[Tuple[Exponent, Slots]] = []
     for gamma in monomials_of_degree(slc.model.n_total, slc.coeff_degree):
         d, _, t = slc.model.unit_counts(gamma)
-        window = cohomology._window(slc.tag, d, t)
+        window = _window(slc.tag, d, t)
         for slots in cohomology._tagged_slots_for_units(slc.model, slc.arity,
                                                         slc.sym_degree, window):
             out.append((gamma, slots))

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import UnsupportedTagError
-from .model import FlatModel, SubspaceTag, _same_model
+from .model import FlatModel, SubspaceTag, _refuse_hatted, _same_model
 from .poly import Poly
 
 
@@ -84,20 +83,19 @@ def vf_membership(x: VectorField, tag: SubspaceTag) -> bool:
     vanishes on C (the bracket condition tested against the frame, which
     generates the distribution sections as a module).
     """
+    _refuse_hatted(tag, "vector fields")
     model = x.model
     if tag is SubspaceTag.NULL:
         return all(model.restrict_to_c(x.components[i - 1]).is_zero()
                    for i in range(model.n_null + 1, model.n_total + 1))
-    if tag is SubspaceTag.WOBS:
-        for i in model.tcperp_indices:
-            if not model.restrict_to_c(x.components[i - 1]).is_zero():
+    for i in model.tcperp_indices:
+        if not model.restrict_to_c(x.components[i - 1]).is_zero():
+            return False
+    for a in model.d_indices:
+        for i in range(model.n_null + 1, model.n_total + 1):
+            if not model.restrict_to_c(x.components[i - 1].partial(a)).is_zero():
                 return False
-        for a in model.d_indices:
-            for i in range(model.n_null + 1, model.n_total + 1):
-                if not model.restrict_to_c(x.components[i - 1].partial(a)).is_zero():
-                    return False
-        return True
-    raise UnsupportedTagError(f"vector fields carry only wobs/null tags, not {tag.value}")
+    return True
 
 
 def cmd_classify_field(model, args) -> dict:

@@ -19,8 +19,8 @@ chain membership test when it runs.
 from __future__ import annotations
 
 from .diffops import MultiDiffOp
-from .errors import InvariantError, UnsupportedTagError
-from .model import SubspaceTag
+from .errors import InvariantError
+from .model import SubspaceTag, _refuse_hatted
 from .poly import merge_terms
 from .symbols import SymbolChain, differential_d
 from .words import _word_splits
@@ -82,8 +82,7 @@ def op_membership(op: MultiDiffOp, tag: SubspaceTag) -> bool:
     """Constraint membership of an operator, decided on the symbol side
     (the symbol calculus restricts to the tagged subspaces)."""
     from .symbols import chain_membership
-    if tag not in (SubspaceTag.WOBS, SubspaceTag.NULL):
-        raise UnsupportedTagError("operators carry only wobs/null tags")
+    _refuse_hatted(tag, "operators")
     return chain_membership(op.symbol, tag)
 
 

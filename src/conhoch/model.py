@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Tuple
 
-from .errors import InvariantError, ModelMismatchError, NotConstraintError
+from .errors import InvariantError, ModelMismatchError, NotConstraintError, UnsupportedTagError
 
 if TYPE_CHECKING:  # the methods that build polynomials import it on first use
     from .poly import Poly
@@ -87,6 +87,21 @@ class SubspaceTag(enum.Enum):
     TOTAL_NOT_NULL = "total_not_null"
 
 
+def _refuse_hatted(tag: SubspaceTag, what: str) -> None:
+    """The one gate of the objects that carry only the wobs and null tags
+    (multivectors, vector fields, operators and the slice counts): a
+    hatted tag raises UnsupportedTagError."""
+    if tag not in (SubspaceTag.WOBS, SubspaceTag.NULL):
+        raise UnsupportedTagError(f"{what} carry only wobs/null tags, not {tag.value}")
+
+
+def _check_int(value, name: str) -> None:
+    """Refuse a dimension, variable count or grade that is not an int
+    (a bool or a float included)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 class _Dimensions(NamedTuple):
     n_total: int
     n_wobs: int
@@ -100,6 +115,8 @@ class FlatModel(_Dimensions):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        for n in self:
+            _check_int(n, "a dimension")
         if not (self.n_total >= self.n_wobs >= self.n_null >= 0):
             raise ValueError(f"need n_total >= n_wobs >= n_null >= 0, got {self}")
         if self.n_total < 1:
@@ -141,20 +158,13 @@ class FlatModel(_Dimensions):
         t = sum(exp[self.n_wobs :])
         return d, p, t
 
-    def monomial_class(self, exp: Exponent) -> FunctionClass:
-        """Class of a single monomial, decided combinatorially: null iff it
-        contains a normal variable, observable iff it contains a normal
-        variable or no distribution variable at all."""
-        d, _, t = self.unit_counts(exp)
-        if t >= 1:
-            return FunctionClass.NULL
-        if d == 0:
-            return FunctionClass.WOBS
-        return FunctionClass.TOTAL
-
     # -- function operations -----------------------------------------------
 
     def check_poly(self, f: Poly) -> None:
+        """Refuse anything but a polynomial over this model's variables."""
+        from .poly import Poly
+        if not isinstance(f, Poly):
+            raise ValueError(f"{f!r} is not a polynomial")
         if f.nvars != self.n_total:
             raise ValueError(f"polynomial over {f.nvars} variables does not "
                              f"match model with n_total={self.n_total}")

@@ -12,10 +12,10 @@ coefficients, and the canonical term order is graded lexicographic
 (higher total degree first, then lexicographically larger exponent
 tuple first), which makes printing and serialisation deterministic.
 
-The constructor checks input from outside (non-negative ``int``
-exponents; ``int`` or ``Fraction`` coefficients, never a float), and the
-arithmetic builds its canonical results through the trusted
-``Poly._trusted``.  :func:`merge_terms` is the one merge of every term
+The constructor checks input from outside (an ``int`` variable count;
+non-negative ``int`` exponents; ``int`` or ``Fraction`` coefficients,
+never a float), and the arithmetic builds its canonical results through
+the trusted ``Poly._trusted``.  :func:`merge_terms` is the one merge of every term
 map in the package.
 
 Variable indices in the public API are 1-based, matching the coordinate
@@ -30,7 +30,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple, Union
 
-from .model import Exponent, monomials_of_degree  # noqa: F401 (re-exported)
+from .model import Exponent, _check_int, monomials_of_degree  # noqa: F401 (re-exported)
 
 Scalar = Union[int, Fraction]
 
@@ -70,6 +70,7 @@ class Poly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar] = ()):
+        _check_int(nvars, "nvars")
         if nvars < 0:
             raise ValueError("nvars must be non-negative")
         items = terms.items() if isinstance(terms, Mapping) else terms

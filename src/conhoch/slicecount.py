@@ -1,12 +1,15 @@
 """The slice count: cohomology dimensions of tagged slices and the
 dimensions the degree-2 classification predicts.
 
-The window kinds and letter-content blocks come from
-:mod:`conhoch.cohomology`, read through the module
-(``cohomology._window``, ...) so that a rebinding of those names reaches
-every call.  Relabelling letters inside a coordinate block keeps every
-letter profile and commutes with the differential, so blocks of one
-pattern have equal size and rank: :func:`_window_dims` builds and ranks
+Every count reads the one membership rule of :mod:`conhoch.words`: the
+coefficient's unit counts pick a window kind (``_window``), and the slot
+words, none for a function, are tested against it (``_member``).  The
+one gate of :mod:`conhoch.model` refuses a hatted tag.  The
+letter-content blocks come from :mod:`conhoch.cohomology`, read through
+the module (``cohomology._content_words``, ...) so that a rebinding of
+those names reaches every call.  Relabelling letters inside a coordinate
+block keeps every letter profile and commutes with the differential, so
+blocks of one pattern have equal size and rank: :func:`_window_dims` builds and ranks
 one block per pattern, times its number of contents, and lists no window
 whole.  Coefficients are read as exponent tuples and columns are
 integer, so this module loads neither :mod:`conhoch.poly`,
@@ -36,10 +39,10 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from . import cohomology
-from .errors import PreconditionError, UnsupportedTagError
+from .errors import PreconditionError
 from .linalg import sparse_rank
-from .model import Exponent, FlatModel, FunctionClass, SubspaceTag, monomials_of_degree
-from .words import Word, mv_members
+from .model import Exponent, FlatModel, SubspaceTag, _refuse_hatted, monomials_of_degree
+from .words import Word, _member, _window, mv_members
 
 if TYPE_CHECKING:  # the representatives import it on use
     from .symbols import SymbolChain
@@ -93,12 +96,11 @@ def hh_dimension(model: FlatModel, tag: SubspaceTag, degree: int,
     """
     if degree not in (1, 2):
         raise PreconditionError("slice cohomology is computed in degrees 1 and 2")
-    if tag not in (SubspaceTag.WOBS, SubspaceTag.NULL):
-        raise UnsupportedTagError("cohomology slices carry wobs/null tags")
+    _refuse_hatted(tag, "cohomology slices")
     total = 0
     for gamma in monomials_of_degree(model.n_total, coeff_degree):
         d, _, t = model.unit_counts(gamma)
-        window = (sym_degree, cohomology._window(tag.value, d, t))
+        window = (sym_degree, _window(tag.value, d, t))
         size, rank = _window_dims(model, degree, *window)
         incoming = _window_dims(model, 1, *window)[1] if degree == 2 else 0
         total += size - rank - incoming
@@ -109,14 +111,13 @@ def hh0_dimension(model: FlatModel, tag: SubspaceTag, coeff_degree: int) -> int:
     """Degree-0 cohomology of a coefficient slice: the function class
     itself (the coboundary of a function vanishes on the commutative
     algebra, so nothing is divided out).  The class is monomially
-    spanned, so its monomials are counted without building one."""
-    cls = {SubspaceTag.WOBS: FunctionClass.WOBS, SubspaceTag.NULL: FunctionClass.NULL}
-    if tag not in cls:
-        raise UnsupportedTagError("degree 0 carries wobs/null tags")
+    spanned, and a function monomial is a monomial with no slot words,
+    so the membership rule counts them without building one."""
+    _refuse_hatted(tag, "function slices")
     if coeff_degree < 0:
         raise ValueError("degree must be non-negative")
-    return sum(1 for exp in monomials_of_degree(model.n_total, coeff_degree)
-               if cls[tag].contains(model.monomial_class(exp)))
+    units = (model.unit_counts(exp) for exp in monomials_of_degree(model.n_total, coeff_degree))
+    return sum(_member(_window(tag.value, d, t), ()) for d, _, t in units)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +155,7 @@ def classified_hh2_dimension(model: FlatModel, tag: SubspaceTag,
     K >= 2, with K - 1 distribution letters."""
     if sym_degree < 2:
         raise PreconditionError("the degree-2 classification needs K >= 2")
-    if tag not in (SubspaceTag.WOBS, SubspaceTag.NULL):
-        raise UnsupportedTagError("classification carries wobs/null tags")
+    _refuse_hatted(tag, "classified slices")
     total = len(normal_class_monomials(model, sym_degree, coeff_degree))
     if sym_degree == 2:
         total += len(bivector_slice_monomials(model, tag, coeff_degree))

@@ -23,8 +23,8 @@ This module provides
 * the tensor differential, built from the unit differential of
   :mod:`conhoch.words`,
 * membership of chains, decided per monomial: the tagged subspaces by
-  the rules of :mod:`conhoch.words`, the hatted complement blocks by
-  :func:`word_category`;
+  the one rule of :mod:`conhoch.words` (``_window`` and ``_member``),
+  the hatted complement blocks by :func:`word_category`;
 * the handlers of the commands that compute on one chain: classify-symbol
   and bigd.
 
@@ -45,9 +45,9 @@ from collections.abc import Mapping
 from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 from .errors import UnsupportedTagError
-from .model import FlatModel, SubspaceTag, _same_model
+from .model import FlatModel, SubspaceTag, _check_int, _same_model
 from .poly import Exponent, Poly, merge_terms
-from .words import Slots, Word, _slot_profile, _tensor_member, unit_differential
+from .words import Slots, Word, _member, _slot_profile, _window, unit_differential
 
 if TYPE_CHECKING:  # only annotations name it here
     from fractions import Fraction
@@ -77,6 +77,7 @@ class _TermMap:
     _grade_name = _too_low = _encoder = ""
 
     def __init__(self, model: FlatModel, grade: int, terms=()):
+        _check_int(grade, self._grade_name)
         if grade < 1:
             raise ValueError(self._too_low)
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -249,8 +250,7 @@ def monomial_member(model: FlatModel, gamma: Exponent, slots: Slots,
     slot words) in the tagged subspace."""
     d, _, t = model.unit_counts(gamma)
     if tag in (SubspaceTag.WOBS, SubspaceTag.NULL):
-        profiles = tuple(_slot_profile(model, w) for w in slots)
-        return _tensor_member(d, t, profiles, tag)
+        return _member(_window(tag.value, d, t), [_slot_profile(model, w) for w in slots])
     # hatted tags: sections over C only, so no normal variables at all;
     # one word of the tag's categories, and an 'nhat' word only in the
     # null complement

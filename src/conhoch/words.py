@@ -1,4 +1,4 @@
-"""Slot words: splittings and per-monomial membership.
+"""Slot words: splittings and the one membership rule of monomials.
 
 A word is a sorted tuple of 1-based coordinate letters with repetition
 (e.g. (1, 1, 3) stands for d1 v d1 v d3), one per slot of a monomial
@@ -6,11 +6,13 @@ chain.  This leaf module holds what the slice kernel of
 :mod:`conhoch.cohomology` and :mod:`conhoch.slicecount` reads about
 words: the one splitting table (:func:`_word_splits`, which the Leibniz
 rule of :mod:`conhoch.diffops` and :mod:`conhoch.hochschild` reads too),
-the differential of one unit monomial chain,
-letter profiles by coordinate block and the wobs/null membership rules
-of chain and multivector monomials.  It imports only errors and model.
-The rules of the hatted complement blocks, which only the symbol
-calculus asks, live in :mod:`conhoch.symbols` (``monomial_member``).
+the differential of one unit monomial chain, letter profiles by
+coordinate block, and the one wobs/null membership rule of every
+monomial, chain, multivector or function: the coefficient picks a
+window kind (:func:`_window`) and the slot words are tested against it
+(:func:`_member`).  It imports only model.  The rules of the hatted
+complement blocks, which only the symbol calculus asks, live in
+:mod:`conhoch.symbols` (``monomial_member``).
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .errors import UnsupportedTagError
-from .model import Exponent, FlatModel, SubspaceTag
+from .model import Exponent, FlatModel, SubspaceTag, _refuse_hatted
 
 Word = Tuple[int, ...]
 Slots = Tuple[Word, ...]
@@ -65,21 +66,22 @@ def unit_differential(slots: Slots) -> Dict[Slots, int]:
 
 
 # ---------------------------------------------------------------------------
-# membership engine
+# the membership rule
 #
-# Every constraint subspace occurring here is spanned by monomial chains
+# Every constraint subspace occurring here is spanned by monomials
 # (coefficient monomial times a tuple of frame words), so membership of an
 # arbitrary element is decided monomial by monomial.  The observable and
 # null classes are the exact monomial characterisations of the defining
-# operator-level conditions (observable arguments map to observables, and
-# to nulls once one argument is null): worst-case argument analysis shows
-# that a monomial operator is null precisely when its coefficient carries
-# a normal variable or some slot word mixes distribution letters with no
+# operator-level conditions (observable arguments map to observables,
+# and to nulls once one argument is null): worst-case argument analysis
+# shows that a monomial is null precisely when its coefficient carries a
+# normal variable or some slot word mixes distribution letters with no
 # normal letter (such a slot annihilates every observable argument into
 # the null class), and observable when additionally a coefficient free of
-# distribution variables together with normal-letter-free words qualifies.
-# The analysis is cross-checked against the sampled functional oracle in
-# the test suite.
+# distribution variables together with normal-letter-free words
+# qualifies.  A function has no slot words, a multivector one
+# single-letter word per index.  The analysis is cross-checked against
+# the definitional classifiers in the test suite.
 # ---------------------------------------------------------------------------
 
 
@@ -90,50 +92,33 @@ def _slot_profile(model: FlatModel, word: Word) -> Tuple[int, int, int]:
     return nd, len(word) - nd - nt, nt
 
 
-def _word_wobs_ok(t: int, d: int, nd: int, np_: int, nt: int) -> bool:
-    """Can a coefficient with t normal-variable units and d distribution
-    units be split over a word with letter profile (nd, np_, nt) so that
-    every letter carries an observable field?  Each normal letter needs
-    its own normal unit; distribution units need a sink letter that
-    tolerates them (a distribution letter, a normal letter, or a
-    transverse letter that received a spare normal unit)."""
-    if t < nt:
-        return False
-    if d == 0 or nd >= 1 or nt >= 1:
-        return True
-    return np_ >= 1 and t >= nt + 1
+def _window(tag: str, d_units: int, t_units: int) -> str:
+    """The kind of window a tag takes with a coefficient of these unit
+    counts: "total" (every tuple) when a normal unit makes every monomial
+    null or the tag is total, "null" when wobs membership reduces to null
+    membership (d >= 1), else "wobs"."""
+    if tag == "total" or t_units >= 1:
+        return "total"
+    return "null" if tag == "null" or d_units >= 1 else "wobs"
 
 
-def _tensor_member(d_units: int, t_units: int,
-                   profiles: Tuple[Tuple[int, int, int], ...],
-                   tag: "SubspaceTag") -> bool:
-    """Membership of a monomial chain with coefficient unit counts
-    (d_units, t_units) and the given slot letter profiles.
-
-    Null: the coefficient vanishes on C (a normal variable unit), or some
-    slot word contains a distribution letter and no normal letter - the
-    derivative along such a slot sends every observable argument into
-    the null class.  Observable: additionally, a coefficient without
-    distribution variables combined with normal-letter-free slot words.
-    """
-    null = t_units >= 1 or any(nd >= 1 and nt == 0 for nd, _, nt in profiles)
-    if tag is SubspaceTag.NULL:
-        return null
-    return null or (d_units == 0 and all(nt == 0 for _, _, nt in profiles))
+def _member(window: str, profiles: Sequence[Tuple[int, int, int]]) -> bool:
+    """Whether slot words with these letter profiles lie in a
+    :func:`_window` kind.  Null: some word has a distribution letter and
+    no normal letter.  Wobs: null, or no word has a normal letter."""
+    return (window == "total" or any(nd >= 1 and nt == 0 for nd, _, nt in profiles)
+            or window == "wobs" and all(nt == 0 for _, _, nt in profiles))
 
 
 def mv_members(model: FlatModel, tag: SubspaceTag,
                monomials: Iterable[Tuple[Exponent, Word]]) -> List[Tuple[Exponent, Word]]:
     """The (coefficient exponent, index tuple) monomial multivectors among
-    these in the tagged class, after refusing a hatted tag.  Null ones are
-    wedges with one null factor (a distribution letter or a normal
-    coefficient variable); observable ones also wedges of observable fields."""
-    if tag not in (SubspaceTag.WOBS, SubspaceTag.NULL):
-        raise UnsupportedTagError(f"multivectors carry only wobs/null tags, not {tag.value}")
+    these in the tagged class, after refusing a hatted tag: a multivector
+    monomial is a chain monomial with one single-letter word per index."""
+    _refuse_hatted(tag, "multivectors")
     kept = []
     for gamma, idx in monomials:
         d, _, t = model.unit_counts(gamma)
-        nd, np_, nt = _slot_profile(model, idx)
-        if nd >= 1 or t >= 1 or (tag is SubspaceTag.WOBS and _word_wobs_ok(t, d, nd, np_, nt)):
+        if _member(_window(tag.value, d, t), [_slot_profile(model, (i,)) for i in idx]):
             kept.append((gamma, idx))
     return kept

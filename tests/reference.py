@@ -39,7 +39,7 @@ from conhoch import starprod
 from conhoch.diffops import apply_to_monomials, monomial_argument_tuples
 from conhoch.errors import UnsupportedTagError
 from conhoch.model import _same_model, monomials_of_degree
-from conhoch.words import _slot_profile, _tensor_member
+from conhoch.words import _member, _slot_profile, _window
 
 
 def shuffle_pairs(word: Sequence[int]):
@@ -165,14 +165,12 @@ def tagged_slots_by_monomial(model: FlatModel, arity: int, sym_degree: int,
 
 def function_slice_basis(model: FlatModel, tag: FunctionClass, degree: int) -> List[Poly]:
     """Monomial basis of the tag class among homogeneous polynomials of
-    the given total degree, in canonical (descending grlex) order."""
+    the given total degree, in canonical (descending grlex) order, each
+    monomial classified by the definitional ``classify_function``."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    basis = []
-    for exp in monomials_of_degree(model.n_total, degree):
-        if tag.contains(model.monomial_class(exp)):
-            basis.append(Poly.monomial(exp))
-    return basis
+    monomials = (Poly.monomial(exp) for exp in monomials_of_degree(model.n_total, degree))
+    return [f for f in monomials if tag.contains(model.classify_function(f))]
 
 
 def shuffle_coproduct(model: FlatModel, word: Sequence[int],
@@ -219,7 +217,6 @@ def in_function_span_wobs(chain: SymbolChain) -> bool:
     normal block this space decomposes the whole slice, monomial by
     monomial."""
     model = chain.model
-    return all(_tensor_member(0, model.unit_counts(gamma)[2],
-                              tuple(_slot_profile(model, w) for w in slots),
-                              SubspaceTag.WOBS)
+    return all(_member(_window("wobs", 0, model.unit_counts(gamma)[2]),
+                       [_slot_profile(model, w) for w in slots])
                for gamma, slots, _ in chain.monomials())

@@ -15,7 +15,7 @@ from conhoch import (CocycleClass, FlatModel, MultiVector, Poly, Slice,
                      differential_d, find_constraint_potential, find_potential,
                      hh0_dimension, hh_dimension, hkr, matrix_of_D,
                      normal_class_basis, slice_basis)
-from conhoch import cohomology, slicecount
+from conhoch import cohomology, slicecount, words
 from conhoch.slicecount import normal_class_monomials
 from conhoch.decompose import slice_monomials
 from conhoch.errors import (InvariantError, NotClosedError, NotConstraintError,
@@ -142,7 +142,7 @@ def test_tagged_window_equals_the_monomial_filter(window):
     # exactly the tuples, in the same order, that monomial_member keeps
     # with a witness coefficient of those unit counts
     model, arity, K, tag, d, t = window
-    kind = cohomology._window(tag, d, t)
+    kind = words._window(tag, d, t)
     assert (cohomology._tagged_slots_for_units(model, arity, K, kind)
             == tagged_slots_by_monomial(*window))
 

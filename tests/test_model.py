@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conhoch import (FlatModel, FunctionClass, MultiVector, Poly, SubspaceTag,
                      monomials_of_degree, reduce_multivector)
 from conhoch.errors import NotConstraintError
-from conhoch.words import mv_members
+from conhoch.words import _member, _window, mv_members
 
 from conftest import all_models, rand_poly, var
 from reference import function_slice_basis
@@ -41,14 +41,17 @@ def test_classification_examples(m321):
 
 
 def test_monomial_criterion_agrees_with_definition():
-    # combinatorial tag of a monomial vs the derivative/restriction route,
-    # on every model with n_total <= 5 and degree <= 6
+    # the membership rule on a monomial with no slot words vs the
+    # derivative/restriction route, on every model with n_total <= 5 and
+    # degree <= 6
     for model in all_models(5):
         for degree in range(7):
             for exp in monomials_of_degree(model.n_total, degree):
-                f = Poly.monomial(exp)
-                assert model.monomial_class(exp) is model.classify_function(f), \
-                    (model, exp)
+                d, _, t = model.unit_counts(exp)
+                cls = model.classify_function(Poly.monomial(exp))
+                for tag in ("wobs", "null"):
+                    assert _member(_window(tag, d, t), ()) == \
+                        FunctionClass[tag.upper()].contains(cls), (model, exp, tag)
 
 
 def test_null_contained_in_wobs():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conhoch import FlatModel, MultiVector, Poly, SymbolChain, monomials_of_degree
+from conhoch import (FlatModel, MultiDiffOp, MultiVector, Poly, SymbolChain, VectorField,
+                     monomials_of_degree)
 
 from conftest import rand_poly
 import random
@@ -142,4 +143,34 @@ def test_constructors_refuse_what_is_not_an_int_or_exact(build):
     # float coefficient, would otherwise be stored as an int or a binary
     # fraction
     with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FlatModel(3.0, 2, 1),
+    lambda: FlatModel(True, True, False),
+    lambda: Poly(2.0, {(1, 0): 1}),
+    lambda: Poly(True, {}),
+    lambda: SymbolChain(_M321, 1.5, {}),
+    lambda: SymbolChain(_M321, True, {}),
+    lambda: MultiVector(_M321, 2.0, {}),
+], ids=["float-dimension", "bool-dimensions", "float-nvars", "bool-nvars",
+        "float-arity", "bool-arity", "float-degree"])
+def test_sizes_and_grades_refuse_what_is_not_an_int(build):
+    # a dimension, variable count or grade sizes tuples and ranges; a
+    # float or bool would be compared and stored as if it were an int
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SymbolChain(_M321, 1, {((1,),): 1}),
+    lambda: MultiVector(_M321, 2, {(1, 2): 1}),
+    lambda: VectorField(FlatModel(2, 1, 0), [1, 0]),
+    lambda: MultiDiffOp(SymbolChain.from_term(_M321, [(1,)])).apply([Fraction(1)]),
+], ids=["chain", "multivector", "vector-field", "operator-argument"])
+def test_coefficients_and_arguments_refuse_what_is_not_a_polynomial(build):
+    # a bare number where a polynomial belongs is an input error, not an
+    # AttributeError from reading its variable count
+    with pytest.raises(ValueError, match="is not a polynomial"):
         build()
