@@ -9,24 +9,26 @@ prolonged normal directions, and the reduction of observable
 multivectors to the reduced model (NotConstraintError for any other).
 :func:`decompose_2cocycle` splits a closed observable 2-chain into a
 coboundary, an antisymmetric bivector part and a symmetric normal-word
-part.  The chain bases of the slices (:class:`Slice`,
-:func:`slice_basis`, :func:`matrix_of_D`, the bivector and normal-word
-class bases) live here too, as the slice count never builds a chain.
-Those functions and :func:`decompose_2cocycle` import
-:mod:`conhoch.cohomology` (and with it the elimination kernel) on first
-use, and the class bases take their monomials from
-:mod:`conhoch.slicecount`, so reducing a multivector compiles none of
-them.  :func:`cmd_decompose_cocycle` is the handler of the
-decompose-cocycle command.  Neither the start-up route of the CLI nor
-the slice count loads this module.
+part, whose class is the checked record :class:`CocycleClass`.  The
+chain bases of the slices (the checked record :class:`Slice`,
+:func:`slice_basis`, :func:`matrix_of_D` into the slice of arity + 1,
+the bivector and normal-word class bases) live here too, as the slice
+count never builds a chain.  Those functions and
+:func:`decompose_2cocycle` import :mod:`conhoch.cohomology` (and with it
+the elimination kernel) on first use, and the class bases take their
+monomials from :mod:`conhoch.slicecount`, so reducing a multivector
+compiles none of them.  :func:`cmd_decompose_cocycle` is the handler of
+the decompose-cocycle command.  Neither the start-up route of the CLI
+nor the slice count loads this module.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .errors import InvariantError, NotConstraintError, PreconditionError, SolveFailureError
-from .model import Exponent, FlatModel, SubspaceTag, monomials_of_degree
+from .errors import InvariantError, NotConstraintError, SolveFailureError
+from .model import Exponent, FlatModel, SubspaceTag, _Checked, monomials_of_degree
 from .poly import Poly
 from .multivector import MultiVector, hkr, mv_membership
 from .symbols import SymbolChain, chain_membership, monomial_member
@@ -126,19 +128,13 @@ def reduce_multivector(x: MultiVector) -> MultiVector:
 # ---------------------------------------------------------------------------
 
 
-class _ClassFields(NamedTuple):
-    bivector: MultiVector
-    normal_part: SymbolChain
-
-
-class CocycleClass(_ClassFields):
+class CocycleClass(_Checked, namedtuple("_ClassFields", "bivector normal_part")):
     """Representative of a degree-2 class: an observable bivector plus a
     chain of distribution words with one normal letter each."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.bivector.degree != 2 or self.normal_part.arity != 1:
             raise ValueError("need a bivector and an arity-1 chain")
         if not mv_membership(self.bivector, SubspaceTag.WOBS):
@@ -153,7 +149,6 @@ class CocycleClass(_ClassFields):
                     f"word {word} is not distribution letters with one normal letter")
             if model.unit_counts(gamma)[2] != 0:
                 raise ValueError("normal-part coefficients must only use variables on C")
-        return self
 
 
 class CocycleDecomposition(NamedTuple):
@@ -230,28 +225,19 @@ def cmd_decompose_cocycle(model, args) -> dict:
 SLICE_TAGS = ("total", "wobs", "null")
 
 
-class _SliceFields(NamedTuple):
-    model: FlatModel
-    arity: int
-    sym_degree: int
-    coeff_degree: int
-    tag: str = "total"
-
-
-class Slice(_SliceFields):
+class Slice(_Checked, namedtuple("_SliceFields", "model arity sym_degree coeff_degree tag",
+                                 defaults=("total",))):
     """A finite-dimensional window of the symbol complex: fixed arity,
     total symmetric degree, homogeneous coefficient degree and tag.
     The differential maps the (n, K, c) slice into (n+1, K, c)."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.arity < 1 or self.sym_degree < 1 or self.coeff_degree < 0:
             raise ValueError("invalid slice parameters")
         if self.tag not in SLICE_TAGS:
             raise ValueError(f"slice tag must be one of {SLICE_TAGS}")
-        return self
 
 
 def slice_monomials(slc: Slice) -> List[Tuple[Exponent, Slots]]:
@@ -276,19 +262,16 @@ def slice_basis(slc: Slice) -> List[SymbolChain]:
             for gamma, slots in slice_monomials(slc)]
 
 
-def matrix_of_D(domain: Slice, codomain: Slice) -> List[Dict[int, int]]:
-    """Matrix of the differential between two tagged slices, in the
-    deterministic monomial bases, as the sparse integer columns that
+def matrix_of_D(domain: Slice) -> List[Dict[int, int]]:
+    """Matrix of the differential from a tagged slice into the slice of
+    arity + 1 with the same model, degrees and tag, in the deterministic
+    monomial bases, as the sparse integer columns that
     :func:`~conhoch.linalg.sparse_rank` takes: one dict per domain
-    monomial, keyed by row index in ``slice_monomials(codomain)``.  An
-    image outside the codomain slice would break the tagged subcomplex
-    property and raises InvariantError."""
+    monomial, keyed by row index in the codomain's ``slice_monomials``.
+    An image outside the codomain slice would break the tagged
+    subcomplex property and raises InvariantError."""
     from . import cohomology
-    if (codomain.model != domain.model or codomain.arity != domain.arity + 1
-            or codomain.sym_degree != domain.sym_degree
-            or codomain.coeff_degree != domain.coeff_degree
-            or codomain.tag != domain.tag):
-        raise PreconditionError("codomain must be the domain slice with arity + 1")
+    codomain = domain._replace(arity=domain.arity + 1)
     dom = slice_monomials(domain)
     index = {key: i for i, key in enumerate(slice_monomials(codomain))}
     columns: List[Dict[int, int]] = []

@@ -41,6 +41,8 @@ class MultiDiffOp:
     __slots__ = ("symbol",)
 
     def __init__(self, symbol: SymbolChain):
+        if not isinstance(symbol, SymbolChain):
+            raise ValueError(f"{symbol!r} is not a symbol chain")
         self.symbol = symbol
 
     @property

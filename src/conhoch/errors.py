@@ -32,7 +32,8 @@ class InvariantError(ConhochError):
 
 
 class UnsupportedTagError(ConhochError):
-    """A splitting subspace tag was used at an arity where it is undefined."""
+    """A splitting subspace tag was used at an arity or on an object where
+    it is undefined, or a tag was not a SubspaceTag."""
 
 
 class PreconditionError(ConhochError):

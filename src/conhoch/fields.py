@@ -15,7 +15,7 @@ the classify-field command, so no other command compiles it.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .model import FlatModel, SubspaceTag, _refuse_hatted, _same_model
 from .poly import Poly
@@ -33,13 +33,6 @@ class VectorField:
             model.check_poly(f)
         self.model = model
         self.components = tuple(components)
-
-    @classmethod
-    def frame(cls, model: FlatModel, index: int, coeff: Optional[Poly] = None) -> "VectorField":
-        """coeff * d_index (1-based); coeff defaults to 1."""
-        comps = [Poly.zero(model.n_total) for _ in range(model.n_total)]
-        comps[index - 1] = Poly.constant(model.n_total, 1) if coeff is None else coeff
-        return cls(model, comps)
 
     def apply(self, f: Poly) -> Poly:
         """Derivative of a function along the field."""

@@ -24,13 +24,16 @@ re-exports: the slice count reads coefficient monomials as exponent
 tuples and never builds a polynomial, so only the methods that do
 import :class:`~conhoch.poly.Poly`, on first use.  Reducing a function
 outside the observable class raises NotConstraintError, the one "not
-observable" error, as reducing a multivector does.
+observable" error, as reducing a multivector does.  :class:`_Checked`
+is the one base of the checked records (:class:`FlatModel`, and
+``Slice`` and ``CocycleClass`` in :mod:`conhoch.decompose`).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Tuple
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 from .errors import InvariantError, ModelMismatchError, NotConstraintError, UnsupportedTagError
 
@@ -90,9 +93,11 @@ class SubspaceTag(enum.Enum):
 def _refuse_hatted(tag: SubspaceTag, what: str) -> None:
     """The one gate of the objects that carry only the wobs and null tags
     (multivectors, vector fields, operators and the slice counts): a
-    hatted tag raises UnsupportedTagError."""
+    hatted tag, or anything that is not a SubspaceTag, raises
+    UnsupportedTagError."""
     if tag not in (SubspaceTag.WOBS, SubspaceTag.NULL):
-        raise UnsupportedTagError(f"{what} carry only wobs/null tags, not {tag.value}")
+        name = tag.value if isinstance(tag, SubspaceTag) else repr(tag)
+        raise UnsupportedTagError(f"{what} carry only wobs/null tags, not {name}")
 
 
 def _check_int(value, name: str) -> None:
@@ -102,26 +107,35 @@ def _check_int(value, name: str) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
-class _Dimensions(NamedTuple):
-    n_total: int
-    n_wobs: int
-    n_null: int
-
-
-class FlatModel(_Dimensions):
-    """Dimension triple (n_total, n_wobs, n_null) of a flat constraint model."""
+class _Checked:
+    """Base of the namedtuples that state their invariants in ``_check``:
+    the class call, ``_make``, ``_replace``, ``copy``, ``pickle`` and
+    ``copy.replace`` all build through ``__new__``, which runs it."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class FlatModel(_Checked, namedtuple("_Dimensions", "n_total n_wobs n_null")):
+    """Dimension triple (n_total, n_wobs, n_null) of a flat constraint model."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         for n in self:
             _check_int(n, "a dimension")
         if not (self.n_total >= self.n_wobs >= self.n_null >= 0):
             raise ValueError(f"need n_total >= n_wobs >= n_null >= 0, got {self}")
         if self.n_total < 1:
             raise ValueError("n_total must be at least 1")
-        return self
 
     # -- index blocks (1-based, inclusive ranges) -------------------------
 

@@ -95,6 +95,11 @@ class Poly:
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the checked
+        # constructor; restoring the slots one by one would hit the guard
+        return Poly, (self.nvars, self.terms)
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -104,15 +109,6 @@ class Poly:
     @classmethod
     def constant(cls, nvars: int, value: Scalar) -> "Poly":
         return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "Poly":
-        """The coordinate function x_index (1-based index)."""
-        if not 1 <= index <= nvars:
-            raise IndexError(f"variable index {index} out of range [1, {nvars}]")
-        exp = [0] * nvars
-        exp[index - 1] = 1
-        return cls(nvars, {tuple(exp): Fraction(1)})
 
     @classmethod
     def monomial(cls, exp: Exponent, coeff: Scalar = 1) -> "Poly":

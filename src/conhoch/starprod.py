@@ -56,6 +56,8 @@ class TruncatedStar:
 
     def __init__(self, model: FlatModel, cochains: Sequence[MultiDiffOp]):
         for c in cochains:
+            if not isinstance(c, MultiDiffOp):
+                raise PreconditionError(f"a cochain must be an operator, not {type(c).__name__}")
             if c.model != model:
                 raise PreconditionError("cochain over a different model")
             if c.arity != 2:

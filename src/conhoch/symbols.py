@@ -237,8 +237,10 @@ _HAT_WORDS = {SubspaceTag.NULL_NOT_VAN: ("nhat",), SubspaceTag.WOBS_NOT_NULL: ("
 
 
 def _check_tag_arity(tag: SubspaceTag, arity: int) -> None:
-    """Refuse a hatted tag above arity 1, except NULL_NOT_VAN and
-    TOTAL_NOT_WOBS at arity 2."""
+    """Refuse anything that is not a SubspaceTag, and a hatted tag above
+    arity 1, except NULL_NOT_VAN and TOTAL_NOT_WOBS at arity 2."""
+    if not isinstance(tag, SubspaceTag):
+        raise UnsupportedTagError(f"{tag!r} is not a subspace tag")
     if tag in _HAT_WORDS and not (arity == 1 or arity == 2 and tag in (
             SubspaceTag.NULL_NOT_VAN, SubspaceTag.TOTAL_NOT_WOBS)):
         raise UnsupportedTagError(f"tag {tag.value} is not defined at arity {arity}")
@@ -266,8 +268,9 @@ def chain_membership(chain: SymbolChain, tag: SubspaceTag) -> bool:
     """Decide membership of a chain in the tagged subspace.  The tagged
     spaces are spanned by monomial chains, so the test runs monomial by
     monomial.  Hatted tags are only defined at arity 1 (all four) and
-    arity 2 (NULL_NOT_VAN, TOTAL_NOT_WOBS); elsewhere they raise
-    UnsupportedTagError, for the zero chain too."""
+    arity 2 (NULL_NOT_VAN, TOTAL_NOT_WOBS); elsewhere they, and anything
+    that is not a SubspaceTag, raise UnsupportedTagError, for the zero
+    chain too."""
     _check_tag_arity(tag, chain.arity)
     return all(monomial_member(chain.model, gamma, slots, tag)
                for gamma, slots, _ in chain.monomials())

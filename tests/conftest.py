@@ -33,7 +33,8 @@ def mono(nvars: int, exp, coeff=1) -> Poly:
 
 
 def var(model: FlatModel, i: int) -> Poly:
-    return Poly.variable(model.n_total, i)
+    """The coordinate function x_i (1-based)."""
+    return Poly.monomial(tuple(int(j == i) for j in range(1, model.n_total + 1)))
 
 
 def monomials_up_to(nvars: int, max_degree: int) -> list:
@@ -105,8 +106,15 @@ def rand_tagged_chain(rng: random.Random, model: FlatModel, arity: int,
     return SymbolChain(model, arity, terms)
 
 
+def frame_field(model: FlatModel, index: int, coeff: Poly) -> VectorField:
+    """coeff * d_index (1-based): one nonzero component."""
+    comps = [Poly.zero(model.n_total)] * model.n_total
+    comps[index - 1] = coeff
+    return VectorField(model, comps)
+
+
 def monomial_field(model: FlatModel, index: int, exp) -> VectorField:
-    return VectorField.frame(model, index, Poly.monomial(tuple(exp)))
+    return frame_field(model, index, Poly.monomial(tuple(exp)))
 
 
 def rand_field_in_class(rng: random.Random, model: FlatModel, tag: SubspaceTag,
@@ -123,8 +131,7 @@ def rand_field_in_class(rng: random.Random, model: FlatModel, tag: SubspaceTag,
         exp = [0] * model.n_total
         for _ in range(rng.randint(0, max_degree)):
             exp[rng.randrange(model.n_total)] += 1
-        candidate = VectorField.frame(
-            model, i, Poly.monomial(tuple(exp), rand_fraction(rng)))
+        candidate = frame_field(model, i, Poly.monomial(tuple(exp), rand_fraction(rng)))
         if vf_membership(candidate, tag):
             comps[i - 1] = comps[i - 1] + candidate.components[i - 1]
             n_terms -= 1

@@ -210,8 +210,8 @@ def _compiled_nodes(modules):
     (_STAR_CHECK, 9915),
     (_STAR_EQUIV, 11786),
     (_VERIFY_THEOREM, 6363),
-    (_FIND_POTENTIAL, 9405),
-    (_DECOMPOSE_COCYCLE, 12317),
+    (_FIND_POTENTIAL, 9404),
+    (_DECOMPOSE_COCYCLE, 12198),
 ], ids=["star-check", "star-equiv", "verify-theorem", "find-potential", "decompose-cocycle"])
 def test_command_compiles_within_its_node_budget(command_route, args, bound):
     # the solver and slice-count routes compile what they call and little

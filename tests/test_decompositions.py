@@ -145,13 +145,13 @@ def test_reduce_multivector_examples(m321):
 
 def test_reduce_multivector_drops_restricted_coefficients():
     m431 = FlatModel(4, 3, 1)
-    x4 = Poly.variable(4, 4)
+    x4 = Poly.monomial((0, 0, 0, 1))
     x = MultiVector.wedge_of_frames(m431, (2, 3), x4)
     assert reduce_multivector(x).is_zero()
-    x2 = Poly.variable(4, 2)
+    x2 = Poly.monomial((0, 1, 0, 0))
     y = MultiVector.wedge_of_frames(m431, (2, 3), x2)
     assert reduce_multivector(y) == MultiVector.wedge_of_frames(
-        m431.reduced_model(), (1, 2), Poly.variable(2, 1))
+        m431.reduced_model(), (1, 2), Poly.monomial((1, 0)))
 
 
 def test_reduce_multivector_requires_observable(m321):

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conhoch import (FlatModel, MultiDiffOp, Poly, SubspaceTag, SymbolChain,
+from conhoch import (FlatModel, MultiDiffOp, MultiVector, Poly, SubspaceTag, SymbolChain,
                      VectorField, bracket, chain_map_check, differential_d,
                      hochschild_delta, op_membership, vf_membership)
 from conhoch.diffops import monomial_argument_tuples
@@ -232,3 +232,14 @@ def test_monomial_argument_tuples_keep_their_order():
         ((1, 0), (1, 0), (0, 0)), ((1, 0), (0, 1), (0, 0)), ((0, 1), (1, 0), (0, 0)),
         ((0, 1), (0, 1), (0, 0)), ((2, 0), (0, 0), (0, 0)), ((1, 1), (0, 0), (0, 0)),
         ((0, 2), (0, 0), (0, 0))]
+
+
+@pytest.mark.parametrize("symbol", [
+    "x", None, Poly.constant(3, 1),
+    MultiVector.wedge_of_frames(FlatModel(3, 2, 1), (1, 3)),
+], ids=["str", "none", "poly", "multivector"])
+def test_operators_are_built_from_symbol_chains(symbol):
+    # an operator is its symbol, so anything else is refused as
+    # check_poly refuses what is not a polynomial
+    with pytest.raises(ValueError, match="is not a symbol chain"):
+        MultiDiffOp(symbol)

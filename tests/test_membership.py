@@ -14,7 +14,7 @@ from conhoch import (FlatModel, FunctionClass, MultiDiffOp, MultiVector, Poly,
 from conhoch.errors import UnsupportedTagError
 from conhoch.words import mv_members
 
-from conftest import all_models, monomial_field, monomials_up_to, rand_poly, var
+from conftest import all_models, frame_field, monomial_field, monomials_up_to, rand_poly, var
 from reference import op_membership_functional
 
 
@@ -24,14 +24,14 @@ from reference import op_membership_functional
 
 
 def test_vf_examples(m321):
-    d1 = VectorField.frame(m321, 1)
+    d1 = monomial_field(m321, 1, (0, 0, 0))
     assert vf_membership(d1, SubspaceTag.NULL)
     assert vf_membership(d1, SubspaceTag.WOBS)
 
-    x1d2 = VectorField.frame(m321, 2, var(m321, 1))
+    x1d2 = frame_field(m321, 2, var(m321, 1))
     assert not vf_membership(x1d2, SubspaceTag.WOBS)
 
-    x3d3 = VectorField.frame(m321, 3, var(m321, 3))
+    x3d3 = frame_field(m321, 3, var(m321, 3))
     assert vf_membership(x3d3, SubspaceTag.WOBS)
     assert vf_membership(x3d3, SubspaceTag.NULL)
 
@@ -47,7 +47,7 @@ def _wobs_field_oracle(model: FlatModel, x: VectorField,
         if model.n_null == 0:
             break
         a = rng.choice(list(model.d_indices))
-        y = VectorField.frame(model, a, rand_poly(rng, model.n_total, 2))
+        y = frame_field(model, a, rand_poly(rng, model.n_total, 2))
         lie = bracket(x, y)
         for i in range(model.n_null + 1, model.n_total + 1):
             if not model.restrict_to_c(lie.components[i - 1]).is_zero():
@@ -319,7 +319,7 @@ _HATTED = [tag for tag in SubspaceTag if tag not in (SubspaceTag.WOBS, SubspaceT
     lambda tag: mv_membership(MultiVector.wedge_of_frames(_M321, (1, 2)), tag),
     lambda tag: mv_membership(MultiVector.zero(_M321, 2), tag),
     lambda tag: bivector_slice_basis(_M321, tag, 0),
-    lambda tag: vf_membership(VectorField.frame(_M321, 1), tag),
+    lambda tag: vf_membership(monomial_field(_M321, 1, (0, 0, 0)), tag),
     lambda tag: op_membership(MultiDiffOp(SymbolChain.from_term(_M321, [(1,)])), tag),
 ], ids=["hh_dimension", "hh0_dimension", "classified_hh2_dimension", "mv_membership",
         "mv_membership-zero", "bivector_slice_basis", "vf_membership", "op_membership"])
@@ -327,5 +327,35 @@ def test_objects_without_hatted_blocks_refuse_hatted_tags(check, tag):
     # cohomology slices, multivectors, vector fields and operators carry
     # only the wobs/null tags; all of them refuse the rest with one type,
     # also where no monomial is there to test
+    with pytest.raises(UnsupportedTagError):
+        check(tag)
+
+
+_X3_D1_D3 = SymbolChain.from_term(_M321, [(1,), (3,)], Poly.monomial((0, 0, 1)))
+_NOT_TAGS = ["wobs", None, FunctionClass.WOBS]
+
+
+@pytest.mark.parametrize("tag", _NOT_TAGS, ids=["str", "none", "function-class"])
+@pytest.mark.parametrize("check", [
+    lambda tag: hh_dimension(_M321, tag, 2, 2, 0),
+    lambda tag: hh0_dimension(_M321, tag, 0),
+    lambda tag: classified_hh2_dimension(_M321, tag, 2, 0),
+    lambda tag: mv_members(_M321, tag, [((0, 0, 0), (1, 2))]),
+    lambda tag: mv_membership(MultiVector.wedge_of_frames(_M321, (1, 2)), tag),
+    lambda tag: vf_membership(monomial_field(_M321, 1, (0, 0, 0)), tag),
+    lambda tag: op_membership(MultiDiffOp(SymbolChain.from_term(_M321, [(1,)])), tag),
+    lambda tag: chain_membership(SymbolChain.from_term(_M321, [(1,), (2,)]), tag),
+    lambda tag: chain_membership(_X3_D1_D3, tag),
+    lambda tag: chain_membership(SymbolChain.zero(_M321, 2), tag),
+    lambda tag: monomial_member(_M321, (1, 0, 0), ((1,), (2,)), tag),
+    lambda tag: monomial_member(_M321, (0, 0, 1), ((1,), (3,)), tag),
+], ids=["hh_dimension", "hh0_dimension", "classified_hh2_dimension", "mv_members",
+        "mv_membership", "vf_membership", "op_membership", "chain_membership",
+        "chain_membership-normal-coefficient", "chain_membership-zero",
+        "monomial_member", "monomial_member-normal-coefficient"])
+def test_every_tag_gate_refuses_what_is_not_a_subspace_tag(check, tag):
+    # a tag that is not a SubspaceTag is refused with the one tag error,
+    # never an AttributeError, a KeyError or a silent answer (the null
+    # chain x3 d1 (x) d3 is observable, so False would be wrong)
     with pytest.raises(UnsupportedTagError):
         check(tag)

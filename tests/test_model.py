@@ -1,13 +1,15 @@
 """Function classes on the flat constraint model."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conhoch import (FlatModel, FunctionClass, MultiVector, Poly, SubspaceTag,
-                     monomials_of_degree, reduce_multivector)
+from conhoch import (CocycleClass, FlatModel, FunctionClass, MultiVector, Poly, Slice,
+                     SubspaceTag, SymbolChain, monomials_of_degree, reduce_multivector)
 from conhoch.errors import NotConstraintError
 from conhoch.words import _member, _window, mv_members
 
@@ -87,7 +89,7 @@ def test_observables_form_subalgebra_nulls_an_ideal():
 def test_reduce_function_examples(m321):
     x1, x2, x3 = (var(m321, i) for i in (1, 2, 3))
     red = m321.reduced_model()
-    assert m321.reduce_function(x2 + x1 * x3) == Poly.variable(red.n_total, 1)
+    assert m321.reduce_function(x2 + x1 * x3) == var(red, 1)
     assert m321.reduce_function(x1 * x3).is_zero()
     m = FlatModel(4, 3, 1)
     # x2*x3 reindexes to the first two reduced coordinates
@@ -156,8 +158,79 @@ def test_function_slice_basis_respects_class(m321):
 def test_degenerate_models():
     # no distribution: every function is observable
     m = FlatModel(2, 1, 0)
-    assert m.classify_function(Poly.variable(2, 1)) is FunctionClass.WOBS
+    assert m.classify_function(Poly.monomial((1, 0))) is FunctionClass.WOBS
     # full submanifold: only zero vanishes on C
     m = FlatModel(2, 2, 1)
-    assert m.classify_function(Poly.variable(2, 2)) is FunctionClass.WOBS
-    assert m.classify_function(Poly.variable(2, 1)) is FunctionClass.TOTAL
+    assert m.classify_function(Poly.monomial((0, 1))) is FunctionClass.WOBS
+    assert m.classify_function(Poly.monomial((1, 0))) is FunctionClass.TOTAL
+
+
+# ---------------------------------------------------------------------------
+# the checked records
+# ---------------------------------------------------------------------------
+
+_M = FlatModel(3, 2, 1)
+_BIVECTORS = [MultiVector.wedge_of_frames(_M, (1, 2)),  # observable
+              MultiVector.wedge_of_frames(_M, (2, 3)),  # not observable
+              MultiVector.wedge_of_frames(_M, (1,)),  # not a bivector
+              MultiVector.zero(_M, 2)]
+_NORMAL_PARTS = [SymbolChain.zero(_M, 1),
+                 SymbolChain.from_term(_M, [(1, 3)], var(_M, 2)),
+                 SymbolChain.from_term(_M, [(3,)]),  # too short
+                 SymbolChain.from_term(_M, [(2, 3)]),  # a transverse letter
+                 SymbolChain.from_term(_M, [(1, 3)], var(_M, 3)),  # a normal coefficient
+                 SymbolChain.from_term(_M, [(1,), (3,)])]  # arity 2
+_SIZES = st.one_of(st.integers(-1, 4), st.sampled_from([2.0, True]))
+_RECORDS = st.one_of(
+    st.tuples(st.just(FlatModel), st.tuples(_SIZES, _SIZES, _SIZES)),
+    st.tuples(st.just(Slice), st.tuples(
+        st.sampled_from([_M, FlatModel(2, 2, 0)]), st.integers(-1, 3), st.integers(-1, 3),
+        st.integers(-1, 2), st.sampled_from(["total", "wobs", "null", "bogus"]))),
+    st.tuples(st.just(CocycleClass), st.tuples(st.sampled_from(_BIVECTORS),
+                                               st.sampled_from(_NORMAL_PARTS))))
+#: a valid record of each class, for _replace and copy.replace
+_BASE = {FlatModel: FlatModel(1, 0, 0), Slice: Slice(_M, 1, 1, 0),
+         CocycleClass: CocycleClass(_BIVECTORS[0], _NORMAL_PARTS[0])}
+
+
+def _outcome(build):
+    """The record built, or the type and message of the error raised."""
+    try:
+        return build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RECORDS)
+def test_every_construction_path_checks_the_record(case):
+    # the class call, _make, _replace and copy.replace (3.13) all run the
+    # record's check: each refuses invalid fields with the constructor's
+    # error and builds the constructor's record from valid ones, which
+    # copy, deepcopy and pickle then rebuild
+    cls, fields = case
+    expected = _outcome(lambda: cls(*fields))
+    named = dict(zip(cls._fields, fields))
+    paths = [lambda: cls._make(fields), lambda: cls._make(iter(fields)),
+             lambda: _BASE[cls]._replace(**named)]
+    if hasattr(copy, "replace"):
+        paths.append(lambda: copy.replace(_BASE[cls], **named))
+    for path in paths:
+        got = _outcome(path)
+        assert type(got) is type(expected) and got == expected
+    if type(expected) is cls:
+        for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            got = clone(expected)
+            assert type(got) is cls and got == expected
+
+
+def test_records_keep_their_tuple_behaviour():
+    m = FlatModel(3, 2, 1)
+    assert repr(m) == "FlatModel(n_total=3, n_wobs=2, n_null=1)"
+    assert m._asdict() == {"n_total": 3, "n_wobs": 2, "n_null": 1}
+    assert m == (3, 2, 1) and hash(m) == hash((3, 2, 1))
+    slc = Slice(m, 2, 3, 1)
+    assert slc.tag == "total" and slc == (m, 2, 3, 1, "total")
+    assert repr(slc) == ("Slice(model=FlatModel(n_total=3, n_wobs=2, n_null=1), arity=2, "
+                         "sym_degree=3, coeff_degree=1, tag='total')")
+    assert not hasattr(m, "__dict__") and not hasattr(slc, "__dict__")

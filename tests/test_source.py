@@ -124,3 +124,17 @@ def test_star_and_solver_routes_do_not_load_the_moved_calculus():
         heavy = {m: where for m, where in reached.items()
                  if m in {"multivector", "hochschild", "dense"}}
         assert heavy == {}, f"{start} imports at: {heavy}"
+
+
+def test_only_the_checked_base_defines_new():
+    # a record states its invariants in _check and builds through
+    # model._Checked, whose __new__ every construction path runs; a second
+    # __new__ would build around it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                     if isinstance(node, ast.ClassDef)
+                     for item in node.body
+                     if isinstance(item, ast.FunctionDef) and item.name == "__new__")
+    assert found == ["model._Checked"]

@@ -96,7 +96,7 @@ def test_associativity_beyond_the_old_sampling_window():
     violation = check_associativity(star)
     assert violation is not None and violation.order == 2
     assert not violation.defect.is_zero()
-    x1 = Poly.variable(1, 1)
+    x1 = Poly.monomial((1,))
     assert starprod._associativity_defect(star, 2, x1, x1, x1 ** 4) == Poly.constant(1, -216)
     # order one alone is associative
     assert check_associativity(star, 1) is None
@@ -234,6 +234,17 @@ def test_equivalence_preconditions(m321):
         equivalence_report(base, base, 1)  # order 2 not carried
     with pytest.raises(PreconditionError):
         equivalence_report(base, base, -1)
+
+
+def test_star_cochains_are_operators_over_the_model(m321):
+    # a bare symbol chain has a model and an arity too, but it is refused
+    # as a cochain over another model or of another arity is
+    chain = SymbolChain.from_term(m321, [(1,), (3,)])
+    for cochains in ([chain], [MultiDiffOp(chain), "x"],
+                     [MultiDiffOp(SymbolChain.from_term(FlatModel(3, 3, 0), [(1,), (3,)]))],
+                     [MultiDiffOp(SymbolChain.from_term(m321, [(1,)]))]):
+        with pytest.raises(PreconditionError):
+            TruncatedStar(m321, cochains)
 
 
 def _second_order_term(m321, scale) -> MultiDiffOp:

@@ -8,12 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conhoch import (FlatModel, MultiVector, Poly, SymbolChain, VectorField,
-                     bracket, differential_d, hkr, pr1, pr1_top, vee, wedge)
+from conhoch import (FlatModel, MultiVector, Poly, SymbolChain, bracket, differential_d,
+                     hkr, pr1, pr1_top, vee, wedge)
 from conhoch.errors import ModelMismatchError
 from conhoch.words import _word_splits
 
-from conftest import all_models, monomials_up_to, rand_chain, rand_poly, var
+from conftest import all_models, frame_field, monomials_up_to, rand_chain, rand_poly, var
 from reference import chain_vee, shuffle_coproduct, shuffle_pairs, vee_collapse
 
 
@@ -196,9 +196,9 @@ def test_wedge_of_multivectors(m321):
 
 def test_bracket_of_fields(m321):
     # [x1 d2, d1] = -d2
-    x = VectorField.frame(m321, 2, var(m321, 1))
-    y = VectorField.frame(m321, 1)
-    assert bracket(x, y) == VectorField.frame(m321, 2, Poly.constant(3, -1))
+    x = frame_field(m321, 2, var(m321, 1))
+    y = frame_field(m321, 1, Poly.constant(3, 1))
+    assert bracket(x, y) == frame_field(m321, 2, Poly.constant(3, -1))
 
 
 def test_transpose(m321):
