@@ -46,7 +46,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import ConhochError
-from .model import FlatModel, SubspaceTag
+from .model import FlatModel, SubspaceTag, _check_int
 
 if TYPE_CHECKING:  # build_parser imports it on use
     import argparse
@@ -189,8 +189,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         for flag, value, least in (("--jobs", args.jobs, 1), ("--kmax", args.kmax, 0),
                                    ("--cmax", args.cmax, 0)):
-            if value < least:
-                raise ValueError(f"{flag} must be at least {least} (got {value})")
+            _check_int(value, flag, least)
         if (args.command in ("hh-dim", "verify-theorem")
                 and args.tag not in (None, "wobs", "null")):
             raise ValueError("cohomology slices carry wobs/null tags")

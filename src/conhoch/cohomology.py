@@ -12,10 +12,10 @@ This module holds what the slice count of :mod:`conhoch.slicecount`, the
 chain bases of :mod:`conhoch.decompose` and the solvers share:
 
 * One window per kind.  Membership in the wobs or null subspace is the
-  one rule of :mod:`conhoch.words`: the coefficient's unit counts (d, t)
-  pick a window kind (``words._window``: every tuple, the null tuples or
+  one rule of :mod:`conhoch.model`: the coefficient's unit counts (d, t)
+  pick a window kind (``model._window``: every tuple, the null tuples or
   the wobs tuples), and the slot words' letter profiles are tested
-  against it (``words._member``).
+  against it (``model._member``).
 * Letter-content blocks, the one unit of the slice count and the
   solvers.  The differential keeps the letters of all slots together
   (the letter content) and is block-diagonal over them.
@@ -43,9 +43,8 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from .errors import NotClosedError, NotConstraintError, PreconditionError
 from .linalg import sparse_solve
-from .model import Exponent, FlatModel, SubspaceTag
-from .words import (Slots, Word, _member, _slot_profile, _window, _word_splits,
-                    unit_differential)
+from .model import Exponent, FlatModel, SubspaceTag, _member, _slot_profile, _window
+from .words import Slots, Word, _word_splits, unit_differential
 
 if TYPE_CHECKING:  # the solvers import these on use
     from fractions import Fraction

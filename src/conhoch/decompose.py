@@ -28,11 +28,12 @@ from collections import namedtuple
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import InvariantError, NotConstraintError, SolveFailureError
-from .model import Exponent, FlatModel, SubspaceTag, _Checked, monomials_of_degree
+from .model import (Exponent, FlatModel, SubspaceTag, _Checked, _check_int, _slot_profile,
+                    _window, monomials_of_degree)
 from .poly import Poly
 from .multivector import MultiVector, hkr, mv_membership
 from .symbols import SymbolChain, chain_membership, monomial_member
-from .words import Slots, _slot_profile, _window
+from .words import Slots
 
 
 def pr1(chain: SymbolChain) -> SymbolChain:
@@ -234,8 +235,10 @@ class Slice(_Checked, namedtuple("_SliceFields", "model arity sym_degree coeff_d
     __slots__ = ()
 
     def _check(self) -> None:
-        if self.arity < 1 or self.sym_degree < 1 or self.coeff_degree < 0:
-            raise ValueError("invalid slice parameters")
+        if not isinstance(self.model, FlatModel):
+            raise ValueError(f"a slice needs a FlatModel, got {self.model!r}")
+        for name, value, least in zip(self._fields[1:4], self[1:4], (1, 1, 0)):
+            _check_int(value, name, least)
         if self.tag not in SLICE_TAGS:
             raise ValueError(f"slice tag must be one of {SLICE_TAGS}")
 

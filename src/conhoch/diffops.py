@@ -28,22 +28,22 @@ from fractions import Fraction
 from typing import Dict, Iterator, Sequence, Tuple
 
 from .model import FlatModel
-from .poly import Exponent, Poly, merge_terms, monomials_of_degree
+from .poly import Exponent, Poly, _Frozen, merge_terms, monomials_of_degree
 from .symbols import SymbolChain, Word, vee
 from .words import _word_splits
 
 
-class MultiDiffOp:
+class MultiDiffOp(_Frozen):
     """Multi-differential operator: its symbol plus evaluation.  The
     operator is determined by its symbol, so sums, scalings and zero
     tests are done on ``symbol``."""
 
-    __slots__ = ("symbol",)
+    __slots__ = _fields = ("symbol",)
 
     def __init__(self, symbol: SymbolChain):
         if not isinstance(symbol, SymbolChain):
             raise ValueError(f"{symbol!r} is not a symbol chain")
-        self.symbol = symbol
+        self._set(symbol)
 
     @property
     def model(self) -> FlatModel:

@@ -4,9 +4,10 @@ A :class:`VectorField` is its polynomial components, one per coordinate
 (component i multiplies d_i), plus evaluation on functions; it has no
 arithmetic of its own, so a sum of fields is built from the summed
 components.  Membership in the observable and null
-classes is decided from the definitions, on the components restricted
-to C, not per monomial, so this leaf module needs no slot word: it
-imports only errors, model and poly.  The flat covariant derivative
+classes is decided per monomial by the one rule of :mod:`conhoch.model`:
+a monomial of component i is a chain monomial with the single-letter
+word (i,).  So this leaf module needs no slot word listing: it imports
+only errors, model and poly.  The flat covariant derivative
 of Y along X is ``VectorField(model, [X.apply(c) for c in
 Y.components])``.  The decoder ``serialize.field_from_json`` imports
 this module on use, and :func:`cmd_classify_field` is the handler of
@@ -17,22 +18,21 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .model import FlatModel, SubspaceTag, _refuse_hatted, _same_model
-from .poly import Poly
+from .model import FlatModel, SubspaceTag, _monomial_rule, _refuse_hatted, _same_model
+from .poly import Poly, _Frozen
 
 
-class VectorField:
+class VectorField(_Frozen):
     """Vector field with polynomial components (component i multiplies d_i)."""
 
-    __slots__ = ("model", "components")
+    __slots__ = _fields = ("model", "components")
 
     def __init__(self, model: FlatModel, components: Sequence[Poly]):
         if len(components) != model.n_total:
             raise ValueError("need one component per coordinate")
         for f in components:
             model.check_poly(f)
-        self.model = model
-        self.components = tuple(components)
+        self._set(model, tuple(components))
 
     def apply(self, f: Poly) -> Poly:
         """Derivative of a function along the field."""
@@ -68,27 +68,12 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
 
 
 def vf_membership(x: VectorField, tag: SubspaceTag) -> bool:
-    """Constraint membership of a vector field.
-
-    Null: the components transverse to the distribution vanish on C.
-    Wobs: the components normal to C vanish on C, and the derivative of
-    every non-distribution component along the distribution frame
-    vanishes on C (the bracket condition tested against the frame, which
-    generates the distribution sections as a module).
-    """
+    """Constraint membership of a vector field, decided per monomial by
+    the one rule of :mod:`conhoch.model`: a monomial of component i is a
+    chain monomial with the single-letter word (i,)."""
     _refuse_hatted(tag, "vector fields")
-    model = x.model
-    if tag is SubspaceTag.NULL:
-        return all(model.restrict_to_c(x.components[i - 1]).is_zero()
-                   for i in range(model.n_null + 1, model.n_total + 1))
-    for i in model.tcperp_indices:
-        if not model.restrict_to_c(x.components[i - 1]).is_zero():
-            return False
-    for a in model.d_indices:
-        for i in range(model.n_null + 1, model.n_total + 1):
-            if not model.restrict_to_c(x.components[i - 1].partial(a)).is_zero():
-                return False
-    return True
+    return all(_monomial_rule(x.model, tag.value, exp, [(i,)])
+               for i, comp in enumerate(x.components, start=1) for exp in comp.terms)
 
 
 def cmd_classify_field(model, args) -> dict:

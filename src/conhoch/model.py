@@ -1,4 +1,4 @@
-"""The flat constraint model and the three-level classification of functions.
+"""The flat constraint model, its function classes and the one membership rule.
 
 A flat constraint model is the triple of dimensions (n_total, n_wobs,
 n_null) describing the ambient space R^{n_total}, the embedded subspace
@@ -16,6 +16,11 @@ distribution vanish on C; observables form a subalgebra in which the
 null functions are an ideal, and the quotient realises the functions on
 the reduced space R^{n_wobs - n_null}.
 
+This module owns the wobs/null decision: one rule decides a monomial
+(:func:`_window`, :func:`_member` and :func:`_slot_profile`, applied to
+one monomial by :func:`_monomial_rule`), and the classes of functions,
+vector fields, multivectors, chains, operators and slices all read it.
+
 The two tag enums live here: FunctionClass for functions and SubspaceTag
 for the constraint subspaces of symbols, so the command line can parse
 a tag without loading the symbol calculus.  So do the exponent helpers
@@ -26,14 +31,16 @@ import :class:`~conhoch.poly.Poly`, on first use.  Reducing a function
 outside the observable class raises NotConstraintError, the one "not
 observable" error, as reducing a multivector does.  :class:`_Checked`
 is the one base of the checked records (:class:`FlatModel`, and
-``Slice`` and ``CocycleClass`` in :mod:`conhoch.decompose`).
+``Slice`` and ``CocycleClass`` in :mod:`conhoch.decompose`), and
+:func:`_check_int` the one check of a size, grade, degree or order.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import namedtuple
-from typing import TYPE_CHECKING, Iterator, List, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .errors import InvariantError, ModelMismatchError, NotConstraintError, UnsupportedTagError
 
@@ -46,19 +53,12 @@ Exponent = Tuple[int, ...]
 def monomials_of_degree(nvars: int, degree: int) -> List[Exponent]:
     """All exponent tuples of the given total degree, in descending
     lexicographic order (so x1^d comes first); none for a negative
-    degree.  Deterministic."""
-    if nvars == 0 or degree < 0:
-        return [()] if degree == 0 else []
-
-    def rec(remaining: int, slots: int) -> Iterator[Tuple[int, ...]]:
-        if slots == 1:
-            yield (remaining,)
-            return
-        for head in range(remaining, -1, -1):
-            for tail in rec(remaining - head, slots - 1):
-                yield (head,) + tail
-
-    return list(rec(degree, nvars))
+    degree.  Deterministic: the sorted variable multisets come in
+    ascending order, and that order reverses on their exponents."""
+    if degree < 0:
+        return []
+    return [tuple(map(c.count, range(nvars)))
+            for c in itertools.combinations_with_replacement(range(nvars), degree)]
 
 
 class FunctionClass(enum.Enum):
@@ -100,11 +100,64 @@ def _refuse_hatted(tag: SubspaceTag, what: str) -> None:
         raise UnsupportedTagError(f"{what} carry only wobs/null tags, not {name}")
 
 
-def _check_int(value, name: str) -> None:
-    """Refuse a dimension, variable count or grade that is not an int
-    (a bool or a float included)."""
+# ---------------------------------------------------------------------------
+# the membership rule
+#
+# Every constraint subspace occurring here is spanned by monomials
+# (coefficient monomial times a tuple of frame words), so membership of an
+# arbitrary element is decided monomial by monomial.  The observable and
+# null classes are the exact monomial characterisations of the defining
+# operator-level conditions (observable arguments map to observables,
+# and to nulls once one argument is null): worst-case argument analysis
+# shows that a monomial is null precisely when its coefficient carries a
+# normal variable or some slot word mixes distribution letters with no
+# normal letter (such a slot annihilates every observable argument into
+# the null class), and observable when additionally a coefficient free of
+# distribution variables together with normal-letter-free words
+# qualifies.  A function has no slot words, a vector field one word (i,)
+# per component i; the tests check the rule against the definitions.
+# ---------------------------------------------------------------------------
+
+
+def _slot_profile(model: FlatModel, word: Sequence[int]) -> Tuple[int, int, int]:
+    """Letter counts of a word by block: (d, dperp, tcperp)."""
+    nd = sum(1 for i in word if i <= model.n_null)
+    nt = sum(1 for i in word if i > model.n_wobs)
+    return nd, len(word) - nd - nt, nt
+
+
+def _window(tag: str, d_units: int, t_units: int) -> str:
+    """The kind of window a tag takes with a coefficient of these unit
+    counts: "total" (every tuple) when a normal unit makes every monomial
+    null or the tag is total, "null" when wobs membership reduces to null
+    membership (d >= 1), else "wobs"."""
+    if tag == "total" or t_units >= 1:
+        return "total"
+    return "null" if tag == "null" or d_units >= 1 else "wobs"
+
+
+def _member(window: str, profiles: Sequence[Tuple[int, int, int]]) -> bool:
+    """Whether slot words with these letter profiles lie in a
+    :func:`_window` kind.  Null: some word has a distribution letter and
+    no normal letter.  Wobs: null, or no word has a normal letter."""
+    return (window == "total" or any(nd >= 1 and nt == 0 for nd, _, nt in profiles)
+            or window == "wobs" and all(nt == 0 for _, _, nt in profiles))
+
+
+def _monomial_rule(model: FlatModel, tag: str, gamma: Exponent,
+                   words: Sequence[Sequence[int]]) -> bool:
+    """The rule on one monomial: coefficient exponent gamma, slot words."""
+    d, _, t = model.unit_counts(gamma)
+    return _member(_window(tag, d, t), [_slot_profile(model, w) for w in words])
+
+
+def _check_int(value, name: str, least: Optional[int] = None, error=ValueError) -> None:
+    """The one check of a size, grade, degree or order: raise ``error``
+    unless it is an int (not a bool or a float), and at least ``least``."""
     if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
+        raise error(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise error(f"{name} must be at least {least} (got {value})")
 
 
 class _Checked:
@@ -189,17 +242,13 @@ class FlatModel(_Checked, namedtuple("_Dimensions", "n_total n_wobs n_null")):
         return f.substitute_zero(range(self.n_wobs, self.n_total))
 
     def classify_function(self, f: Poly) -> FunctionClass:
-        """Finest class of f, by the definitional criterion: null when the
-        restriction to C vanishes, observable when every derivative along
-        the distribution restricts to zero on C."""
-        if self.restrict_to_c(f).is_zero():
-            return FunctionClass.NULL
-        if all(self.restrict_to_c(f.partial(a)).is_zero() for a in self.d_indices):
-            return FunctionClass.WOBS
+        """Finest class of f: the first of NULL and WOBS whose rule keeps
+        every monomial of f (with no slot words), else TOTAL."""
+        self.check_poly(f)
+        for cls in (FunctionClass.NULL, FunctionClass.WOBS):
+            if all(_monomial_rule(self, cls.name.lower(), exp, ()) for exp in f.terms):
+                return cls
         return FunctionClass.TOTAL
-
-    def function_in_class(self, f: Poly, tag: FunctionClass) -> bool:
-        return tag.contains(self.classify_function(f))
 
     def to_reduced(self, f: Poly, caller: str) -> Poly:
         """Restrict an observable coefficient to C and re-express it in the
@@ -223,7 +272,7 @@ class FlatModel(_Checked, namedtuple("_Dimensions", "n_total n_wobs n_null")):
     def reduce_function(self, f: Poly) -> Poly:
         """Image of an observable function on the reduced space; raises
         NotConstraintError outside the observable class."""
-        if not self.function_in_class(f, FunctionClass.WOBS):
+        if self.classify_function(f) is FunctionClass.TOTAL:
             raise NotConstraintError(f"function {f} is not observable")
         return self.to_reduced(f, "reduce_function")
 
@@ -232,3 +281,4 @@ def _same_model(a: FlatModel, b: FlatModel) -> None:
     """Refuse to combine symbols or vector fields over different models."""
     if a != b:
         raise ModelMismatchError(f"objects over different models {a} and {b}")
+

@@ -16,7 +16,8 @@ The constructor checks input from outside (an ``int`` variable count;
 non-negative ``int`` exponents; ``int`` or ``Fraction`` coefficients,
 never a float), and the arithmetic builds its canonical results through
 the trusted ``Poly._trusted``.  :func:`merge_terms` is the one merge of every term
-map in the package.
+map in the package, and :class:`_Frozen` the one base of the immutable
+values (polynomials, chains, fields, operators and star products).
 
 Variable indices in the public API are 1-based, matching the coordinate
 labels x1..xn used throughout the package.  The exponent helpers
@@ -64,15 +65,33 @@ def _scalar(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
-class Poly:
+class _Frozen:
+    """Base of the values whose ``_fields`` (in constructor order) are set
+    once, by :meth:`_set`: rebinding or deleting one raises AttributeError,
+    and copy, deepcopy and pickle rebuild the value through its constructor."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Poly(_Frozen):
     """Immutable sparse polynomial with rational coefficients."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = _fields = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar] = ()):
-        _check_int(nvars, "nvars")
-        if nvars < 0:
-            raise ValueError("nvars must be non-negative")
+        _check_int(nvars, "nvars", 0)
         items = terms.items() if isinstance(terms, Mapping) else terms
         checked = []
         for exp, coeff in items:
@@ -80,25 +99,15 @@ class Poly:
             if len(exp) != nvars or not all(type(e) is int and e >= 0 for e in exp):
                 raise ValueError(f"exponent {exp} needs {nvars} non-negative int entries")
             checked.append((exp, _scalar(coeff)))
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", merge_terms(checked))
+        self._set(nvars, merge_terms(checked))
 
     @classmethod
     def _trusted(cls, nvars: int, terms: Dict[Exponent, Fraction]) -> "Poly":
         """A polynomial owning terms already canonical (exponents of
         length nvars to nonzero Fractions); nothing is checked or copied."""
         self = object.__new__(cls)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", terms)
+        self._set(nvars, terms)
         return self
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("Poly is immutable")
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through the checked
-        # constructor; restoring the slots one by one would hit the guard
-        return Poly, (self.nvars, self.terms)
 
     # -- constructors ----------------------------------------------------
 

@@ -1,7 +1,7 @@
 """The slice count: cohomology dimensions of tagged slices and the
 dimensions the degree-2 classification predicts.
 
-Every count reads the one membership rule of :mod:`conhoch.words`: the
+Every count reads the one membership rule of :mod:`conhoch.model`: the
 coefficient's unit counts pick a window kind (``_window``), and the slot
 words, none for a function, are tested against it (``_member``).  The
 one gate of :mod:`conhoch.model` refuses a hatted tag.  The
@@ -41,8 +41,9 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 from . import cohomology
 from .errors import PreconditionError
 from .linalg import sparse_rank
-from .model import Exponent, FlatModel, SubspaceTag, _refuse_hatted, monomials_of_degree
-from .words import Word, _member, _window, mv_members
+from .model import (Exponent, FlatModel, SubspaceTag, _check_int, _monomial_rule,
+                    _refuse_hatted, _window, monomials_of_degree)
+from .words import Word, mv_members
 
 if TYPE_CHECKING:  # the representatives import it on use
     from .symbols import SymbolChain
@@ -96,6 +97,8 @@ def hh_dimension(model: FlatModel, tag: SubspaceTag, degree: int,
     """
     if degree not in (1, 2):
         raise PreconditionError("slice cohomology is computed in degrees 1 and 2")
+    for value in (degree, sym_degree, coeff_degree):
+        _check_int(value, "a degree", 0)
     _refuse_hatted(tag, "cohomology slices")
     total = 0
     for gamma in monomials_of_degree(model.n_total, coeff_degree):
@@ -114,10 +117,9 @@ def hh0_dimension(model: FlatModel, tag: SubspaceTag, coeff_degree: int) -> int:
     spanned, and a function monomial is a monomial with no slot words,
     so the membership rule counts them without building one."""
     _refuse_hatted(tag, "function slices")
-    if coeff_degree < 0:
-        raise ValueError("degree must be non-negative")
-    units = (model.unit_counts(exp) for exp in monomials_of_degree(model.n_total, coeff_degree))
-    return sum(_member(_window(tag.value, d, t), ()) for d, _, t in units)
+    _check_int(coeff_degree, "a degree", 0)
+    return sum(_monomial_rule(model, tag.value, exp, ())
+               for exp in monomials_of_degree(model.n_total, coeff_degree))
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +155,8 @@ def classified_hh2_dimension(model: FlatModel, tag: SubspaceTag,
     tagged bivectors contribute at K = 2 only (their chains have two
     degree-one slots) and the normal-word class contributes for every
     K >= 2, with K - 1 distribution letters."""
+    for value in (sym_degree, coeff_degree):
+        _check_int(value, "a degree", 0)
     if sym_degree < 2:
         raise PreconditionError("the degree-2 classification needs K >= 2")
     _refuse_hatted(tag, "classified slices")

@@ -38,8 +38,8 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 from .diffops import (MultiDiffOp, apply_to_monomials, compose_symbols,
                       monomial_argument_tuples)
 from .errors import InvariantError, NotClosedError, PreconditionError
-from .model import FlatModel
-from .poly import Poly
+from .model import FlatModel, _check_int
+from .poly import Poly, _Frozen
 from .symbols import SubspaceTag, SymbolChain, chain_membership, differential_d
 
 if TYPE_CHECKING:  # the bracket and the classification import decompose on first use
@@ -51,10 +51,13 @@ if TYPE_CHECKING:  # the bracket and the classification import decompose on firs
 OMITTED_BRACKET_PREFACTOR = "-i"
 
 
-class TruncatedStar:
+class TruncatedStar(_Frozen):
     """Star product truncated at a finite order in the formal parameter."""
 
+    __slots__ = _fields = ("model", "cochains")
+
     def __init__(self, model: FlatModel, cochains: Sequence[MultiDiffOp]):
+        cochains = tuple(cochains)
         for c in cochains:
             if not isinstance(c, MultiDiffOp):
                 raise PreconditionError(f"a cochain must be an operator, not {type(c).__name__}")
@@ -62,8 +65,7 @@ class TruncatedStar:
                 raise PreconditionError("cochain over a different model")
             if c.arity != 2:
                 raise PreconditionError("star product cochains have two arguments")
-        self.model = model
-        self.cochains = list(cochains)
+        self._set(model, cochains)
 
     @property
     def order(self) -> int:
@@ -148,6 +150,7 @@ def check_associativity(star: TruncatedStar,
     when every order up to ``up_to`` (default: the truncation order)
     vanishes identically."""
     up_to = star.order if up_to is None else up_to
+    _check_int(up_to, "up_to", 0, PreconditionError)
     if up_to > star.order:
         raise PreconditionError("cannot check beyond the truncation order")
     for order in range(1, up_to + 1):

@@ -23,7 +23,7 @@ This module provides
 * the tensor differential, built from the unit differential of
   :mod:`conhoch.words`,
 * membership of chains, decided per monomial: the tagged subspaces by
-  the one rule of :mod:`conhoch.words` (``_window`` and ``_member``),
+  the one rule of :mod:`conhoch.model` (``_monomial_rule``),
   the hatted complement blocks by :func:`word_category`;
 * the handlers of the commands that compute on one chain: classify-symbol
   and bigd.
@@ -45,9 +45,9 @@ from collections.abc import Mapping
 from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 from .errors import UnsupportedTagError
-from .model import FlatModel, SubspaceTag, _check_int, _same_model
-from .poly import Exponent, Poly, merge_terms
-from .words import Slots, Word, _member, _slot_profile, _window, unit_differential
+from .model import FlatModel, SubspaceTag, _check_int, _monomial_rule, _same_model, _slot_profile
+from .poly import Exponent, Poly, _Frozen, merge_terms
+from .words import Slots, Word, unit_differential
 
 if TYPE_CHECKING:  # only annotations name it here
     from fractions import Fraction
@@ -63,7 +63,7 @@ def vee(a: Word, b: Word) -> Word:
 # ---------------------------------------------------------------------------
 
 
-class _TermMap:
+class _TermMap(_Frozen):
     """Map from basis keys to nonzero polynomial coefficients over one
     model, graded by the key length (the degree of a multivector, the
     arity of a chain).  The constructor checks each key with the
@@ -71,7 +71,7 @@ class _TermMap:
     repeated keys and drops zero coefficients; the repr is the
     ``--format table`` text."""
 
-    __slots__ = ("model", "_grade", "terms")
+    __slots__ = _fields = ("model", "_grade", "terms")
     #: set by each subclass: the grade's name in a mismatch error, the
     #: error for a grade below 1, and the serialize encoder of the repr
     _grade_name = _too_low = _encoder = ""
@@ -85,9 +85,7 @@ class _TermMap:
         for key, coeff in items:
             model.check_poly(coeff)
             checked.append((self._check_key(model, grade, key), coeff))
-        self.model = model
-        self._grade = grade
-        self.terms = merge_terms(checked)
+        self._set(model, grade, merge_terms(checked))
 
     @classmethod
     def zero(cls, model: FlatModel, grade: int):
@@ -97,7 +95,7 @@ class _TermMap:
         """A term map of this class, model and grade (unless another is
         given) owning canonical terms; nothing is checked again."""
         new = object.__new__(type(self))
-        new.model, new._grade, new.terms = self.model, grade or self._grade, terms
+        new._set(self.model, grade or self._grade, terms)
         return new
 
     def __add__(self, other):
@@ -250,14 +248,13 @@ def monomial_member(model: FlatModel, gamma: Exponent, slots: Slots,
                     tag: SubspaceTag) -> bool:
     """Membership of a single monomial chain (coefficient exponent gamma,
     slot words) in the tagged subspace."""
-    d, _, t = model.unit_counts(gamma)
     if tag in (SubspaceTag.WOBS, SubspaceTag.NULL):
-        return _member(_window(tag.value, d, t), [_slot_profile(model, w) for w in slots])
+        return _monomial_rule(model, tag.value, gamma, slots)
     # hatted tags: sections over C only, so no normal variables at all;
     # one word of the tag's categories, and an 'nhat' word only in the
     # null complement
     _check_tag_arity(tag, len(slots))
-    if t != 0:
+    if model.unit_counts(gamma)[2]:
         return False
     cats = [word_category(model, w) for w in slots]
     return (any(c in _HAT_WORDS[tag] for c in cats)

@@ -1,4 +1,4 @@
-"""Slot words: splittings and the one membership rule of monomials.
+"""Slot words: the splitting table and the unit differential.
 
 A word is a sorted tuple of 1-based coordinate letters with repetition
 (e.g. (1, 1, 3) stands for d1 v d1 v d3), one per slot of a monomial
@@ -6,12 +6,11 @@ chain.  This leaf module holds what the slice kernel of
 :mod:`conhoch.cohomology` and :mod:`conhoch.slicecount` reads about
 words: the one splitting table (:func:`_word_splits`, which the Leibniz
 rule of :mod:`conhoch.diffops` and :mod:`conhoch.hochschild` reads too),
-the differential of one unit monomial chain, letter profiles by
-coordinate block, and the one wobs/null membership rule of every
-monomial, chain, multivector or function: the coefficient picks a
-window kind (:func:`_window`) and the slot words are tested against it
-(:func:`_member`).  It imports only model.  The rules of the hatted
-complement blocks, which only the symbol calculus asks, live in
+the differential of one unit monomial chain, and :func:`mv_members`,
+the multivector monomials in a tagged class.  It imports only model,
+which owns the one wobs/null membership rule of every monomial
+(``_window``, ``_member`` and ``_slot_profile``).  The rules of the
+hatted complement blocks, which only the symbol calculus asks, live in
 :mod:`conhoch.symbols` (``monomial_member``).
 """
 
@@ -20,9 +19,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from .model import Exponent, FlatModel, SubspaceTag, _refuse_hatted
+from .model import Exponent, FlatModel, SubspaceTag, _monomial_rule, _refuse_hatted
 
 Word = Tuple[int, ...]
 Slots = Tuple[Word, ...]
@@ -65,60 +64,11 @@ def unit_differential(slots: Slots) -> Dict[Slots, int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# the membership rule
-#
-# Every constraint subspace occurring here is spanned by monomials
-# (coefficient monomial times a tuple of frame words), so membership of an
-# arbitrary element is decided monomial by monomial.  The observable and
-# null classes are the exact monomial characterisations of the defining
-# operator-level conditions (observable arguments map to observables,
-# and to nulls once one argument is null): worst-case argument analysis
-# shows that a monomial is null precisely when its coefficient carries a
-# normal variable or some slot word mixes distribution letters with no
-# normal letter (such a slot annihilates every observable argument into
-# the null class), and observable when additionally a coefficient free of
-# distribution variables together with normal-letter-free words
-# qualifies.  A function has no slot words, a multivector one
-# single-letter word per index.  The analysis is cross-checked against
-# the definitional classifiers in the test suite.
-# ---------------------------------------------------------------------------
-
-
-def _slot_profile(model: FlatModel, word: Word) -> Tuple[int, int, int]:
-    """Letter counts of a word by block: (d, dperp, tcperp)."""
-    nd = sum(1 for i in word if i <= model.n_null)
-    nt = sum(1 for i in word if i > model.n_wobs)
-    return nd, len(word) - nd - nt, nt
-
-
-def _window(tag: str, d_units: int, t_units: int) -> str:
-    """The kind of window a tag takes with a coefficient of these unit
-    counts: "total" (every tuple) when a normal unit makes every monomial
-    null or the tag is total, "null" when wobs membership reduces to null
-    membership (d >= 1), else "wobs"."""
-    if tag == "total" or t_units >= 1:
-        return "total"
-    return "null" if tag == "null" or d_units >= 1 else "wobs"
-
-
-def _member(window: str, profiles: Sequence[Tuple[int, int, int]]) -> bool:
-    """Whether slot words with these letter profiles lie in a
-    :func:`_window` kind.  Null: some word has a distribution letter and
-    no normal letter.  Wobs: null, or no word has a normal letter."""
-    return (window == "total" or any(nd >= 1 and nt == 0 for nd, _, nt in profiles)
-            or window == "wobs" and all(nt == 0 for _, _, nt in profiles))
-
-
 def mv_members(model: FlatModel, tag: SubspaceTag,
                monomials: Iterable[Tuple[Exponent, Word]]) -> List[Tuple[Exponent, Word]]:
     """The (coefficient exponent, index tuple) monomial multivectors among
     these in the tagged class, after refusing a hatted tag: a multivector
     monomial is a chain monomial with one single-letter word per index."""
     _refuse_hatted(tag, "multivectors")
-    kept = []
-    for gamma, idx in monomials:
-        d, _, t = model.unit_counts(gamma)
-        if _member(_window(tag.value, d, t), [_slot_profile(model, (i,)) for i in idx]):
-            kept.append((gamma, idx))
-    return kept
+    return [(gamma, idx) for gamma, idx in monomials
+            if _monomial_rule(model, tag.value, gamma, [(i,) for i in idx])]

@@ -7,6 +7,11 @@ that the library decides it with:
 * operator equality on a window (:func:`operators_equal_on_window`) and
   the window that separates operators of a given order and coefficient
   degree (:func:`sufficiency_degree`);
+* the class of a function and the membership of a vector field from
+  their definitions, by restricting to C and differentiating along the
+  distribution (:func:`classify_function_by_definition`,
+  :func:`vf_membership_by_definition`), where the library applies the
+  monomial rule of :mod:`conhoch.model`;
 * operator membership from the defining function-class conditions
   (:func:`op_membership_functional`);
 * the order-r associator of a star product, evaluated from its cochains
@@ -34,12 +39,11 @@ import itertools
 from typing import List, Sequence
 
 from conhoch import (FlatModel, FunctionClass, MultiDiffOp, Poly, SubspaceTag, SymbolChain,
-                     TruncatedStar, monomial_member, vee)
+                     TruncatedStar, VectorField, monomial_member, vee)
 from conhoch import starprod
 from conhoch.diffops import apply_to_monomials, monomial_argument_tuples
 from conhoch.errors import UnsupportedTagError
-from conhoch.model import _same_model, monomials_of_degree
-from conhoch.words import _member, _slot_profile, _window
+from conhoch.model import _member, _same_model, _slot_profile, _window, monomials_of_degree
 
 
 def shuffle_pairs(word: Sequence[int]):
@@ -54,6 +58,39 @@ def shuffle_pairs(word: Sequence[int]):
             right_set = set(left_pos)
             right = tuple(word[p] for p in positions if p not in right_set)
             yield left, right
+
+
+def classify_function_by_definition(model: FlatModel, f: Poly) -> FunctionClass:
+    """Finest class of f by the definitions: null when the restriction to
+    C vanishes, observable when every derivative along the distribution
+    restricts to zero on C."""
+    if model.restrict_to_c(f).is_zero():
+        return FunctionClass.NULL
+    if all(model.restrict_to_c(f.partial(a)).is_zero() for a in model.d_indices):
+        return FunctionClass.WOBS
+    return FunctionClass.TOTAL
+
+
+def vf_membership_by_definition(x: VectorField, tag: SubspaceTag) -> bool:
+    """Constraint membership of a vector field by the definitions, on the
+    components restricted to C.
+
+    Null: the components transverse to the distribution vanish on C.
+    Wobs: the components normal to C vanish on C, and the derivative of
+    every non-distribution component along the distribution frame
+    vanishes on C (the bracket condition tested against the frame, which
+    generates the distribution sections as a module).
+    """
+    model = x.model
+    transverse = [x.components[i - 1] for i in range(model.n_null + 1, model.n_total + 1)]
+    if tag is SubspaceTag.NULL:
+        return all(model.restrict_to_c(c).is_zero() for c in transverse)
+    if tag is not SubspaceTag.WOBS:
+        raise UnsupportedTagError("vector fields carry only wobs/null tags")
+    return (all(model.restrict_to_c(x.components[i - 1]).is_zero()
+                for i in model.tcperp_indices)
+            and all(model.restrict_to_c(c.partial(a)).is_zero()
+                    for a in model.d_indices for c in transverse))
 
 
 def operators_equal_on_window(a: MultiDiffOp, b: MultiDiffOp,
@@ -94,14 +131,15 @@ def op_membership_functional(op: MultiDiffOp, tag: SubspaceTag,
         wobs_monomials.extend(function_slice_basis(model, FunctionClass.WOBS, degree))
     for args in itertools.product(wobs_monomials, repeat=op.arity):
         value = op.apply(list(args))
-        value_class = model.classify_function(value)
+        value_class = classify_function_by_definition(model, value)
         if tag is SubspaceTag.NULL:
             if not FunctionClass.NULL.contains(value_class):
                 return False
             continue
         if not FunctionClass.WOBS.contains(value_class):
             return False
-        if any(model.classify_function(f) is FunctionClass.NULL for f in args):
+        if any(classify_function_by_definition(model, f) is FunctionClass.NULL
+               for f in args):
             if not FunctionClass.NULL.contains(value_class):
                 return False
     return True
@@ -166,11 +204,11 @@ def tagged_slots_by_monomial(model: FlatModel, arity: int, sym_degree: int,
 def function_slice_basis(model: FlatModel, tag: FunctionClass, degree: int) -> List[Poly]:
     """Monomial basis of the tag class among homogeneous polynomials of
     the given total degree, in canonical (descending grlex) order, each
-    monomial classified by the definitional ``classify_function``."""
+    monomial classified by :func:`classify_function_by_definition`."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
     monomials = (Poly.monomial(exp) for exp in monomials_of_degree(model.n_total, degree))
-    return [f for f in monomials if tag.contains(model.classify_function(f))]
+    return [f for f in monomials if tag.contains(classify_function_by_definition(model, f))]
 
 
 def shuffle_coproduct(model: FlatModel, word: Sequence[int],

@@ -15,9 +15,10 @@ from conhoch import (CocycleClass, FlatModel, MultiVector, Poly, Slice,
                      differential_d, find_constraint_potential, find_potential,
                      hh0_dimension, hh_dimension, hkr, matrix_of_D,
                      normal_class_basis, slice_basis)
-from conhoch import cohomology, slicecount, words
+from conhoch import cohomology, slicecount
 from conhoch.slicecount import normal_class_monomials
 from conhoch.decompose import slice_monomials
+from conhoch.model import _window
 from conhoch.errors import (InvariantError, NotClosedError, NotConstraintError,
                             PreconditionError, SolveFailureError)
 from conhoch.dense import RationalMatrix
@@ -45,12 +46,6 @@ def test_slot_tuples_keep_their_order():
         ((1, 3), (2,)), ((1, 3), (3,)), ((2, 2), (1,)), ((2, 2), (2,)), ((2, 2), (3,)),
         ((2, 3), (1,)), ((2, 3), (2,)), ((2, 3), (3,)), ((3, 3), (1,)), ((3, 3), (2,)),
         ((3, 3), (3,)))
-
-
-@pytest.mark.parametrize("model", [FlatModel(2, 1, 1), FlatModel(3, 2, 1)],
-                         ids=["2,1,1", "3,2,1"])
-def test_negative_coefficient_degree_has_no_classes(model):
-    assert classified_hh2_dimension(model, SubspaceTag.WOBS, 2, -1) == 0
 
 
 def test_slice_basis_examples(m321):
@@ -135,7 +130,7 @@ def test_tagged_window_equals_the_monomial_filter(window):
     # exactly the tuples, in the same order, that monomial_member keeps
     # with a witness coefficient of those unit counts
     model, arity, K, tag, d, t = window
-    kind = words._window(tag, d, t)
+    kind = _window(tag, d, t)
     assert (cohomology._tagged_slots_for_units(model, arity, K, kind)
             == tagged_slots_by_monomial(*window))
 

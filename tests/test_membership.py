@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conhoch import (FlatModel, FunctionClass, MultiDiffOp, MultiVector, Poly,
                      SubspaceTag, SymbolChain, VectorField, bivector_slice_basis, bracket,
@@ -15,7 +16,8 @@ from conhoch.errors import UnsupportedTagError
 from conhoch.words import mv_members
 
 from conftest import all_models, frame_field, monomial_field, monomials_up_to, rand_poly, var
-from reference import op_membership_functional
+from reference import (classify_function_by_definition, op_membership_functional,
+                       vf_membership_by_definition)
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +67,29 @@ def test_vf_wobs_against_bracket_oracle():
                 _wobs_field_oracle(model, x, rng), (model, x)
 
 
+_MODELS = all_models(5)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_rule_classifiers_equal_the_definitions(data):
+    # classify_function and vf_membership apply the monomial rule of
+    # conhoch.model; the definitions restrict to C and differentiate along
+    # the distribution.  One polynomial and one vector field per model,
+    # on every model with n_total <= 5, with terms of degree <= 3
+    for model in _MODELS:
+        n = model.n_total
+        monomial = st.tuples(st.sampled_from(monomials_up_to(n, 3)), st.integers(-2, 2))
+        polys = st.lists(monomial, max_size=3).map(lambda terms: Poly(n, terms))
+        f = data.draw(polys)
+        assert model.classify_function(f) is classify_function_by_definition(model, f), \
+            (model, f)
+        x = VectorField(model, data.draw(st.lists(polys, min_size=n, max_size=n)))
+        for tag in (SubspaceTag.WOBS, SubspaceTag.NULL):
+            assert vf_membership(x, tag) == vf_membership_by_definition(x, tag), \
+                (model, x, tag)
+
+
 def test_vf_null_implies_wobs():
     rng = random.Random(301)
     for model in all_models(4):
@@ -105,9 +130,9 @@ def _mv_spanning_oracle(model: FlatModel, gamma, pair, tag: SubspaceTag,
         for exp in monomials_up_to(model.n_total, max_degree):
             f = monomial_field(model, i, exp)
             all_fields.append((i, exp))
-            if vf_membership(f, SubspaceTag.WOBS):
+            if vf_membership_by_definition(f, SubspaceTag.WOBS):
                 wobs_fields.append((i, exp))
-            if vf_membership(f, SubspaceTag.NULL):
+            if vf_membership_by_definition(f, SubspaceTag.NULL):
                 null_fields.append((i, exp))
 
     def spans(pairs):
@@ -165,13 +190,14 @@ def test_chain_null_implies_wobs(m321):
 
 
 def test_chain_membership_matches_vector_fields(m321):
-    # arity-1 symmetric-degree-1 chains are vector fields
+    # arity-1 symmetric-degree-1 chains are vector fields, whose classes
+    # the definitions decide on the components
     for i in range(1, 4):
         for exp in monomials_up_to(3, 2):
             chain = SymbolChain.from_term(m321, [(i,)], Poly.monomial(exp))
             field = monomial_field(m321, i, exp)
             for tag in (SubspaceTag.WOBS, SubspaceTag.NULL):
-                assert chain_membership(chain, tag) == vf_membership(field, tag)
+                assert chain_membership(chain, tag) == vf_membership_by_definition(field, tag)
 
 
 def test_chain_membership_matches_functional_oracle():
@@ -230,8 +256,8 @@ def test_mixed_distribution_slot_forces_null(m321):
     assert chain_membership(op.symbol, SubspaceTag.NULL)
     for exp in monomials_up_to(3, 4):
         f = Poly.monomial(exp)
-        if m321.function_in_class(f, FunctionClass.WOBS):
-            assert m321.function_in_class(op.apply([f]), FunctionClass.NULL)
+        if FunctionClass.WOBS.contains(classify_function_by_definition(m321, f)):
+            assert classify_function_by_definition(m321, op.apply([f])) is FunctionClass.NULL
 
 
 def test_vanishing_coefficient_forces_null(m321):

@@ -8,13 +8,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conhoch import (CocycleClass, FlatModel, FunctionClass, MultiVector, Poly, Slice,
-                     SubspaceTag, SymbolChain, monomials_of_degree, reduce_multivector)
-from conhoch.errors import NotConstraintError
-from conhoch.words import _member, _window, mv_members
+from conhoch import (CocycleClass, FlatModel, FunctionClass, MultiDiffOp, MultiVector, Poly,
+                     Slice, SubspaceTag, SymbolChain, TruncatedStar, check_associativity,
+                     classified_hh2_dimension, hh0_dimension, hh_dimension,
+                     monomials_of_degree, reduce_multivector)
+from conhoch.errors import NotConstraintError, PreconditionError
+from conhoch.model import _member, _window
+from conhoch.words import mv_members
 
 from conftest import all_models, rand_poly, var
-from reference import function_slice_basis
+from reference import classify_function_by_definition, function_slice_basis
 
 
 def test_model_validation():
@@ -50,7 +53,7 @@ def test_monomial_criterion_agrees_with_definition():
         for degree in range(7):
             for exp in monomials_of_degree(model.n_total, degree):
                 d, _, t = model.unit_counts(exp)
-                cls = model.classify_function(Poly.monomial(exp))
+                cls = classify_function_by_definition(model, Poly.monomial(exp))
                 for tag in ("wobs", "null"):
                     assert _member(_window(tag, d, t), ()) == \
                         FunctionClass[tag.upper()].contains(cls), (model, exp, tag)
@@ -72,18 +75,18 @@ def test_observables_form_subalgebra_nulls_an_ideal():
     rng = random.Random(12)
     model = FlatModel(4, 3, 2)
     wobs = [f for f in (rand_poly(rng, 4, 4) for _ in range(40))
-            if model.function_in_class(f, FunctionClass.WOBS)]
+            if FunctionClass.WOBS.contains(model.classify_function(f))]
     nulls = [f for f in (rand_poly(rng, 4, 4) for _ in range(60))
-             if model.function_in_class(f, FunctionClass.NULL)]
+             if FunctionClass.NULL.contains(model.classify_function(f))]
     anything = [rand_poly(rng, 4, 4) for _ in range(10)]
     assert len(wobs) >= 5 and len(nulls) >= 3
     for f in wobs[:6]:
         for g in wobs[:6]:
-            assert model.function_in_class(f * g, FunctionClass.WOBS)
-            assert model.function_in_class(f + g, FunctionClass.WOBS)
+            assert FunctionClass.WOBS.contains(model.classify_function(f * g))
+            assert FunctionClass.WOBS.contains(model.classify_function(f + g))
     for f in nulls[:5]:
         for g in anything:
-            assert model.function_in_class(f * g, FunctionClass.NULL)
+            assert model.classify_function(f * g) is FunctionClass.NULL
 
 
 def test_reduce_function_examples(m321):
@@ -106,7 +109,7 @@ def test_reduce_function_is_algebra_morphism():
     rng = random.Random(13)
     model = FlatModel(4, 3, 1)
     wobs = [f for f in (rand_poly(rng, 4, 3) for _ in range(60))
-            if model.function_in_class(f, FunctionClass.WOBS)][:8]
+            if FunctionClass.WOBS.contains(model.classify_function(f))][:8]
     assert len(wobs) >= 4
     for f in wobs:
         for g in wobs:
@@ -149,10 +152,11 @@ def test_function_slice_basis_examples(m321):
 
 
 def test_function_slice_basis_respects_class(m321):
+    # the basis comes from the definitions; the rule puts it in its class
     for tag in FunctionClass:
         for degree in range(4):
             for f in function_slice_basis(m321, tag, degree):
-                assert m321.function_in_class(f, tag)
+                assert tag.contains(m321.classify_function(f))
 
 
 def test_degenerate_models():
@@ -234,3 +238,41 @@ def test_records_keep_their_tuple_behaviour():
     assert repr(slc) == ("Slice(model=FlatModel(n_total=3, n_wobs=2, n_null=1), arity=2, "
                          "sym_degree=3, coeff_degree=1, tag='total')")
     assert not hasattr(m, "__dict__") and not hasattr(slc, "__dict__")
+
+
+# ---------------------------------------------------------------------------
+# the one int check
+# ---------------------------------------------------------------------------
+
+_WOBS = SubspaceTag.WOBS
+_STAR = TruncatedStar(_M, [MultiDiffOp(SymbolChain.from_term(_M, [(1,), (2,)]))])
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Slice(_M, 1.5, 2, 0), ValueError),
+    (lambda: Slice(_M, True, 1, 0), ValueError),
+    (lambda: Slice(_M, "1", 1, 0), ValueError),
+    (lambda: Slice("x", 1, 1, 0), ValueError),
+    (lambda: hh_dimension(_M, _WOBS, True, 2, 0), ValueError),
+    (lambda: hh_dimension(_M, _WOBS, 2, True, 1), ValueError),
+    (lambda: hh_dimension(_M, _WOBS, 2, 2.0, 1), ValueError),
+    (lambda: hh_dimension(_M, _WOBS, 1, -1, 0), ValueError),
+    (lambda: hh_dimension(_M, _WOBS, 2, 2, -1), ValueError),
+    (lambda: hh0_dimension(_M, _WOBS, True), ValueError),
+    (lambda: hh0_dimension(_M, _WOBS, 1.0), ValueError),
+    (lambda: classified_hh2_dimension(_M, _WOBS, 2.0, 0), ValueError),
+    (lambda: classified_hh2_dimension(_M, _WOBS, 2, -1), ValueError),
+    (lambda: classified_hh2_dimension(FlatModel(2, 1, 1), _WOBS, 2, -1), ValueError),
+    (lambda: check_associativity(_STAR, up_to=-1), PreconditionError),
+    (lambda: check_associativity(_STAR, up_to=True), PreconditionError),
+    (lambda: check_associativity(_STAR, up_to=1.0), PreconditionError),
+], ids=["float-arity", "bool-arity", "str-arity", "str-model", "bool-hh-degree",
+        "bool-K", "float-K", "negative-K", "negative-c", "bool-c-degree-0",
+        "float-c-degree-0", "float-K-classified", "negative-c-classified-3,2,1",
+        "negative-c-classified-2,1,1", "negative-up-to", "bool-up-to", "float-up-to"])
+def test_degrees_and_orders_refuse_what_is_not_a_non_negative_int(build, error):
+    # one check (model._check_int) refuses a degree, arity or order that is
+    # a bool, a float, a string or negative: none is read as 1, counted as
+    # an empty window or answered with "associative"
+    with pytest.raises(error):
+        build()

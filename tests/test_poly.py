@@ -1,11 +1,13 @@
 """Exact polynomial arithmetic."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from conhoch import (FlatModel, MultiDiffOp, MultiVector, Poly, SymbolChain, VectorField,
-                     monomials_of_degree)
+from conhoch import (FlatModel, MultiDiffOp, MultiVector, Poly, SymbolChain, TruncatedStar,
+                     VectorField, monomials_of_degree)
 
 from conftest import rand_poly
 import random
@@ -172,3 +174,47 @@ def test_coefficients_and_arguments_refuse_what_is_not_a_polynomial(build):
     # AttributeError from reading its variable count
     with pytest.raises(ValueError, match="is not a polynomial"):
         build()
+
+
+_STAR = TruncatedStar(_M321, [MultiDiffOp(SymbolChain.from_term(_M321, [(1,), (2,)]))])
+
+
+_CHAIN = SymbolChain.from_term(_M321, [(1,), (3,)], Poly.monomial((0, 1, 0)))
+_VALUES = {
+    "poly": (Poly.monomial((1, 0, 2)), ["nvars", "terms"]),
+    "chain": (_CHAIN, ["model", "_grade", "terms"]),
+    "multivector": (MultiVector.wedge_of_frames(_M321, (1, 3)), ["model", "terms"]),
+    "vector-field": (VectorField(_M321, [Poly.monomial((1, 0, 0))] * 3),
+                     ["model", "components"]),
+    "operator": (MultiDiffOp(_CHAIN), ["symbol"]),
+    "star": (_STAR, ["model", "cochains"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_VALUES))
+def test_values_refuse_rebinding_and_copy_through_their_constructor(name):
+    # a built value keeps the fields its constructor checked: rebinding or
+    # deleting one raises and leaves it as it was; copy, deepcopy and
+    # pickle give a value of the same type with equal fields
+    value, fields = _VALUES[name]
+
+    def state(v):
+        return type(v), [getattr(v, field) for field in fields]
+
+    before = state(value)
+    for field in fields:
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(value, field)
+    assert state(value) == before
+    for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        assert state(clone(value)) == before
+
+
+def test_star_cochains_cannot_grow():
+    # the cochains are stored as a tuple, so the order of a built star
+    # product stays the one its constructor checked
+    assert _STAR.cochains == tuple(_STAR.cochains) and _STAR.order == 1
+    with pytest.raises(AttributeError):
+        _STAR.cochains.append("junk")

@@ -138,3 +138,20 @@ def test_only_the_checked_base_defines_new():
                      for item in node.body
                      if isinstance(item, ast.FunctionDef) and item.name == "__new__")
     assert found == ["model._Checked"]
+
+
+def test_only_the_model_defines_the_membership_rule():
+    # the wobs/null decision of functions, vector fields, multivectors,
+    # chains, operators and slice counts has one owner: model defines the
+    # rule, and every reader imports it from there
+    rule = {"_slot_profile", "_window", "_member", "_monomial_rule"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef) and node.name in rule)
+        found.extend(f"{path.stem} imports {alias.name} from {node.module}"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module != "model"
+                     for alias in node.names if alias.name in rule)
+    assert sorted(found) == sorted(f"model.{name}" for name in rule)
