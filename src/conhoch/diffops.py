@@ -11,7 +11,8 @@ this way vanish on constants in every argument because every slot has
 symmetric degree at least one.
 
 This module holds what star products run: :class:`MultiDiffOp` and its
-evaluation, the spread of a derivative word over several factors (from
+evaluation (two operators are equal when their symbols are, by
+``poly._Frozen``), the spread of a derivative word over several factors (from
 the one splitting table ``words._word_splits``), the symbol of a
 Gerstenhaber composition (:func:`compose_symbols`) and the fast
 evaluation on monomial arguments, each merged once by ``merge_terms``.
@@ -68,9 +69,6 @@ class MultiDiffOp(_Frozen):
                     break
             out = out + term
         return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MultiDiffOp) and self.symbol == other.symbol
 
     def __repr__(self) -> str:
         return f"Op[{self.symbol!r}]"

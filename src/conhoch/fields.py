@@ -3,7 +3,8 @@
 A :class:`VectorField` is its polynomial components, one per coordinate
 (component i multiplies d_i), plus evaluation on functions; it has no
 arithmetic of its own, so a sum of fields is built from the summed
-components.  Membership in the observable and null
+components, and two fields are equal when their models and components
+are (``poly._Frozen``).  Membership in the observable and null
 classes is decided per monomial by the one rule of :mod:`conhoch.model`:
 a monomial of component i is a chain monomial with the single-letter
 word (i,).  So this leaf module needs no slot word listing: it imports
@@ -41,10 +42,6 @@ class VectorField(_Frozen):
             if not comp.is_zero():
                 out = out + comp * f.partial(i)
         return out
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, VectorField) and self.model == other.model
-                and self.components == other.components)
 
     def __repr__(self) -> str:
         from . import printer, serialize

@@ -14,10 +14,16 @@ tuple first), which makes printing and serialisation deterministic.
 
 The constructor checks input from outside (an ``int`` variable count;
 non-negative ``int`` exponents; ``int`` or ``Fraction`` coefficients,
-never a float), and the arithmetic builds its canonical results through
-the trusted ``Poly._trusted``.  :func:`merge_terms` is the one merge of every term
-map in the package, and :class:`_Frozen` the one base of the immutable
-values (polynomials, chains, fields, operators and star products).
+never a float), ``coefficient`` reads an exponent the same way, and the
+arithmetic builds its canonical results through the trusted
+``Poly._trusted``.  Polynomials add, subtract and compare with
+polynomials only; only ``*`` also takes an ``int`` or ``Fraction``
+scalar.  :func:`merge_terms` is the one merge of every term map in the
+package, and :class:`_Frozen` the one owner of value semantics for the
+immutable values (polynomials, chains, multivectors, fields, operators
+and star products): fields set once, term maps stored read-only,
+equality by type and fields, no hash, and copies through the checked
+constructor.
 
 Variable indices in the public API are 1-based, matching the coordinate
 labels x1..xn used throughout the package.  The exponent helpers
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Tuple, Union
 
 from .model import Exponent, _check_int, monomials_of_degree  # noqa: F401 (re-exported)
@@ -57,6 +64,14 @@ def merge_terms(pairs: Iterable[tuple]) -> dict:
     return out
 
 
+def _exponent(exp, nvars: int) -> Exponent:
+    """An exponent from outside the program: nvars non-negative ints."""
+    exp = tuple(exp)
+    if len(exp) != nvars or not all(type(e) is int and e >= 0 for e in exp):
+        raise ValueError(f"exponent {exp} needs {nvars} non-negative int entries")
+    return exp
+
+
 def _scalar(value: Scalar) -> Fraction:
     """An exact coefficient from outside the program: an int or a
     Fraction; a float, a bool or anything else is refused."""
@@ -66,14 +81,20 @@ def _scalar(value: Scalar) -> Fraction:
 
 
 class _Frozen:
-    """Base of the values whose ``_fields`` (in constructor order) are set
-    once, by :meth:`_set`: rebinding or deleting one raises AttributeError,
-    and copy, deepcopy and pickle rebuild the value through its constructor."""
+    """Base of every immutable value, and the one owner of value semantics.
+    :meth:`_set` writes the ``_fields`` (in constructor order) once, a dict
+    as a read-only ``MappingProxyType``; rebinding or deleting a field
+    raises AttributeError; two values are equal when they have the same
+    type and equal fields, and no value is hashable; copy, deepcopy and
+    pickle rebuild the value through its constructor, from a plain copy of
+    each read-only map."""
 
     __slots__ = ()
 
     def _set(self, *values) -> None:
         for name, value in zip(self._fields, values):
+            if type(value) is dict:
+                value = MappingProxyType(value)
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
@@ -81,8 +102,13 @@ class _Frozen:
 
     __delattr__ = __setattr__
 
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and all(
+            getattr(self, name) == getattr(other, name) for name in self._fields)
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        values = [getattr(self, name) for name in self._fields]
+        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
 
 
 class Poly(_Frozen):
@@ -93,13 +119,8 @@ class Poly(_Frozen):
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar] = ()):
         _check_int(nvars, "nvars", 0)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        checked = []
-        for exp, coeff in items:
-            exp = tuple(exp)
-            if len(exp) != nvars or not all(type(e) is int and e >= 0 for e in exp):
-                raise ValueError(f"exponent {exp} needs {nvars} non-negative int entries")
-            checked.append((exp, _scalar(coeff)))
-        self._set(nvars, merge_terms(checked))
+        self._set(nvars, merge_terms((_exponent(exp, nvars), _scalar(coeff))
+                                     for exp, coeff in items))
 
     @classmethod
     def _trusted(cls, nvars: int, terms: Dict[Exponent, Fraction]) -> "Poly":
@@ -133,7 +154,8 @@ class Poly(_Frozen):
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
 
     def coefficient(self, exp: Exponent) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+        """The coefficient of x^exp; exp is read as the constructor reads it."""
+        return self.terms.get(_exponent(exp, self.nvars), Fraction(0))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -141,22 +163,17 @@ class Poly(_Frozen):
         if self.nvars != other.nvars:
             raise ValueError(f"polynomials over {self.nvars} and {other.nvars} variables")
 
-    def __add__(self, other: Union["Poly", Scalar]) -> "Poly":
+    def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
-            other = Poly.constant(self.nvars, other)
+            return NotImplemented
         self._check(other)
         return Poly._trusted(self.nvars, merge_terms([*self.terms.items(), *other.terms.items()]))
-
-    __radd__ = __add__
 
     def __neg__(self) -> "Poly":
         return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other: Union["Poly", Scalar]) -> "Poly":
+    def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> "Poly":
-        return (-self) + other
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if not isinstance(other, Poly):
@@ -168,14 +185,6 @@ class Poly(_Frozen):
             for ea, ca in self.terms.items() for eb, cb in other.terms.items()))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = Poly.constant(self.nvars, 1)
-        for _ in range(n):
-            result = result * self
-        return result
 
     # -- calculus --------------------------------------------------------
 
@@ -206,21 +215,7 @@ class Poly(_Frozen):
         return Poly._trusted(self.nvars, {e: c for e, c in self.terms.items()
                                           if all(e[p] == 0 for p in pos)})
 
-    # -- comparison / display ---------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            if isinstance(other, (int, Fraction)):
-                other = Poly.constant(self.nvars, other)
-            else:
-                return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        # a zero or constant polynomial equals its scalar, so it hashes as one
-        if not any(map(any, self.terms)):
-            return hash(self.terms.get((0,) * self.nvars, 0))
-        return hash((self.nvars, frozenset(self.terms.items())))
+    # -- display ---------------------------------------------------------
 
     def __bool__(self) -> bool:
         return not self.is_zero()

@@ -4,7 +4,9 @@ A truncated star product of order k is the pointwise product plus k
 bidifferential cochains C_1 .. C_k (one per power of the formal
 parameter).  Because every cochain is represented by its symbol, it
 vanishes on constants automatically, so f * 1 = f = 1 * f holds by
-construction.
+construction.  Two star products are equal when their models and
+cochains are (``poly._Frozen``), and ``cochain(r)`` refuses any r
+outside 1..k with ``PreconditionError``.
 
 Implemented here: exact order-by-order associativity (the associator
 as a symbol chain built from Gerstenhaber compositions), the constraint
@@ -72,7 +74,10 @@ class TruncatedStar(_Frozen):
         return len(self.cochains)
 
     def cochain(self, r: int) -> MultiDiffOp:
-        """C_r for 1 <= r <= order."""
+        """C_r; any r outside 1..order raises PreconditionError."""
+        _check_int(r, "cochain order", 1, PreconditionError)
+        if r > self.order:
+            raise PreconditionError(f"no order-{r} cochain in a star of order {self.order}")
         return self.cochains[r - 1]
 
     def apply(self, f: Poly, g: Poly) -> List[Poly]:
@@ -110,9 +115,9 @@ def associator(star: TruncatedStar, order: int) -> SymbolChain:
     the Hochschild coboundary of C_r, whose symbol is -D(C_r); the rest
     are Gerstenhaber compositions:
 
-        A_r = -D(C_r) + sum_{p+q=r; p,q>=1} (C_p o_1 C_q - C_p o_2 C_q)."""
-    if not 1 <= order <= star.order:
-        raise PreconditionError(f"no order-{order} cochain in a star of order {star.order}")
+        A_r = -D(C_r) + sum_{p+q=r; p,q>=1} (C_p o_1 C_q - C_p o_2 C_q).
+
+    An order outside 1..star.order has no C_r, and ``cochain`` refuses it."""
     chain = -differential_d(star.cochain(order).symbol)
     for p in range(1, order):
         outer = star.cochain(p).symbol

@@ -17,8 +17,10 @@ membership questions below reduce to combinatorial checks per monomial.
 This module provides
 
 * one term-map core for multivectors and chains (checked storage,
-  arithmetic through the trusted ``_like``, equality, splitting, the
-  ``--format table`` repr),
+  arithmetic through the trusted ``_like``, splitting, the
+  ``--format table`` repr; equality and the read-only ``terms`` come
+  from ``poly._Frozen``), and chain lookups that sort and check a key
+  as the constructor does,
 * the symmetric product of words,
 * the tensor differential, built from the unit differential of
   :mod:`conhoch.words`,
@@ -133,10 +135,6 @@ class _TermMap(_Frozen):
             parts[not test(exp, key)].append((key, Poly._trusted(self.model.n_total, {exp: q})))
         return self._like(merge_terms(parts[0])), self._like(merge_terms(parts[1]))
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, type(self)) and self.model == other.model
-                and self._grade == other._grade and self.terms == other.terms)
-
     def __repr__(self) -> str:
         from . import printer, serialize
         return printer.to_text(getattr(serialize, self._encoder)(self))
@@ -197,7 +195,9 @@ class SymbolChain(_TermMap):
         return max((sum(len(w) for w in s) for s in self.terms), default=0)
 
     def coefficient(self, slots: Sequence[Sequence[int]]) -> Poly:
-        key = tuple(tuple(w) for w in slots)
+        """The coefficient at the slot words, each sorted and the whole
+        checked as the constructor checks a key."""
+        key = self._check_key(self.model, self.arity, [sorted(w) for w in slots])
         return self.terms.get(key, Poly.zero(self.model.n_total))
 
 

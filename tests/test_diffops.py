@@ -28,8 +28,8 @@ def test_sym_cov_derivative_examples(m321):
     assert f.partial_word((1, 3)) == Poly.constant(3, 1)
     assert f.partial_word((1, 1)).is_zero()
     assert f.partial_word((2, 3)).is_zero()
-    assert (var(m321, 1) ** 2).partial_word((1,)) == Poly.monomial((1, 0, 0), 2)
-    assert (var(m321, 2) ** 3).partial_word((2, 2, 2)) == Poly.constant(3, 6)
+    assert Poly.monomial((2, 0, 0)).partial_word((1,)) == Poly.monomial((1, 0, 0), 2)
+    assert Poly.monomial((0, 3, 0)).partial_word((2, 2, 2)) == Poly.constant(3, 6)
 
 
 def test_op_apply_normalisation(m321):
@@ -38,8 +38,7 @@ def test_op_apply_normalisation(m321):
     assert op.apply([var(m321, 1) * var(m321, 3)]) == Poly.constant(3, 1)
 
     op = MultiDiffOp(SymbolChain.from_term(m321, [(1,)], var(m321, 2)))
-    assert op.apply([var(m321, 1) ** 2]) == \
-        Poly.monomial((1, 1, 0), 2)
+    assert op.apply([Poly.monomial((2, 0, 0))]) == Poly.monomial((1, 1, 0), 2)
 
     op = MultiDiffOp(SymbolChain.from_term(m321, [(1,), (3,)]))
     assert op.apply([var(m321, 1), var(m321, 3)]) == Poly.constant(3, 1)

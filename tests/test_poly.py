@@ -55,15 +55,18 @@ def test_canonical_form_drops_zero_terms():
     assert list(p.terms) == [(1, 0)]
 
 
-@pytest.mark.parametrize("poly, scalar", [
-    (Poly.constant(2, 3), 3),
-    (Poly.zero(2), 0),
-    (Poly.constant(2, Fraction(-3, 4)), Fraction(-3, 4)),
-], ids=["int-constant", "zero", "fraction-constant"])
-def test_constant_hashes_as_its_scalar(poly, scalar):
-    # a polynomial equal to a scalar must hash as it, so a set keeps one
-    assert poly == scalar
-    assert len({poly, scalar}) == 1 and len({scalar, poly}) == 1
+def test_polynomials_are_not_scalars():
+    # a polynomial adds, subtracts and compares with polynomials only (a
+    # constant is Poly.constant), has no power, and like every value is
+    # unhashable; only multiplication takes a scalar
+    one = Poly.constant(2, 1)
+    for refused in (lambda: one + 1, lambda: 1 + one, lambda: one - 1, lambda: 1 - one,
+                    lambda: one ** 2, lambda: hash(one)):
+        with pytest.raises(TypeError):
+            refused()
+    assert not one == 1 and one != 1 and not 1 == one
+    assert (Poly.monomial((1, 0, 0)) == True) is False  # noqa: E712
+    assert 2 * one == one * 2 == Poly.constant(2, 2)
 
 
 def test_partial_word_iterates():
@@ -179,37 +182,37 @@ def test_coefficients_and_arguments_refuse_what_is_not_a_polynomial(build):
 _STAR = TruncatedStar(_M321, [MultiDiffOp(SymbolChain.from_term(_M321, [(1,), (2,)]))])
 
 
-_CHAIN = SymbolChain.from_term(_M321, [(1,), (3,)], Poly.monomial((0, 1, 0)))
+def _chain():
+    return SymbolChain.from_term(_M321, [(1,), (3,)], Poly.monomial((0, 1, 0)))
+
+
 _VALUES = {
-    "poly": (Poly.monomial((1, 0, 2)), ["nvars", "terms"]),
-    "chain": (_CHAIN, ["model", "_grade", "terms"]),
-    "multivector": (MultiVector.wedge_of_frames(_M321, (1, 3)), ["model", "terms"]),
-    "vector-field": (VectorField(_M321, [Poly.monomial((1, 0, 0))] * 3),
-                     ["model", "components"]),
-    "operator": (MultiDiffOp(_CHAIN), ["symbol"]),
-    "star": (_STAR, ["model", "cochains"]),
+    "poly": lambda: Poly.monomial((1, 0, 2)),
+    "chain": _chain,
+    "multivector": lambda: MultiVector.wedge_of_frames(_M321, (1, 3)),
+    "vector-field": lambda: VectorField(_M321, [Poly.monomial((1, 0, 0))] * 3),
+    "operator": lambda: MultiDiffOp(_chain()),
+    "star": lambda: TruncatedStar(_M321, [MultiDiffOp(_chain())] * 2),
 }
 
 
 @pytest.mark.parametrize("name", list(_VALUES))
 def test_values_refuse_rebinding_and_copy_through_their_constructor(name):
-    # a built value keeps the fields its constructor checked: rebinding or
-    # deleting one raises and leaves it as it was; copy, deepcopy and
-    # pickle give a value of the same type with equal fields
-    value, fields = _VALUES[name]
-
-    def state(v):
-        return type(v), [getattr(v, field) for field in fields]
-
-    before = state(value)
-    for field in fields:
+    # a built value keeps what its constructor checked: rebinding or
+    # deleting a field, or writing into a term map, raises and leaves it
+    # equal to a second build; copy, deepcopy and pickle give an equal value
+    value = _VALUES[name]()
+    for field in value._fields:
         with pytest.raises(AttributeError, match="is immutable"):
             setattr(value, field, None)
         with pytest.raises(AttributeError, match="is immutable"):
             delattr(value, field)
-    assert state(value) == before
+    if hasattr(value, "terms"):
+        with pytest.raises(TypeError):
+            value.terms["junk"] = 0
+    assert value == _VALUES[name]()
     for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
-        assert state(clone(value)) == before
+        assert clone(value) == value
 
 
 def test_star_cochains_cannot_grow():
@@ -218,3 +221,25 @@ def test_star_cochains_cannot_grow():
     assert _STAR.cochains == tuple(_STAR.cochains) and _STAR.order == 1
     with pytest.raises(AttributeError):
         _STAR.cochains.append("junk")
+
+
+_CHAIN13 = SymbolChain.from_term(_M321, [(3, 1)], Poly.monomial((0, 1, 0)))
+
+
+@pytest.mark.parametrize("lookup, expected", [
+    (lambda: _CHAIN13.coefficient([(3, 1)]), Poly.monomial((0, 1, 0))),
+    (lambda: _CHAIN13.coefficient([[1, 3]]), Poly.monomial((0, 1, 0))),
+    (lambda: _CHAIN13.coefficient([(1,), (3,)]), ValueError),
+    (lambda: Poly.monomial((1, 0, 2)).coefficient([1, 0, 2]), 1),
+    (lambda: Poly.monomial((1, 0, 0)).coefficient((1, 0)), ValueError),
+    (lambda: Poly.monomial((1, 0)).coefficient((1, 0, 0)), ValueError),
+], ids=["unsorted-word", "list-word", "wrong-arity", "list-exponent", "short-exponent",
+        "long-exponent"])
+def test_lookups_read_keys_as_the_constructors_do(lookup, expected):
+    # a lookup sorts each slot word as from_term does, and refuses a key
+    # the constructor would refuse, rather than answering zero for it
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            lookup()
+    else:
+        assert lookup() == expected

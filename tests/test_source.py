@@ -140,6 +140,22 @@ def test_only_the_checked_base_defines_new():
     assert found == ["model._Checked"]
 
 
+def test_only_the_frozen_base_defines_equality_or_hash():
+    # every value compares by its type and fields through poly._Frozen, and
+    # no value is hashable; a second __eq__ or __hash__ would compare or
+    # hash some other way
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            names = {item.name for item in cls.body if isinstance(item, ast.FunctionDef)}
+            names |= {target.id for item in cls.body if isinstance(item, ast.Assign)
+                      for target in item.targets if isinstance(target, ast.Name)}
+            found.extend(f"{path.stem}.{cls.name}.{name}"
+                         for name in sorted(names & {"__eq__", "__hash__"}))
+    assert found == ["poly._Frozen.__eq__"]
+
+
 def test_only_the_model_defines_the_membership_rule():
     # the wobs/null decision of functions, vector fields, multivectors,
     # chains, operators and slice counts has one owner: model defines the

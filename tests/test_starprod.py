@@ -1,6 +1,7 @@
 """Truncated star products: associativity, constraint property, brackets,
 coisotropy and the order-one equivalence solvers."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -97,7 +98,8 @@ def test_associativity_beyond_the_old_sampling_window():
     assert violation is not None and violation.order == 2
     assert not violation.defect.is_zero()
     x1 = Poly.monomial((1,))
-    assert starprod._associativity_defect(star, 2, x1, x1, x1 ** 4) == Poly.constant(1, -216)
+    x1_4 = Poly.monomial((4,))
+    assert starprod._associativity_defect(star, 2, x1, x1, x1_4) == Poly.constant(1, -216)
     # order one alone is associative
     assert check_associativity(star, 1) is None
 
@@ -245,6 +247,27 @@ def test_star_cochains_are_operators_over_the_model(m321):
                      [MultiDiffOp(SymbolChain.from_term(m321, [(1,)]))]):
         with pytest.raises(PreconditionError):
             TruncatedStar(m321, cochains)
+
+
+@pytest.mark.parametrize("r", [0, -1, 3, True, 1.0],
+                         ids=["zero", "negative", "above-order", "bool", "float"])
+def test_cochain_order_is_between_one_and_the_star_order(m321, r):
+    # C_r exists for 1 <= r <= order; an index from the end of the tuple
+    # (r = 0 reads C_2 and r = -1 reads C_1) or past it is refused
+    first = MultiDiffOp(SymbolChain.from_term(m321, [(1,), (3,)]))
+    second = MultiDiffOp(SymbolChain.from_term(m321, [(1,), (1,)]))
+    star = TruncatedStar(m321, [first, second])
+    assert star.cochain(1) is first and star.cochain(2) is second
+    with pytest.raises(PreconditionError):
+        star.cochain(r)
+
+
+def test_stars_compare_by_model_and_cochains(m321):
+    op = MultiDiffOp(SymbolChain.from_term(m321, [(1,), (3,)]))
+    star = TruncatedStar(m321, [op])
+    assert star == copy.deepcopy(star) == TruncatedStar(m321, star.cochains)
+    assert star != TruncatedStar(m321, [op, op])
+    assert star != TruncatedStar(m321, [MultiDiffOp(op.symbol.scale(2))])
 
 
 def _second_order_term(m321, scale) -> MultiDiffOp:
