@@ -39,9 +39,16 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def sort_with_sign(indices: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], int]:
-    """Sort wedge indices; returns (sorted tuple, sign), or (None, 0) when
-    an index repeats (the wedge vanishes)."""
+def sort_with_sign(model: FlatModel, degree: int,
+                   indices) -> Tuple[Optional[Tuple[int, ...]], int]:
+    """(sorted tuple, sign) of degree int wedge indices (else ValueError),
+    each a letter of the model (else IndexError), in any order; (None, 0)
+    when an index repeats (the wedge vanishes)."""
+    indices = tuple(indices)
+    if len(indices) != degree or not all(type(i) is int for i in indices):
+        raise ValueError(f"index tuple {indices} needs {degree} int entries")
+    if not all(1 <= i <= model.n_total for i in indices):
+        raise IndexError(f"index out of range in {indices}")
     if len(set(indices)) != len(indices):
         return None, 0
     order = sorted(range(len(indices)), key=lambda k: indices[k])
@@ -64,33 +71,26 @@ class MultiVector(_TermMap):
     @staticmethod
     def _check_key(model: FlatModel, degree: int, idx) -> Tuple[int, ...]:
         idx = tuple(idx)
-        if len(idx) != degree or not all(type(i) is int for i in idx):
-            raise ValueError(f"index tuple {idx} needs {degree} int entries")
-        if list(idx) != sorted(set(idx)):
+        if sort_with_sign(model, degree, idx)[0] != idx:
             raise ValueError(f"indices must be strictly increasing, got {idx}")
-        if not all(1 <= i <= model.n_total for i in idx):
-            raise IndexError(f"index out of range in {idx}")
         return idx
 
     @classmethod
     def wedge_of_frames(cls, model: FlatModel, indices: Sequence[int],
                         coeff=1) -> "MultiVector":
         """coeff * d_{i1} ^ .. ^ d_{ik}; indices need not be sorted."""
-        sorted_idx, sign = sort_with_sign(indices)
+        sorted_idx, sign = sort_with_sign(model, len(indices), indices)
         poly = coeff if isinstance(coeff, Poly) else Poly.constant(model.n_total, coeff)
         if sorted_idx is None:
             return cls.zero(model, len(indices))
         return cls(model, len(indices), {sorted_idx: poly * sign})
 
     def component(self, indices: Sequence[int]) -> Poly:
-        """Signed coefficient at an arbitrary index tuple."""
-        sorted_idx, sign = sort_with_sign(indices)
-        if sorted_idx is None:
-            return Poly.zero(self.model.n_total)
+        """Signed coefficient at an index tuple in any order; a repeated
+        index answers zero."""
+        sorted_idx, sign = sort_with_sign(self.model, self.degree, indices)
         coeff = self.terms.get(sorted_idx)
-        if coeff is None:
-            return Poly.zero(self.model.n_total)
-        return coeff * sign
+        return Poly.zero(self.model.n_total) if coeff is None else coeff * sign
 
 
 def wedge(a: MultiVector, b: MultiVector) -> MultiVector:

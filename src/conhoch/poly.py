@@ -16,14 +16,13 @@ The constructor checks input from outside (an ``int`` variable count;
 non-negative ``int`` exponents; ``int`` or ``Fraction`` coefficients,
 never a float), ``coefficient`` reads an exponent the same way, and the
 arithmetic builds its canonical results through the trusted
-``Poly._trusted``.  Polynomials add, subtract and compare with
-polynomials only; only ``*`` also takes an ``int`` or ``Fraction``
-scalar.  :func:`merge_terms` is the one merge of every term map in the
-package, and :class:`_Frozen` the one owner of value semantics for the
-immutable values (polynomials, chains, multivectors, fields, operators
-and star products): fields set once, term maps stored read-only,
-equality by type and fields, no hash, and copies through the checked
-constructor.
+``Poly._trusted``.  :class:`_Frozen` owns the value semantics of the
+immutable values (polynomials, chains, multivectors, fields, operators,
+star products): fields set once, term maps stored read-only, equality by
+type and fields, no hash, copies through the checked constructor.
+:class:`_Linear` is the one arithmetic of the term maps (polynomials,
+chains, multivectors) and :func:`merge_terms` their one merge; each adds
+and subtracts with its own class only, and is false exactly when zero.
 
 Variable indices in the public API are 1-based, matching the coordinate
 labels x1..xn used throughout the package.  The exponent helpers
@@ -41,11 +40,6 @@ from typing import Dict, Iterable, List, Tuple, Union
 from .model import Exponent, _check_int, monomials_of_degree  # noqa: F401 (re-exported)
 
 Scalar = Union[int, Fraction]
-
-
-def grlex_key(exp: Exponent) -> Tuple[int, Exponent]:
-    """Sort key for the graded lexicographic term order (ascending)."""
-    return (sum(exp), exp)
 
 
 def merge_terms(pairs: Iterable[tuple]) -> dict:
@@ -111,7 +105,45 @@ class _Frozen:
         return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
 
 
-class Poly(_Frozen):
+class _Linear(_Frozen):
+    """Base of the term maps: ``+``, ``-``, :meth:`scale`, :meth:`is_zero`
+    and truthiness, each result merged once and built by the class's
+    trusted ``_like(terms)``.  Another class gets ``NotImplemented`` (so a
+    TypeError); another frame, the class's ``_check_frame`` error."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_frame(other)
+        return self._like(merge_terms([*self.terms.items(), *other.terms.items()]))
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, q):
+        """Every coefficient times q: an ``int`` or a ``Fraction``, or for
+        a chain or multivector a polynomial over its model's variables."""
+        if type(q) is not Poly or type(self) is Poly:
+            q = _scalar(q)
+        elif q.nvars != self.model.n_total:
+            raise ValueError(f"polynomials over {self.model.n_total} and {q.nvars} variables")
+        return self._like(merge_terms((k, v * q) for k, v in self.terms.items()))
+
+    def is_zero(self) -> bool:
+        return not self
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+
+class Poly(_Linear):
     """Immutable sparse polynomial with rational coefficients."""
 
     __slots__ = _fields = ("nvars", "terms")
@@ -130,6 +162,9 @@ class Poly(_Frozen):
         self._set(nvars, terms)
         return self
 
+    def _like(self, terms: Dict[Exponent, Fraction]) -> "Poly":
+        return Poly._trusted(self.nvars, terms)
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -146,12 +181,9 @@ class Poly(_Frozen):
 
     # -- structure -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def sorted_terms(self) -> List[Tuple[Exponent, Fraction]]:
         """Terms in canonical order: graded lexicographic, largest first."""
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def coefficient(self, exp: Exponent) -> Fraction:
         """The coefficient of x^exp; exp is read as the constructor reads it."""
@@ -159,27 +191,14 @@ class Poly(_Frozen):
 
     # -- arithmetic ------------------------------------------------------
 
-    def _check(self, other: "Poly") -> None:
+    def _check_frame(self, other: "Poly") -> None:
         if self.nvars != other.nvars:
             raise ValueError(f"polynomials over {self.nvars} and {other.nvars} variables")
 
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check(other)
-        return Poly._trusted(self.nvars, merge_terms([*self.terms.items(), *other.terms.items()]))
-
-    def __neg__(self) -> "Poly":
-        return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if not isinstance(other, Poly):
-            q = _scalar(other)
-            return Poly._trusted(self.nvars, merge_terms((e, c * q) for e, c in self.terms.items()))
-        self._check(other)
+            return self.scale(other)
+        self._check_frame(other)
         return Poly._trusted(self.nvars, merge_terms(
             (tuple(a + b for a, b in zip(ea, eb)), ca * cb)
             for ea, ca in self.terms.items() for eb, cb in other.terms.items()))
@@ -216,9 +235,6 @@ class Poly(_Frozen):
                                           if all(e[p] == 0 for p in pos)})
 
     # -- display ---------------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
 
     def __str__(self) -> str:
         from .printer import poly_text

@@ -16,11 +16,11 @@ membership questions below reduce to combinatorial checks per monomial.
 
 This module provides
 
-* one term-map core for multivectors and chains (checked storage,
-  arithmetic through the trusted ``_like``, splitting, the
-  ``--format table`` repr; equality and the read-only ``terms`` come
-  from ``poly._Frozen``), and chain lookups that sort and check a key
-  as the constructor does,
+* one base for multivectors and chains (checked storage, the trusted
+  ``_like``, the frame check, splitting, the ``--format table`` repr;
+  the arithmetic comes from ``poly._Linear``, equality and the
+  read-only ``terms`` from ``poly._Frozen``), and chain lookups that
+  sort and check a key as the constructor does,
 * the symmetric product of words,
 * the tensor differential, built from the unit differential of
   :mod:`conhoch.words`,
@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 from .errors import UnsupportedTagError
 from .model import FlatModel, SubspaceTag, _check_int, _monomial_rule, _same_model, _slot_profile
-from .poly import Exponent, Poly, _Frozen, merge_terms
+from .poly import Exponent, Poly, _Linear, merge_terms
 from .words import Slots, Word, unit_differential
 
 if TYPE_CHECKING:  # only annotations name it here
@@ -65,7 +65,7 @@ def vee(a: Word, b: Word) -> Word:
 # ---------------------------------------------------------------------------
 
 
-class _TermMap(_Frozen):
+class _TermMap(_Linear):
     """Map from basis keys to nonzero polynomial coefficients over one
     model, graded by the key length (the degree of a multivector, the
     arity of a chain).  The constructor checks each key with the
@@ -100,23 +100,10 @@ class _TermMap(_Frozen):
         new._set(self.model, grade or self._grade, terms)
         return new
 
-    def __add__(self, other):
+    def _check_frame(self, other) -> None:
         _same_model(self.model, other.model)
         if self._grade != other._grade:
             raise ValueError(f"{self._grade_name} mismatch")
-        return self._like(merge_terms([*self.terms.items(), *other.terms.items()]))
-
-    def __neg__(self):
-        return self._like({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, q):
-        return self._like(merge_terms((k, v * q) for k, v in self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def monomials(self) -> Iterator[Tuple[Exponent, tuple, Fraction]]:
         """Expand polynomial coefficients into monomial terms."""

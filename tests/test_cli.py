@@ -207,11 +207,11 @@ def _compiled_nodes(modules):
 #: route should not load, takes the route over its budget; a change that
 #: sheds nodes from a route lowers its budget by the same amount
 @pytest.mark.parametrize("args, bound", [
-    (_STAR_CHECK, 9738),
-    (_STAR_EQUIV, 11609),
+    (_STAR_CHECK, 9674),
+    (_STAR_EQUIV, 11545),
     (_VERIFY_THEOREM, 6363),
-    (_FIND_POTENTIAL, 9247),
-    (_DECOMPOSE_COCYCLE, 12041),
+    (_FIND_POTENTIAL, 9211),
+    (_DECOMPOSE_COCYCLE, 12010),
 ], ids=["star-check", "star-equiv", "verify-theorem", "find-potential", "decompose-cocycle"])
 def test_command_compiles_within_its_node_budget(command_route, args, bound):
     # the solver and slice-count routes compile what they call and little

@@ -1,15 +1,18 @@
 """Exact polynomial arithmetic."""
 
 import copy
+import itertools
+import operator
 import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conhoch import (FlatModel, MultiDiffOp, MultiVector, Poly, SymbolChain, TruncatedStar,
                      VectorField, monomials_of_degree)
 
-from conftest import rand_poly
+from conftest import all_models, rand_poly
 import random
 
 
@@ -133,18 +136,28 @@ _M321 = FlatModel(3, 2, 1)
     lambda: Poly(2, {(1, 0): True}),
     lambda: Poly.constant(2, 0.5),
     lambda: Poly.monomial((1, 0)) * 0.5,
+    lambda: Poly.monomial((1, 0)).scale(0.5),
+    lambda: SymbolChain.zero(_M321, 1).scale(0.5),
+    lambda: SymbolChain.zero(_M321, 1).scale("2"),
+    lambda: Poly.zero(3).scale(Poly.constant(3, 1)),
+    lambda: MultiVector.zero(_M321, 2).scale(Poly.constant(2, 1)),
+    lambda: SymbolChain.from_term(_M321, [(1,)]).scale(Poly.constant(2, 1)),
     lambda: SymbolChain(_M321, 1, {((1.0, 2),): Poly.constant(3, 1)}),
     lambda: SymbolChain(_M321, 1, {((True,),): Poly.constant(3, 1)}),
     lambda: MultiVector(_M321, 1, {(1.0,): Poly.constant(3, 1)}),
     lambda: MultiVector(_M321, 2, {(True, 2): Poly.constant(3, 1)}),
 ], ids=["float-exponent", "str-and-bool-exponent", "bool-exponent", "float-coefficient",
-        "bool-coefficient", "float-constant", "float-scalar", "float-letter", "bool-letter",
+        "bool-coefficient", "float-constant", "float-scalar", "float-poly-scale",
+        "float-chain-scale", "str-chain-scale", "poly-poly-scale",
+        "short-poly-multivector-scale", "short-poly-chain-scale", "float-letter", "bool-letter",
         "float-index", "bool-index"])
 def test_constructors_refuse_what_is_not_an_int_or_exact(build):
     # the constructors are the one check of outside input that the trusted
     # arithmetic relies on: a float or bool exponent, letter or index, or a
     # float coefficient, would otherwise be stored as an int or a binary
-    # fraction
+    # fraction; scale reads its factor (an exact scalar, or for a chain or
+    # multivector a polynomial over the model's variables) before the
+    # terms, so a zero map refuses a bad factor as a nonzero one does
     with pytest.raises(ValueError):
         build()
 
@@ -224,6 +237,7 @@ def test_star_cochains_cannot_grow():
 
 
 _CHAIN13 = SymbolChain.from_term(_M321, [(3, 1)], Poly.monomial((0, 1, 0)))
+_WEDGE13 = MultiVector.wedge_of_frames(_M321, (1, 3), Poly.monomial((0, 1, 0)))
 
 
 @pytest.mark.parametrize("lookup, expected", [
@@ -233,8 +247,19 @@ _CHAIN13 = SymbolChain.from_term(_M321, [(3, 1)], Poly.monomial((0, 1, 0)))
     (lambda: Poly.monomial((1, 0, 2)).coefficient([1, 0, 2]), 1),
     (lambda: Poly.monomial((1, 0, 0)).coefficient((1, 0)), ValueError),
     (lambda: Poly.monomial((1, 0)).coefficient((1, 0, 0)), ValueError),
+    (lambda: _WEDGE13.component([1, 3]), Poly.monomial((0, 1, 0))),
+    (lambda: _WEDGE13.component((3, 1)), Poly.monomial((0, 1, 0), -1)),
+    (lambda: _WEDGE13.component((3, 3)), Poly.zero(3)),
+    (lambda: _WEDGE13.component((1,)), ValueError),
+    (lambda: _WEDGE13.component((1, 3, 2)), ValueError),
+    (lambda: _WEDGE13.component(("a", 2)), ValueError),
+    (lambda: _WEDGE13.component((1, 9)), IndexError),
+    (lambda: _WEDGE13.component((9, 9)), IndexError),
+    (lambda: MultiVector.wedge_of_frames(_M321, (9, 9)), IndexError),
 ], ids=["unsorted-word", "list-word", "wrong-arity", "list-exponent", "short-exponent",
-        "long-exponent"])
+        "long-exponent", "list-indices", "unsorted-indices", "repeated-index", "short-indices",
+        "long-indices", "str-index", "index-out-of-range", "repeated-index-out-of-range",
+        "wedge-index-out-of-range"])
 def test_lookups_read_keys_as_the_constructors_do(lookup, expected):
     # a lookup sorts each slot word as from_term does, and refuses a key
     # the constructor would refuse, rather than answering zero for it
@@ -243,3 +268,73 @@ def test_lookups_read_keys_as_the_constructors_do(lookup, expected):
             lookup()
     else:
         assert lookup() == expected
+
+
+# ---------------------------------------------------------------------------
+# the one arithmetic of the term maps (poly._Linear)
+# ---------------------------------------------------------------------------
+
+_MODELS = all_models(4)
+_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_SCALARS = st.one_of(st.integers(-3, 3), _FRACTIONS)
+
+
+def _polys(n):
+    exponent = st.tuples(*[st.integers(0, 2)] * n)
+    return st.lists(st.tuples(exponent, _SCALARS), max_size=3).map(lambda ts: Poly(n, ts))
+
+
+def _term_maps(kind, model, grade):
+    """Polynomials over the model's variables, or chains of arity grade,
+    or multivectors of degree grade, with up to three terms."""
+    n = model.n_total
+    if kind == "poly":
+        return _polys(n)
+    if kind == "chain":
+        word = st.lists(st.integers(1, n), min_size=1, max_size=2).map(lambda w: tuple(sorted(w)))
+        key, cls = st.tuples(*[word] * grade), SymbolChain
+    else:
+        key = st.sampled_from(list(itertools.combinations(range(1, n + 1), grade)))
+        cls = MultiVector
+    return st.lists(st.tuples(key, _polys(n)), max_size=3).map(
+        lambda ts: cls(model, grade, ts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_term_maps_form_a_vector_space(data):
+    # polynomials, chains and multivectors add, negate, scale and test
+    # zero through one core, which must obey the vector-space laws; a zero
+    # term map is false like a zero polynomial
+    kind = data.draw(st.sampled_from(["poly", "chain", "multivector"]))
+    model = data.draw(st.sampled_from(_MODELS))
+    values = _term_maps(kind, model, data.draw(st.integers(1, min(2, model.n_total))))
+    a, b, c = data.draw(values), data.draw(values), data.draw(values)
+    q, r = data.draw(_SCALARS), data.draw(_SCALARS)
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert (a - a).is_zero() and not (a - a)
+    assert -(-a) == a and a - b == a + (-b)
+    assert bool(a) is not a.is_zero()
+    assert a.scale(q).scale(r) == a.scale(q * r)
+    if kind == "poly":
+        assert a * q == a.scale(q) == q * a
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_term_maps_refuse_each_others_values(data):
+    # a chain and a multivector of one model and grade, a polynomial over
+    # the same variables and a scalar are different values: + and - raise
+    # TypeError for every mixed pair, in both orders, as for polynomials
+    model = data.draw(st.sampled_from(_MODELS))
+    grade = data.draw(st.integers(1, min(2, model.n_total)))
+    values = {kind: data.draw(_term_maps(kind, model, grade))
+              for kind in ("poly", "chain", "multivector")}
+    values.update(int=data.draw(st.integers(-3, 3)), fraction=data.draw(_FRACTIONS))
+    for (kx, x), (ky, y) in itertools.permutations(values.items(), 2):
+        if {kx, ky} <= {"int", "fraction"}:
+            continue
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(x, y)

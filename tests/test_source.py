@@ -171,3 +171,23 @@ def test_only_the_model_defines_the_membership_rule():
                      if isinstance(node, ast.ImportFrom) and node.module != "model"
                      for alias in node.names if alias.name in rule)
     assert sorted(found) == sorted(f"model.{name}" for name in rule)
+
+
+def test_only_the_linear_base_defines_the_term_map_arithmetic():
+    # polynomials, chains and multivectors add, subtract, negate, scale and
+    # test zero through poly._Linear; a second definition anywhere, or a
+    # reflected or in-place operator, would be a second arithmetic
+    core = {"__add__", "__sub__", "__neg__", "__bool__", "scale", "is_zero"}
+    names = core | {"__radd__", "__rsub__", "__iadd__", "__isub__"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Module, ast.ClassDef)):
+                continue
+            owner = path.stem + (f".{node.name}" if isinstance(node, ast.ClassDef) else "")
+            defined = [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
+            defined += [target.id for item in node.body if isinstance(item, ast.Assign)
+                        for target in item.targets if isinstance(target, ast.Name)]
+            found.extend(f"{owner}.{name}" for name in defined if name in names)
+    assert sorted(found) == sorted(f"poly._Linear.{name}" for name in core)

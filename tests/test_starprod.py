@@ -22,6 +22,21 @@ from conftest import rand_fraction, rand_tagged_chain, var
 from reference import sampled_defects
 
 
+@pytest.fixture(autouse=True)
+def _witness_defect_is_evaluated_from_the_cochains(monkeypatch):
+    # every violation a star test reports carries the value of the
+    # associator chain at its witness; that must be the order-r coefficient
+    # of (f*g)*h - f*(g*h) evaluated from the cochains
+    real = starprod._witness
+
+    def checked(star, order, chain):
+        violation = real(star, order, chain)
+        assert violation.defect == starprod._associativity_defect(
+            star, order, *violation.arguments)
+        return violation
+    monkeypatch.setattr(starprod, "_witness", checked)
+
+
 def _hkr_star(model, indices):
     return TruncatedStar(model, [MultiDiffOp(hkr(MultiVector.wedge_of_frames(model, indices)))])
 
@@ -225,6 +240,28 @@ def test_equivalence_examples(m321):
     # identical stars: the zero map
     report = equivalence_report(base, TruncatedStar(m321, [c1]), 0)
     assert report["constraint_equivalent"] and report["S"].symbol.is_zero()
+
+
+def test_the_plain_solve_runs_only_without_an_observable_potential(m321, monkeypatch):
+    # an observable potential is a plain one too, so a constraint-equivalent
+    # pair costs one solve and any other pair two
+    from conhoch import cohomology
+    real, tags = cohomology._solve_d, []
+    monkeypatch.setattr(cohomology, "_solve_d",
+                        lambda rhs, tag: tags.append(tag) or real(rhs, tag))
+    base = _hkr_star(m321, (1, 3))
+    c1 = base.cochain(1).symbol
+    pot = SymbolChain.from_term(m321, [(1, 1)], var(m321, 2))
+    for shift, plain, constraint, solves in [
+            (differential_d(pot), True, True, [SubspaceTag.WOBS]),
+            (differential_d(SymbolChain.from_term(m321, [(1, 3)])), True, False,
+             [SubspaceTag.WOBS, None]),
+            (c1, False, False, [SubspaceTag.WOBS, None])]:
+        tags.clear()
+        report = equivalence_report(base, TruncatedStar(m321, [MultiDiffOp(c1 + shift)]), 0)
+        assert (report["plain_equivalent"], report["constraint_equivalent"]) == (plain, constraint)
+        assert (report["S"] is None) is not plain
+        assert tags == solves
 
 
 def test_equivalence_preconditions(m321):
