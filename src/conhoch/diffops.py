@@ -10,12 +10,15 @@ and the polynomial coefficient multiplies the result.  Operators built
 this way vanish on constants in every argument because every slot has
 symmetric degree at least one.
 
-This module holds what star products run: :class:`MultiDiffOp` and its
-evaluation (two operators are equal when their symbols are, by
-``poly._Frozen``), the spread of a derivative word over several factors (from
-the one splitting table ``words._word_splits``), the symbol of a
-Gerstenhaber composition (:func:`compose_symbols`) and the fast
-evaluation on monomial arguments, each merged once by ``merge_terms``.
+This module holds what star products run: :class:`MultiDiffOp` (two
+operators are equal when their symbols are, by ``poly._Frozen``), the
+spread of a derivative word over several factors (from the one splitting
+table ``words._word_splits``), the symbol of a Gerstenhaber composition
+(:func:`compose_symbols`) and the one evaluation kernel
+:func:`apply_to_monomials`, which evaluates operator words on monomial
+arguments by exponent arithmetic; ``MultiDiffOp.apply`` is its
+multilinear extension to polynomial arguments.  Each result is merged
+once by ``merge_terms``.
 The operator-level checks - the Hochschild coboundary, the chain-map
 check, operator membership - and the handlers of classify-operator and
 delta live in :mod:`conhoch.hochschild`, so no star-product command
@@ -25,6 +28,7 @@ compiles them.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Dict, Iterator, Sequence, Tuple
 
@@ -55,20 +59,19 @@ class MultiDiffOp(_Frozen):
         return self.symbol.arity
 
     def apply(self, fs: Sequence[Poly]) -> Poly:
-        """Evaluate on a tuple of polynomials (one per argument slot)."""
+        """Evaluate on a tuple of polynomials (one per argument slot): the
+        multilinear extension of :func:`apply_to_monomials`, over every
+        tuple of the arguments' terms."""
         if len(fs) != self.arity:
             raise ValueError(f"operator of arity {self.arity} applied to {len(fs)} arguments")
         for f in fs:
             self.model.check_poly(f)
-        out = Poly.zero(self.model.n_total)
-        for slots, coeff in self.symbol.terms.items():
-            term = coeff
-            for word, f in zip(slots, fs):
-                term = term * f.partial_word(word)
-                if term.is_zero():
-                    break
-            out = out + term
-        return out
+        pairs = []
+        for args in itertools.product(*(f.terms.items() for f in fs)):
+            exps, coeffs = zip(*args)
+            q = math.prod(coeffs)
+            pairs.extend((e, v * q) for e, v in apply_to_monomials(self, exps).items())
+        return Poly._trusted(self.model.n_total, merge_terms(pairs))
 
     def __repr__(self) -> str:
         return f"Op[{self.symbol!r}]"

@@ -4,7 +4,8 @@ A :class:`VectorField` is its polynomial components, one per coordinate
 (component i multiplies d_i), plus evaluation on functions; it has no
 arithmetic of its own, so a sum of fields is built from the summed
 components, and two fields are equal when their models and components
-are (``poly._Frozen``).  Membership in the observable and null
+are (``poly._Frozen``).  The Lie bracket is built from the evaluation,
+[X, Y]_j = X(Y_j) - Y(X_j).  Membership in the observable and null
 classes is decided per monomial by the one rule of :mod:`conhoch.model`:
 a monomial of component i is a chain monomial with the single-letter
 word (i,).  So this leaf module needs no slot word listing: it imports
@@ -36,7 +37,9 @@ class VectorField(_Frozen):
         self._set(model, tuple(components))
 
     def apply(self, f: Poly) -> Poly:
-        """Derivative of a function along the field."""
+        """Derivative of a polynomial over the model's variables along the
+        field; anything else raises ValueError (``model.check_poly``)."""
+        self.model.check_poly(f)
         out = Poly.zero(self.model.n_total)
         for i, comp in enumerate(self.components, start=1):
             if not comp.is_zero():
@@ -49,19 +52,10 @@ class VectorField(_Frozen):
 
 
 def bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Lie bracket [X, Y] of two vector fields."""
+    """Lie bracket [X, Y], componentwise [X, Y]_j = X(Y_j) - Y(X_j)."""
     _same_model(x.model, y.model)
-    n = x.model.n_total
-    comps = []
-    for j in range(1, n + 1):
-        term = Poly.zero(n)
-        for i in range(1, n + 1):
-            if not x.components[i - 1].is_zero():
-                term = term + x.components[i - 1] * y.components[j - 1].partial(i)
-            if not y.components[i - 1].is_zero():
-                term = term - y.components[i - 1] * x.components[j - 1].partial(i)
-        comps.append(term)
-    return VectorField(x.model, comps)
+    return VectorField(x.model, [x.apply(yc) - y.apply(xc)
+                                 for xc, yc in zip(x.components, y.components)])
 
 
 def vf_membership(x: VectorField, tag: SubspaceTag) -> bool:

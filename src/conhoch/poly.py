@@ -196,12 +196,14 @@ class Poly(_Linear):
             raise ValueError(f"polynomials over {self.nvars} and {other.nvars} variables")
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
-        if not isinstance(other, Poly):
-            return self.scale(other)
-        self._check_frame(other)
-        return Poly._trusted(self.nvars, merge_terms(
-            (tuple(a + b for a, b in zip(ea, eb)), ca * cb)
-            for ea, ca in self.terms.items() for eb, cb in other.terms.items()))
+        if isinstance(other, Poly):
+            self._check_frame(other)
+            return Poly._trusted(self.nvars, merge_terms(
+                (tuple(a + b for a, b in zip(ea, eb)), ca * cb)
+                for ea, ca in self.terms.items() for eb, cb in other.terms.items()))
+        if isinstance(other, _Linear):
+            return NotImplemented
+        return self.scale(other)
 
     __rmul__ = __mul__
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 import pytest
+from hypothesis import strategies as st
 
 from conhoch import (FlatModel, Poly, SubspaceTag, SymbolChain, VectorField,
                      monomials_of_degree)
@@ -52,6 +53,18 @@ def all_models(n_total_max: int, require_proper: bool = False) -> List[FlatModel
                     continue
                 out.append(FlatModel(n_total, n_wobs, n_null))
     return out
+
+
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+SCALARS = st.one_of(st.integers(-3, 3), FRACTIONS)
+
+
+def polys(nvars: int, max_terms: int = 3):
+    """Strategy: polynomials over nvars variables with up to max_terms
+    terms, each exponent entry at most 2; no terms gives zero."""
+    exponent = st.tuples(*[st.integers(0, 2)] * nvars)
+    return st.lists(st.tuples(exponent, SCALARS), max_size=max_terms).map(
+        lambda ts: Poly(nvars, ts))
 
 
 def rand_fraction(rng: random.Random) -> Fraction:

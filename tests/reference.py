@@ -16,6 +16,12 @@ that the library decides it with:
   (:func:`op_membership_functional`);
 * the order-r associator of a star product, evaluated from its cochains
   on every monomial triple of a window (:func:`sampled_defects`);
+* an operator on polynomial arguments by Poly arithmetic, one iterated
+  partial derivative per slot times the coefficient
+  (:func:`apply_by_partials`), where the library extends the evaluation on
+  monomials multilinearly, and the Lie bracket of two fields as the
+  double sum over coordinates (:func:`bracket_by_partials`), where the
+  library builds it from ``VectorField.apply``;
 * the slot tuples of a slice window, listed as a product of word pools
   per tuple of word lengths (:func:`slot_tuples_by_pools`), and the
   tagged ones among them, filtered monomial by monomial through the
@@ -143,6 +149,31 @@ def op_membership_functional(op: MultiDiffOp, tag: SubspaceTag,
             if not FunctionClass.NULL.contains(value_class):
                 return False
     return True
+
+
+def apply_by_partials(op: MultiDiffOp, fs: Sequence[Poly]) -> Poly:
+    """op(f1, .., fk) as the sum over symbol terms of the coefficient times
+    the product of the iterated partial derivatives of the arguments."""
+    out = Poly.zero(op.model.n_total)
+    for slots, coeff in op.symbol.terms.items():
+        term = coeff
+        for word, f in zip(slots, fs):
+            term = term * f.partial_word(word)
+        out = out + term
+    return out
+
+
+def bracket_by_partials(x: VectorField, y: VectorField) -> VectorField:
+    """[X, Y]_j = sum_i X_i d_i Y_j - Y_i d_i X_j."""
+    n = x.model.n_total
+    comps = []
+    for j in range(n):
+        term = Poly.zero(n)
+        for i in range(n):
+            term = term + x.components[i] * y.components[j].partial(i + 1)
+            term = term - y.components[i] * x.components[j].partial(i + 1)
+        comps.append(term)
+    return VectorField(x.model, comps)
 
 
 def sampled_window(star: TruncatedStar, order: int) -> int:

@@ -11,9 +11,9 @@ from conhoch import (FlatModel, MultiDiffOp, MultiVector, Poly, SubspaceTag, Sym
                      hochschild_delta, op_membership, vf_membership)
 from conhoch.diffops import monomial_argument_tuples
 
-from conftest import all_models, rand_chain, rand_field_in_class, var
-from reference import (op_membership_functional, operators_equal_on_window,
-                       sufficiency_degree)
+from conftest import all_models, polys, rand_chain, rand_field_in_class, var
+from reference import (apply_by_partials, bracket_by_partials, op_membership_functional,
+                       operators_equal_on_window, sufficiency_degree)
 
 
 def _nabla(x: VectorField, y: VectorField) -> VectorField:
@@ -152,6 +152,41 @@ def test_differentials_square_to_zero_and_commute(chain):
     op = MultiDiffOp(chain)
     assert hochschild_delta(hochschild_delta(op)).symbol.is_zero()
     assert chain_map_check(chain)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_op_apply_extends_the_monomial_evaluation(data):
+    # apply runs the exponent kernel on every tuple of the arguments'
+    # terms; the partial-derivative route must give the same polynomial,
+    # and a zero argument or the zero operator gives zero
+    chain = data.draw(chains())
+    op, n = MultiDiffOp(chain), chain.model.n_total
+    fs = [data.draw(polys(n, 4)) for _ in range(chain.arity)]
+    assert op.apply(fs) == apply_by_partials(op, fs)
+    assert MultiDiffOp(SymbolChain.zero(chain.model, chain.arity)).apply(fs) == Poly.zero(n)
+    slot = data.draw(st.integers(0, chain.arity - 1))
+    with_zero = fs[:slot] + [Poly.zero(n)] + fs[slot + 1:]
+    assert op.apply(with_zero) == apply_by_partials(op, with_zero) == Poly.zero(n)
+
+
+def _fields(model):
+    n = model.n_total
+    return st.lists(polys(n), min_size=n, max_size=n).map(lambda cs: VectorField(model, cs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bracket_is_the_commutator_of_the_fields(data):
+    # [X, Y]_j = X(Y_j) - Y(X_j) agrees with the double sum over
+    # coordinates, is antisymmetric and satisfies the Jacobi identity
+    model = data.draw(st.sampled_from(all_models(4)))
+    x, y, z = (data.draw(_fields(model)) for _ in range(3))
+    xy = bracket(x, y)
+    assert xy == bracket_by_partials(x, y)
+    assert [-c for c in xy.components] == list(bracket(y, x).components)
+    cycle = (bracket(x, bracket(y, z)), bracket(y, bracket(z, x)), bracket(z, xy))
+    assert all((a + b + c).is_zero() for a, b, c in zip(*(f.components for f in cycle)))
 
 
 def test_functional_window_separates_operators(m321):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conhoch import (FlatModel, MultiDiffOp, MultiVector, Poly, SymbolChain, TruncatedStar,
                      VectorField, monomials_of_degree)
 
-from conftest import all_models, rand_poly
+from conftest import FRACTIONS, SCALARS, all_models, polys, rand_poly
 import random
 
 
@@ -184,12 +184,25 @@ def test_sizes_and_grades_refuse_what_is_not_an_int(build):
     lambda: MultiVector(_M321, 2, {(1, 2): 1}),
     lambda: VectorField(FlatModel(2, 1, 0), [1, 0]),
     lambda: MultiDiffOp(SymbolChain.from_term(_M321, [(1,)])).apply([Fraction(1)]),
-], ids=["chain", "multivector", "vector-field", "operator-argument"])
+    lambda: VectorField(_M321, [Poly.monomial((1, 0, 0))] * 3).apply(Fraction(1)),
+    lambda: VectorField(_M321, [Poly.monomial((1, 0, 0))] * 3).apply(_chain()),
+    lambda: VectorField(_M321, [Poly.zero(3)] * 3).apply(Fraction(1)),
+    lambda: VectorField(_M321, [Poly.zero(3)] * 3).apply("not a poly"),
+], ids=["chain", "multivector", "vector-field", "operator-argument", "field-argument",
+        "field-chain-argument", "zero-field-argument", "zero-field-str-argument"])
 def test_coefficients_and_arguments_refuse_what_is_not_a_polynomial(build):
     # a bare number where a polynomial belongs is an input error, not an
     # AttributeError from reading its variable count
     with pytest.raises(ValueError, match="is not a polynomial"):
         build()
+
+
+def test_field_arguments_match_the_model():
+    # a polynomial over another variable count is refused by zero and
+    # nonzero fields alike
+    for comp in (Poly.zero(3), Poly.monomial((1, 0, 0))):
+        with pytest.raises(ValueError, match="does not match model"):
+            VectorField(_M321, [comp] * 3).apply(Poly.monomial((1, 0)))
 
 
 _STAR = TruncatedStar(_M321, [MultiDiffOp(SymbolChain.from_term(_M321, [(1,), (2,)]))])
@@ -275,13 +288,6 @@ def test_lookups_read_keys_as_the_constructors_do(lookup, expected):
 # ---------------------------------------------------------------------------
 
 _MODELS = all_models(4)
-_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-_SCALARS = st.one_of(st.integers(-3, 3), _FRACTIONS)
-
-
-def _polys(n):
-    exponent = st.tuples(*[st.integers(0, 2)] * n)
-    return st.lists(st.tuples(exponent, _SCALARS), max_size=3).map(lambda ts: Poly(n, ts))
 
 
 def _term_maps(kind, model, grade):
@@ -289,14 +295,14 @@ def _term_maps(kind, model, grade):
     or multivectors of degree grade, with up to three terms."""
     n = model.n_total
     if kind == "poly":
-        return _polys(n)
+        return polys(n)
     if kind == "chain":
         word = st.lists(st.integers(1, n), min_size=1, max_size=2).map(lambda w: tuple(sorted(w)))
         key, cls = st.tuples(*[word] * grade), SymbolChain
     else:
         key = st.sampled_from(list(itertools.combinations(range(1, n + 1), grade)))
         cls = MultiVector
-    return st.lists(st.tuples(key, _polys(n)), max_size=3).map(
+    return st.lists(st.tuples(key, polys(n)), max_size=3).map(
         lambda ts: cls(model, grade, ts))
 
 
@@ -310,7 +316,7 @@ def test_term_maps_form_a_vector_space(data):
     model = data.draw(st.sampled_from(_MODELS))
     values = _term_maps(kind, model, data.draw(st.integers(1, min(2, model.n_total))))
     a, b, c = data.draw(values), data.draw(values), data.draw(values)
-    q, r = data.draw(_SCALARS), data.draw(_SCALARS)
+    q, r = data.draw(SCALARS), data.draw(SCALARS)
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
     assert (a - a).is_zero() and not (a - a)
@@ -326,15 +332,17 @@ def test_term_maps_form_a_vector_space(data):
 def test_term_maps_refuse_each_others_values(data):
     # a chain and a multivector of one model and grade, a polynomial over
     # the same variables and a scalar are different values: + and - raise
-    # TypeError for every mixed pair, in both orders, as for polynomials
+    # TypeError for every mixed pair, in both orders, as for polynomials,
+    # and so does * for every pair but a polynomial and a scalar
     model = data.draw(st.sampled_from(_MODELS))
     grade = data.draw(st.integers(1, min(2, model.n_total)))
     values = {kind: data.draw(_term_maps(kind, model, grade))
               for kind in ("poly", "chain", "multivector")}
-    values.update(int=data.draw(st.integers(-3, 3)), fraction=data.draw(_FRACTIONS))
+    values.update(int=data.draw(st.integers(-3, 3)), fraction=data.draw(FRACTIONS))
     for (kx, x), (ky, y) in itertools.permutations(values.items(), 2):
         if {kx, ky} <= {"int", "fraction"}:
             continue
-        for op in (operator.add, operator.sub):
+        scalar_product = "poly" in (kx, ky) and {kx, ky} & {"int", "fraction"}
+        for op in (operator.add, operator.sub) + (() if scalar_product else (operator.mul,)):
             with pytest.raises(TypeError):
                 op(x, y)

@@ -191,3 +191,26 @@ def test_only_the_linear_base_defines_the_term_map_arithmetic():
                         for target in item.targets if isinstance(target, ast.Name)]
             found.extend(f"{owner}.{name}" for name in defined if name in names)
     assert sorted(found) == sorted(f"poly._Linear.{name}" for name in core)
+
+
+def _called_names(module, qualname):
+    """Names of the functions and methods called in the body of
+    conhoch.<module>.<qualname> (a function, or Class.method)."""
+    node = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    for name in qualname.split("."):
+        node = next(item for item in node.body
+                    if isinstance(item, (ast.ClassDef, ast.FunctionDef)) and item.name == name)
+    return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, (ast.Name, ast.Attribute))}
+
+
+def test_operator_words_are_evaluated_by_the_monomial_kernel():
+    # an operator on polynomials is the multilinear extension of
+    # diffops.apply_to_monomials, and the Lie bracket is X(Y_j) - Y(X_j)
+    # from VectorField.apply; neither differentiates a polynomial itself
+    applied = _called_names("diffops", "MultiDiffOp.apply")
+    assert "apply_to_monomials" in applied
+    assert not applied & {"partial", "partial_word"}
+    bracket = _called_names("fields", "bracket")
+    assert "apply" in bracket and "partial" not in bracket
