@@ -8,7 +8,7 @@ after another in this process; --jobs N is accepted and checked (N must
 be at least 1) but changes nothing, so output is the same for every N.
 
 This module holds only the parser, :func:`main`, the dispatch table and
-JSON emission, and importing it compiles only errors and model (the
+report emission, and importing it compiles only errors and model (the
 --tag choices come from model.SubspaceTag).  One table of options
 (:data:`_OPTIONS`) feeds both readers of the command line.  A plain
 line (the command, then spelled-out ``--flag VALUE`` pairs and
@@ -19,7 +19,8 @@ of :func:`build_parser`, which alone imports argparse and prints the
 usage.  Each command's handler
 lives with the code it runs (:data:`_HANDLERS` names the module) and is
 imported when the command runs; a handler that reads --in FILE imports
-serialize then, and only --format table loads the printer.  A
+serialize then, and only --format table loads the printer.  Handlers
+return the package's values, which :func:`emit_report` encodes.  A
 write to an unwritable --out path or a failed write to stdout (a full
 disk, a closed pipe), an input nested too deeply for the JSON reader, a
 negative --kmax or --cmax and a slice --tag other than wobs/null are
@@ -60,13 +61,24 @@ def _parse_model(text: str) -> FlatModel:
     return FlatModel(n_total, n_wobs, n_null)
 
 
-def emit_report(result: dict, fmt: str = "json") -> str:
-    """Render a report as machine JSON or an aligned human table; symbols
-    appear in the canonical term order either way."""
+def _encode(value):
+    """The JSON form of a value by the serialize encoder its class names in
+    ``_encoder``, looked up when called; TypeError if it names none."""
+    encoder = getattr(type(value), "_encoder", "")
+    if not encoder:
+        raise TypeError(f"no JSON encoder for {value!r}")
+    from . import serialize
+    return getattr(serialize, encoder)(value)
+
+
+def emit_report(result, fmt: str = "json") -> str:
+    """Render a report - a package value, or dicts and lists holding some -
+    as machine JSON or an aligned human table, each value encoded once by
+    :func:`_encode`; symbols appear in the canonical term order either way."""
     if fmt == "json":
-        return json.dumps(result, indent=2, sort_keys=True) + "\n"
+        return json.dumps(result, indent=2, sort_keys=True, default=_encode) + "\n"
     from . import printer
-    return printer.table_text(result)
+    return printer.table_text(json.loads(json.dumps(result, default=_encode)))
 
 
 def _write(text: str, out: Optional[str]) -> None:

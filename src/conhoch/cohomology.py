@@ -182,5 +182,4 @@ def cmd_find_potential(model, args) -> dict:
     from . import serialize
     chain = serialize.chain_from_json(serialize._load(args.infile), model)
     psi = find_constraint_potential(chain)
-    return {"has_constraint_potential": psi is not None,
-            "potential": None if psi is None else serialize.chain_to_json(psi)}
+    return {"has_constraint_potential": psi is not None, "potential": psi}

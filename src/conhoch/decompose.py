@@ -210,13 +210,8 @@ def cmd_decompose_cocycle(model, args) -> dict:
     chain = serialize.chain_from_json(serialize._load(args.infile), model)
     dec = decompose_2cocycle(chain)
     ambient, reduced = class_maps(dec.cocycle_class)
-    return {
-        "class": {"X": serialize.multivector_to_json(dec.cocycle_class.bivector),
-                  "psi": serialize.chain_to_json(dec.cocycle_class.normal_part)},
-        "potential": serialize.chain_to_json(dec.potential),
-        "ambient_bivector": serialize.multivector_to_json(ambient),
-        "reduced_bivector": serialize.multivector_to_json(reduced),
-    }
+    return {"class": {"X": dec.cocycle_class.bivector, "psi": dec.cocycle_class.normal_part},
+            "potential": dec.potential, "ambient_bivector": ambient, "reduced_bivector": reduced}
 
 
 # ---------------------------------------------------------------------------

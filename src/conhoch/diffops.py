@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, Sequence, Tuple
 
 from .model import FlatModel
-from .poly import Exponent, Poly, _Frozen, merge_terms, monomials_of_degree
+from .poly import Exponent, Poly, _Frozen, merge_terms
 from .symbols import SymbolChain, Word, vee
 from .words import _word_splits
 
@@ -44,6 +44,7 @@ class MultiDiffOp(_Frozen):
     tests are done on ``symbol``."""
 
     __slots__ = _fields = ("symbol",)
+    _encoder = "op_to_json"
 
     def __init__(self, symbol: SymbolChain):
         if not isinstance(symbol, SymbolChain):
@@ -121,17 +122,6 @@ def compose_symbols(outer: SymbolChain, inner: SymbolChain, slot: int) -> Symbol
 # ---------------------------------------------------------------------------
 # evaluation on monomial arguments
 # ---------------------------------------------------------------------------
-
-
-def monomial_argument_tuples(model: FlatModel, arity: int,
-                             max_total_degree: int) -> Iterator[Tuple[Exponent, ...]]:
-    """All tuples of monomial exponents with the given total degree bound,
-    by total degree, then by the degrees of the arguments ascending."""
-    nvars = model.n_total
-    for total in range(max_total_degree + 1):
-        for split in reversed(monomials_of_degree(arity, total)):
-            pools = [monomials_of_degree(nvars, d) for d in split]
-            yield from itertools.product(*pools)
 
 
 def apply_to_monomials(op: MultiDiffOp, args: Sequence[Exponent]) -> Dict[Exponent, Fraction]:

@@ -28,6 +28,7 @@ class VectorField(_Frozen):
     """Vector field with polynomial components (component i multiplies d_i)."""
 
     __slots__ = _fields = ("model", "components")
+    _encoder = "field_to_json"
 
     def __init__(self, model: FlatModel, components: Sequence[Poly]):
         if len(components) != model.n_total:
@@ -48,7 +49,7 @@ class VectorField(_Frozen):
 
     def __repr__(self) -> str:
         from . import printer, serialize
-        return printer.to_text(serialize.field_to_json(self))
+        return printer.to_text(getattr(serialize, self._encoder)(self))
 
 
 def bracket(x: VectorField, y: VectorField) -> VectorField:

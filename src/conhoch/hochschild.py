@@ -98,7 +98,6 @@ def cmd_classify_operator(model, args) -> dict:
             "null": op_membership(op, SubspaceTag.NULL)}
 
 
-def cmd_delta(model, args) -> dict:
+def cmd_delta(model, args) -> MultiDiffOp:
     from . import serialize
-    op = serialize.op_from_json(serialize._load(args.infile), model)
-    return serialize.op_to_json(hochschild_delta(op))
+    return hochschild_delta(serialize.op_from_json(serialize._load(args.infile), model))

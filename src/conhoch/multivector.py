@@ -148,7 +148,6 @@ def coisotropy_check(pi: MultiVector) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def cmd_hkr(model, args) -> dict:
+def cmd_hkr(model, args) -> SymbolChain:
     from . import serialize
-    x = serialize.multivector_from_json(serialize._load(args.infile), model)
-    return serialize.chain_to_json(hkr(x))
+    return hkr(serialize.multivector_from_json(serialize._load(args.infile), model))

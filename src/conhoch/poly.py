@@ -147,6 +147,7 @@ class Poly(_Linear):
     """Immutable sparse polynomial with rational coefficients."""
 
     __slots__ = _fields = ("nvars", "terms")
+    _encoder = "poly_to_json"
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar] = ()):
         _check_int(nvars, "nvars", 0)
@@ -201,7 +202,7 @@ class Poly(_Linear):
             return Poly._trusted(self.nvars, merge_terms(
                 (tuple(a + b for a, b in zip(ea, eb)), ca * cb)
                 for ea, ca in self.terms.items() for eb, cb in other.terms.items()))
-        if isinstance(other, _Linear):
+        if isinstance(other, _Frozen):
             return NotImplemented
         return self.scale(other)
 

@@ -7,7 +7,9 @@ raise ValueError on malformed input (the CLI maps that to exit code 1).
 Chains and multivectors share one decoder, :func:`_term_map`: the grade
 under the class's JSON grade key (``arity`` or ``degree``), then a
 coefficient and a key per term.
-The human text of an encoded value comes from :mod:`conhoch.printer`.
+Outside this module an encoder is reached only through the name its
+class gives in ``_encoder`` (by ``cli.emit_report`` and the reprs), and
+the human text of an encoded value comes from :mod:`conhoch.printer`.
 
 :func:`_load` reads the JSON object of ``--in FILE`` for every command
 that takes one.  Each such handler lives with the code it runs and
@@ -183,7 +185,6 @@ def cmd_classify_function(model, args) -> dict:
 
 def cmd_reduce(model, args) -> dict:
     data = _load(args.infile)
-    reduced_model = model.reduced_model()
     if "components" in data:
         raise ValueError("reduction of plain vector fields is not provided; "
                          "pass a function or a multivector")
@@ -192,11 +193,7 @@ def cmd_reduce(model, args) -> dict:
                          "pass a function or a multivector")
     if "degree" in data:
         from .decompose import reduce_multivector
-        x = multivector_from_json(data, model)
-        return {"kind": "multivector",
-                "reduced_model": reduced_model._asdict(),
-                "result": multivector_to_json(reduce_multivector(x))}
-    f = poly_from_json(data, model.n_total)
-    return {"kind": "function",
-            "reduced_model": reduced_model._asdict(),
-            "result": poly_to_json(model.reduce_function(f))}
+        kind, result = "multivector", reduce_multivector(multivector_from_json(data, model))
+    else:
+        kind, result = "function", model.reduce_function(poly_from_json(data, model.n_total))
+    return {"kind": kind, "reduced_model": model.reduced_model()._asdict(), "result": result}

@@ -206,15 +206,12 @@ def hh2_slice_report(model: FlatModel, tag: SubspaceTag, sym_degree: int,
 
 def _hh_rows(model: FlatModel, tags: List[str], kmax: int, cmax: int,
              with_reps: bool) -> List[dict]:
-    """The degree-2 slice reports in (tag, K, c) order as JSON rows."""
+    """The degree-2 slice reports in (tag, K, c) order as report rows;
+    ``cli.emit_report`` encodes the representatives' chains."""
     rows = []
     for tag, K, c in itertools.product(tags, range(2, kmax + 1), range(cmax + 1)):
         row = hh2_slice_report(model, SubspaceTag(tag), K, c, with_representatives=with_reps)
         row["model"] = model._asdict()
-        if with_reps:
-            from . import serialize
-            row["representatives"] = [serialize.chain_to_json(ch)
-                                      for ch in row["representatives"]]
         rows.append(row)
     return rows
 

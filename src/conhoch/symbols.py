@@ -75,7 +75,7 @@ class _TermMap(_Linear):
 
     __slots__ = _fields = ("model", "_grade", "terms")
     #: set by each subclass: the grade's name in a mismatch error, the
-    #: error for a grade below 1, and the serialize encoder of the repr
+    #: error for a grade below 1, and the serialize encoder (repr, report)
     _grade_name = _too_low = _encoder = ""
 
     def __init__(self, model: FlatModel, grade: int, terms=()):
@@ -275,10 +275,9 @@ def cmd_classify_symbol(model, args) -> dict:
             "null": chain_membership(chain, SubspaceTag.NULL)}
 
 
-def cmd_bigd(model, args) -> dict:
+def cmd_bigd(model, args) -> SymbolChain:
     from . import serialize
-    chain = serialize.chain_from_json(serialize._load(args.infile), model)
-    return serialize.chain_to_json(differential_d(chain))
+    return differential_d(serialize.chain_from_json(serialize._load(args.infile), model))
 
 
 def __getattr__(name):

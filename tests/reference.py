@@ -4,6 +4,9 @@ Each one decides a question by evaluating operators on monomial
 arguments up to a degree window, independently of the symbol calculus
 that the library decides it with:
 
+* every tuple of monomial arguments up to a total degree, in the window
+  order that star-check's witness follows
+  (:func:`monomial_argument_tuples`);
 * operator equality on a window (:func:`operators_equal_on_window`) and
   the window that separates operators of a given order and coefficient
   degree (:func:`sufficiency_degree`);
@@ -47,7 +50,7 @@ from typing import List, Sequence
 from conhoch import (FlatModel, FunctionClass, MultiDiffOp, Poly, SubspaceTag, SymbolChain,
                      TruncatedStar, VectorField, monomial_member, vee)
 from conhoch import starprod
-from conhoch.diffops import apply_to_monomials, monomial_argument_tuples
+from conhoch.diffops import apply_to_monomials
 from conhoch.errors import UnsupportedTagError
 from conhoch.model import _member, _same_model, _slot_profile, _window, monomials_of_degree
 
@@ -97,6 +100,16 @@ def vf_membership_by_definition(x: VectorField, tag: SubspaceTag) -> bool:
                 for i in model.tcperp_indices)
             and all(model.restrict_to_c(c.partial(a)).is_zero()
                     for a in model.d_indices for c in transverse))
+
+
+def monomial_argument_tuples(model: FlatModel, arity: int, max_total_degree: int):
+    """All tuples of monomial exponents with the given total degree bound,
+    by total degree, then by the degrees of the arguments ascending."""
+    nvars = model.n_total
+    for total in range(max_total_degree + 1):
+        for split in reversed(monomials_of_degree(arity, total)):
+            pools = [monomials_of_degree(nvars, d) for d in split]
+            yield from itertools.product(*pools)
 
 
 def operators_equal_on_window(a: MultiDiffOp, b: MultiDiffOp,

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from conhoch import (FlatModel, MultiDiffOp, MultiVector, Poly, SubspaceTag, SymbolChain,
                      VectorField, bracket, chain_map_check, differential_d,
                      hochschild_delta, op_membership, vf_membership)
-from conhoch.diffops import monomial_argument_tuples
 
 from conftest import all_models, polys, rand_chain, rand_field_in_class, var
-from reference import (apply_by_partials, bracket_by_partials, op_membership_functional,
-                       operators_equal_on_window, sufficiency_degree)
+from reference import (apply_by_partials, bracket_by_partials, monomial_argument_tuples,
+                       op_membership_functional, operators_equal_on_window,
+                       sufficiency_degree)
 
 
 def _nabla(x: VectorField, y: VectorField) -> VectorField:
@@ -254,7 +254,8 @@ def test_flat_connection_torsion_free(m321):
 def test_monomial_argument_tuples_keep_their_order():
     # by total degree, then by the split of that degree over the arguments
     # in ascending lexicographic order; star-check reports the first triple
-    # in this order on which the associator is nonzero
+    # in this order on which the associator is nonzero (the sampled oracle
+    # walks it; the library builds that triple from the least term)
     assert list(monomial_argument_tuples(FlatModel(2, 2, 0), 3, 2)) == [
         ((0, 0), (0, 0), (0, 0)), ((0, 0), (0, 0), (1, 0)), ((0, 0), (0, 0), (0, 1)),
         ((0, 0), (1, 0), (0, 0)), ((0, 0), (0, 1), (0, 0)), ((1, 0), (0, 0), (0, 0)),

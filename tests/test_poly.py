@@ -346,3 +346,17 @@ def test_term_maps_refuse_each_others_values(data):
         for op in (operator.add, operator.sub) + (() if scalar_product else (operator.mul,)):
             with pytest.raises(TypeError):
                 op(x, y)
+
+
+@pytest.mark.parametrize("name", ["vector-field", "operator", "star"])
+def test_polynomials_refuse_fields_operators_and_stars(name):
+    # a field, an operator or a star product is another class of value,
+    # not a scalar: the product with a polynomial raises TypeError in both
+    # orders, where a float or bool scalar stays a ValueError
+    p, value = _VALUES["poly"](), _VALUES[name]()
+    for x, y in ((p, value), (value, p)):
+        with pytest.raises(TypeError):
+            x * y
+    for scalar in (0.5, True):
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            p * scalar

@@ -214,3 +214,32 @@ def test_operator_words_are_evaluated_by_the_monomial_kernel():
     assert not applied & {"partial", "partial_word"}
     bracket = _called_names("fields", "bracket")
     assert "apply" in bracket and "partial" not in bracket
+
+
+def test_encoders_are_reached_only_through_the_class_names():
+    # handlers return the package's values and cli.emit_report encodes them
+    # by the serialize encoder each class names in _encoder; outside
+    # serialize, no code names an encoder but those class attributes
+    found, named = [], {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "serialize":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                named.update((f"{path.stem}.{node.name}", item.value.value)
+                             for item in node.body if isinstance(item, ast.Assign)
+                             and any(isinstance(t, ast.Name) and t.id == "_encoder"
+                                     for t in item.targets)
+                             and isinstance(item.value, ast.Constant))
+            name = (node.id if isinstance(node, ast.Name) else node.attr
+                    if isinstance(node, ast.Attribute) else node.name
+                    if isinstance(node, ast.alias) else None)
+            if name is not None and name.endswith("_to_json"):
+                found.append(f"{path.stem}.py:{node.lineno}")
+    assert found == []
+    assert named == {"poly.Poly": "poly_to_json", "diffops.MultiDiffOp": "op_to_json",
+                     "fields.VectorField": "field_to_json",
+                     "symbols.SymbolChain": "chain_to_json",
+                     "multivector.MultiVector": "multivector_to_json",
+                     "symbols._TermMap": ""}

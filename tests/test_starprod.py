@@ -2,6 +2,7 @@
 coisotropy and the order-one equivalence solvers."""
 
 import copy
+import math
 import random
 from fractions import Fraction
 
@@ -13,13 +14,14 @@ from conhoch import (FlatModel, MultiDiffOp, MultiVector, Poly, SubspaceTag,
                      check_associativity, chain_membership,
                      classify_infinitesimal, coisotropy_check,
                      differential_d, equivalence_report, hkr,
-                     is_constraint_star, poisson_from_star)
+                     is_constraint_star, poisson_from_star, vee)
 from conhoch import starprod
+from conhoch.diffops import apply_to_monomials
 from conhoch.decompose import normal_class_basis
 from conhoch.errors import NotClosedError, NotConstraintError, PreconditionError
 
 from conftest import rand_fraction, rand_tagged_chain, var
-from reference import sampled_defects
+from reference import monomial_argument_tuples, sampled_defects
 
 
 @pytest.fixture(autouse=True)
@@ -437,3 +439,62 @@ def test_bracket_matches_ambient_class_map(m321):
         star = TruncatedStar(m321, [c1])
         assert poisson_from_star(star) == x
         assert classify_infinitesimal(c1).bivector == x
+
+
+def _moyal(model, pairs, order, rescaled=None):
+    """The Moyal star (Groenewold 1946, Moyal 1949) truncated at order k:
+    C_r = P^{vr} / r! for the bivector symbol P = 1/2 sum (d_i (x) d_j -
+    d_j (x) d_i) over the (i, j) pairs, the powers taken slotwise with
+    vee; rescaled = (r, q) multiplies C_r by q."""
+    bivector = MultiVector.zero(model, 2)
+    for pair in pairs:
+        bivector = bivector + MultiVector.wedge_of_frames(model, pair)
+    p = power = hkr(bivector)
+    cochains = []
+    for r in range(1, order + 1):
+        if r > 1:
+            power = SymbolChain(model, 2, [((vee(a1, b1), vee(a2, b2)), ca * cb)
+                                           for (a1, a2), ca in power.terms.items()
+                                           for (b1, b2), cb in p.terms.items()])
+        c = power.scale(Fraction(1, math.factorial(r)))
+        if rescaled is not None and rescaled[0] == r:
+            c = c.scale(rescaled[1])
+        cochains.append(MultiDiffOp(c))
+    return TruncatedStar(model, cochains)
+
+
+_CANONICAL = FlatModel(4, 4, 0), [(1, 3), (2, 4)]
+
+
+def test_moyal_stars_are_associative_at_high_order():
+    # the Moyal star is associative at every order; on (6,5,1) with the
+    # bivector on the D-perp letters 2-5 it is a constraint star too
+    assert check_associativity(_moyal(*_CANONICAL, 5)) is None
+    star = _moyal(FlatModel(6, 5, 1), [(2, 4), (3, 5)], 4)
+    assert is_constraint_star(star) and check_associativity(star) is None
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_a_rescaled_moyal_cochain_fails_at_its_order_on_least_words(r):
+    # doubling C_r leaves orders below r associative and makes A_r =
+    # -D(C_r), which is nonzero; the witness holds the words of a least
+    # term of A_r, each argument the monomial of its word's letters
+    star = _moyal(*_CANONICAL, 4, rescaled=(r, 2))
+    violation = check_associativity(star)
+    assert violation.order == r
+    chain = associator(star, r)
+    least = min(sum(map(len, s)) for s in chain.terms)
+    assert tuple(next(iter(a.terms)) for a in violation.arguments) in {
+        tuple(tuple(map(w.count, range(1, 5))) for w in s)
+        for s in chain.terms if sum(map(len, s)) == least}
+    if r == 2:
+        # the first nonzero triple of the window walk, as the sampled
+        # oracle finds it
+        op = MultiDiffOp(chain)
+        first = next(args for args in monomial_argument_tuples(star.model, 3, least)
+                     if apply_to_monomials(op, args))
+        assert violation.arguments == tuple(Poly.monomial(e) for e in first)
+    if r == 4:
+        assert violation.arguments == (var(star.model, 1), Poly.monomial((3, 0, 0, 0)),
+                                       Poly.monomial((0, 0, 4, 0)))
+        assert violation.defect == Poly.constant(4, Fraction(3, 2))
