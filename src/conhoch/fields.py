@@ -47,10 +47,6 @@ class VectorField(_Frozen):
                 out = out + comp * f.partial(i)
         return out
 
-    def __repr__(self) -> str:
-        from . import printer, serialize
-        return printer.to_text(getattr(serialize, self._encoder)(self))
-
 
 def bracket(x: VectorField, y: VectorField) -> VectorField:
     """Lie bracket [X, Y], componentwise [X, Y]_j = X(Y_j) - Y(X_j)."""

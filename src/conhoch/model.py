@@ -16,10 +16,10 @@ distribution vanish on C; observables form a subalgebra in which the
 null functions are an ideal, and the quotient realises the functions on
 the reduced space R^{n_wobs - n_null}.
 
-This module owns the wobs/null decision: one rule decides a monomial
-(:func:`_window`, :func:`_member` and :func:`_slot_profile`, applied to
-one monomial by :func:`_monomial_rule`), and the classes of functions,
-vector fields, multivectors, chains, operators and slices all read it.
+This module owns the one rule of every tag (:func:`_window`, :func:`_member`,
+:func:`_slot_profile`; :func:`_monomial_rule` on one monomial): functions,
+vector fields, multivectors, chains, operators and slices read it, and the
+hatted blocks of chains pass or fail its windows.
 
 The two tag enums live here: FunctionClass for functions and SubspaceTag
 for the constraint subspaces of symbols, so the command line can parse

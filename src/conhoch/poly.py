@@ -19,7 +19,8 @@ arithmetic builds its canonical results through the trusted
 ``Poly._trusted``.  :class:`_Frozen` owns the value semantics of the
 immutable values (polynomials, chains, multivectors, fields, operators,
 star products): fields set once, term maps stored read-only, equality by
-type and fields, no hash, copies through the checked constructor.
+type and fields, no hash, copies through the checked constructor, and
+the ``--format table`` repr of each class that names an encoder.
 :class:`_Linear` is the one arithmetic of the term maps (polynomials,
 chains, multivectors) and :func:`merge_terms` their one merge; each adds
 and subtracts with its own class only, and is false exactly when zero.
@@ -81,9 +82,13 @@ class _Frozen:
     raises AttributeError; two values are equal when they have the same
     type and equal fields, and no value is hashable; copy, deepcopy and
     pickle rebuild the value through its constructor, from a plain copy of
-    each read-only map."""
+    each read-only map.  A class that names a serialize encoder in
+    ``_encoder`` (also what ``cli.emit_report`` encodes it by) has the
+    ``--format table`` text of that encoding as its repr; any other keeps
+    the default repr."""
 
     __slots__ = ()
+    _encoder = ""
 
     def _set(self, *values) -> None:
         for name, value in zip(self._fields, values):
@@ -103,6 +108,12 @@ class _Frozen:
     def __reduce__(self):
         values = [getattr(self, name) for name in self._fields]
         return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
+
+    def __repr__(self) -> str:
+        if not self._encoder:
+            return object.__repr__(self)
+        from . import printer, serialize
+        return printer.to_text(getattr(serialize, self._encoder)(self))
 
 
 class _Linear(_Frozen):
@@ -223,12 +234,12 @@ class Poly(_Linear):
                                           for exp, coeff in self.terms.items() if exp[i]})
 
     def partial_word(self, word: Iterable[int]) -> "Poly":
-        """Iterated partial derivative along a word of 1-based indices."""
+        """Iterated partial derivative along a word of 1-based indices;
+        every index is checked, also after the derivative is zero, so the
+        answer does not depend on the order of the word."""
         result = self
         for index in word:
             result = result.partial(index)
-            if result.is_zero():
-                break
         return result
 
     def substitute_zero(self, positions: Iterable[int]) -> "Poly":

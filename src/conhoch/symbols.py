@@ -17,16 +17,18 @@ membership questions below reduce to combinatorial checks per monomial.
 This module provides
 
 * one base for multivectors and chains (checked storage, the trusted
-  ``_like``, the frame check, splitting, the ``--format table`` repr;
-  the arithmetic comes from ``poly._Linear``, equality and the
-  read-only ``terms`` from ``poly._Frozen``), and chain lookups that
-  sort and check a key as the constructor does,
+  ``_like``, the frame check, splitting; the arithmetic comes from
+  ``poly._Linear``, equality, the read-only ``terms`` and the
+  ``--format table`` repr from ``poly._Frozen``), and chain lookups
+  that sort and check a key as the constructor does,
 * the symmetric product of words,
 * the tensor differential, built from the unit differential of
   :mod:`conhoch.words`,
-* membership of chains, decided per monomial: the tagged subspaces by
-  the one rule of :mod:`conhoch.model` (``_monomial_rule``),
-  the hatted complement blocks by :func:`word_category`;
+* membership of chains, decided per monomial by the one rule of
+  :mod:`conhoch.model`: the wobs and null subspaces by
+  ``_monomial_rule``, each hatted complement block by the windows of
+  ``_member`` its slot words pass or fail (the table ``_HATTED``, which
+  also gives the arities where the tag is defined);
 * the handlers of the commands that compute on one chain: classify-symbol
   and bigd.
 
@@ -47,7 +49,8 @@ from collections.abc import Mapping
 from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 from .errors import UnsupportedTagError
-from .model import FlatModel, SubspaceTag, _check_int, _monomial_rule, _same_model, _slot_profile
+from .model import (FlatModel, SubspaceTag, _check_int, _member, _monomial_rule, _same_model,
+                    _slot_profile)
 from .poly import Exponent, Poly, _Linear, merge_terms
 from .words import Slots, Word, unit_differential
 
@@ -74,9 +77,9 @@ class _TermMap(_Linear):
     ``--format table`` text."""
 
     __slots__ = _fields = ("model", "_grade", "terms")
-    #: set by each subclass: the grade's name in a mismatch error, the
-    #: error for a grade below 1, and the serialize encoder (repr, report)
-    _grade_name = _too_low = _encoder = ""
+    #: set by each subclass: the grade's name in a mismatch error and the
+    #: error for a grade below 1
+    _grade_name = _too_low = ""
 
     def __init__(self, model: FlatModel, grade: int, terms=()):
         _check_int(grade, self._grade_name)
@@ -121,10 +124,6 @@ class _TermMap(_Linear):
         for exp, key, q in self.monomials():
             parts[not test(exp, key)].append((key, Poly._trusted(self.model.n_total, {exp: q})))
         return self._like(merge_terms(parts[0])), self._like(merge_terms(parts[1]))
-
-    def __repr__(self) -> str:
-        from . import printer, serialize
-        return printer.to_text(getattr(serialize, self._encoder)(self))
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +177,6 @@ class SymbolChain(_TermMap):
         return self._like({s: c for s, c in self.terms.items()
                            if sum(len(w) for w in s) == k})
 
-    def max_total_order(self) -> int:
-        return max((sum(len(w) for w in s) for s in self.terms), default=0)
-
     def coefficient(self, slots: Sequence[Sequence[int]]) -> Poly:
         """The coefficient at the slot words, each sorted and the whole
         checked as the constructor checks a key."""
@@ -207,27 +203,20 @@ def differential_d(chain: SymbolChain) -> SymbolChain:
 # ---------------------------------------------------------------------------
 
 
-def word_category(model: FlatModel, word: Word) -> str:
-    """Exactly one of: 'that' (contains a normal letter), 'nhat' (tangent
-    letters with at least one distribution letter), 'wnhat' (letters all
-    transverse-in-C), read from the word's letter profile."""
-    nd, _, nt = _slot_profile(model, word)
-    return "that" if nt else "nhat" if nd else "wnhat"
-
-
-#: the word categories of each hatted tag; a monomial needs one word of them
-_HAT_WORDS = {SubspaceTag.NULL_NOT_VAN: ("nhat",), SubspaceTag.WOBS_NOT_NULL: ("wnhat",),
-              SubspaceTag.TOTAL_NOT_WOBS: ("that",),
-              SubspaceTag.TOTAL_NOT_NULL: ("that", "wnhat")}
+#: each hatted tag's highest arity and the window tests of its slot words
+#: at a coefficient with no normal unit: (kind, whether they pass it)
+_HATTED = {SubspaceTag.NULL_NOT_VAN: (2, (("null", True),)),
+           SubspaceTag.TOTAL_NOT_WOBS: (2, (("wobs", False),)),
+           SubspaceTag.TOTAL_NOT_NULL: (1, (("null", False),)),
+           SubspaceTag.WOBS_NOT_NULL: (1, (("wobs", True), ("null", False)))}
 
 
 def _check_tag_arity(tag: SubspaceTag, arity: int) -> None:
-    """Refuse anything that is not a SubspaceTag, and a hatted tag above
-    arity 1, except NULL_NOT_VAN and TOTAL_NOT_WOBS at arity 2."""
+    """Refuse anything that is not a SubspaceTag, and a hatted tag outside
+    arity 1 up to its highest arity in :data:`_HATTED`."""
     if not isinstance(tag, SubspaceTag):
         raise UnsupportedTagError(f"{tag!r} is not a subspace tag")
-    if tag in _HAT_WORDS and not (arity == 1 or arity == 2 and tag in (
-            SubspaceTag.NULL_NOT_VAN, SubspaceTag.TOTAL_NOT_WOBS)):
+    if tag in _HATTED and not 1 <= arity <= _HATTED[tag][0]:
         raise UnsupportedTagError(f"tag {tag.value} is not defined at arity {arity}")
 
 
@@ -238,23 +227,24 @@ def monomial_member(model: FlatModel, gamma: Exponent, slots: Slots,
     if tag in (SubspaceTag.WOBS, SubspaceTag.NULL):
         return _monomial_rule(model, tag.value, gamma, slots)
     # hatted tags: sections over C only, so no normal variables at all;
-    # one word of the tag's categories, and an 'nhat' word only in the
-    # null complement
+    # the slot words pass or fail fixed windows of the one rule
     _check_tag_arity(tag, len(slots))
     if model.unit_counts(gamma)[2]:
         return False
-    cats = [word_category(model, w) for w in slots]
-    return (any(c in _HAT_WORDS[tag] for c in cats)
-            and (tag is SubspaceTag.NULL_NOT_VAN or "nhat" not in cats))
+    profiles = [_slot_profile(model, w) for w in slots]
+    for kind, want in _HATTED[tag][1]:
+        if _member(kind, profiles) is not want:
+            return False
+    return True
 
 
 def chain_membership(chain: SymbolChain, tag: SubspaceTag) -> bool:
     """Decide membership of a chain in the tagged subspace.  The tagged
     spaces are spanned by monomial chains, so the test runs monomial by
-    monomial.  Hatted tags are only defined at arity 1 (all four) and
-    arity 2 (NULL_NOT_VAN, TOTAL_NOT_WOBS); elsewhere they, and anything
-    that is not a SubspaceTag, raise UnsupportedTagError, for the zero
-    chain too."""
+    monomial.  A hatted tag is only defined from arity 1 up to its
+    highest arity in ``_HATTED`` (2 for NULL_NOT_VAN and TOTAL_NOT_WOBS,
+    1 for the others); elsewhere it, and anything that is not a
+    SubspaceTag, raises UnsupportedTagError, for the zero chain too."""
     _check_tag_arity(tag, chain.arity)
     return all(monomial_member(chain.model, gamma, slots, tag)
                for gamma, slots, _ in chain.monomials())

@@ -8,9 +8,9 @@ words: the one splitting table (:func:`_word_splits`, which the Leibniz
 rule of :mod:`conhoch.diffops` and :mod:`conhoch.hochschild` reads too),
 the differential of one unit monomial chain, and :func:`mv_members`,
 the multivector monomials in a tagged class.  It imports only model,
-which owns the one wobs/null membership rule of every monomial
-(``_window``, ``_member`` and ``_slot_profile``).  The rules of the
-hatted complement blocks, which only the symbol calculus asks, live in
+which owns the one membership rule of every monomial (``_window``,
+``_member`` and ``_slot_profile``).  The hatted complement blocks, which
+only the symbol calculus asks, test its windows in
 :mod:`conhoch.symbols` (``monomial_member``).
 """
 

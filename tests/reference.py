@@ -29,7 +29,11 @@ that the library decides it with:
   per tuple of word lengths (:func:`slot_tuples_by_pools`), and the
   tagged ones among them, filtered monomial by monomial through the
   public membership test with one witness coefficient
-  (:func:`tagged_slots_by_monomial`).
+  (:func:`tagged_slots_by_monomial`);
+* membership in the hatted complement blocks by the category of each
+  slot word, 'that', 'nhat' or 'wnhat' (:func:`hatted_member_by_category`),
+  where the library tests the words against fixed windows of the
+  monomial rule of :mod:`conhoch.model`.
 
 It also holds test-only constructions that no command and no library
 routine calls: the monomial basis of a function class
@@ -124,11 +128,16 @@ def operators_equal_on_window(a: MultiDiffOp, b: MultiDiffOp,
     return True
 
 
+def _max_total_order(chain: SymbolChain) -> int:
+    """The largest total symmetric degree (sum of slot lengths) of a term."""
+    return max((sum(len(w) for w in slots) for slots in chain.terms), default=0)
+
+
 def sufficiency_degree(chain: SymbolChain) -> int:
     """Evaluation-degree window that separates operators of the given
     order and coefficient degree: max operator order + coefficient
     degree + 1."""
-    return chain.max_total_order() + max((sum(g) for g, _, _ in chain.monomials()),
+    return _max_total_order(chain) + max((sum(g) for g, _, _ in chain.monomials()),
                                          default=0) + 1
 
 
@@ -192,7 +201,7 @@ def bracket_by_partials(x: VectorField, y: VectorField) -> VectorField:
 def sampled_window(star: TruncatedStar, order: int) -> int:
     """Evaluation window that separates order-r associators: the largest
     ord C_p + ord C_q over p + q = r, with ord C_0 = 0."""
-    orders = [0] + [c.symbol.max_total_order() for c in star.cochains]
+    orders = [0] + [_max_total_order(c.symbol) for c in star.cochains]
     return max(orders[p] + orders[order - p] for p in range(order + 1))
 
 
@@ -243,6 +252,32 @@ def tagged_slots_by_monomial(model: FlatModel, arity: int, sym_degree: int,
     subtag = SubspaceTag(tag)
     return tuple(s for s in slot_tuples_by_pools(model, arity, sym_degree)
                  if monomial_member(model, gamma, s, subtag))
+
+
+def word_category(model: FlatModel, word: Sequence[int]) -> str:
+    """Exactly one of: 'that' (contains a normal letter), 'nhat' (tangent
+    letters with at least one distribution letter), 'wnhat' (letters all
+    transverse-in-C), counted letter by letter."""
+    if any(i > model.n_wobs for i in word):
+        return "that"
+    return "nhat" if any(i <= model.n_null for i in word) else "wnhat"
+
+
+#: the word categories of each hatted tag; a monomial needs one word of them
+HAT_WORDS = {SubspaceTag.NULL_NOT_VAN: ("nhat",), SubspaceTag.WOBS_NOT_NULL: ("wnhat",),
+             SubspaceTag.TOTAL_NOT_WOBS: ("that",),
+             SubspaceTag.TOTAL_NOT_NULL: ("that", "wnhat")}
+
+
+def hatted_member_by_category(model: FlatModel, gamma, slots, tag: SubspaceTag) -> bool:
+    """Membership of a monomial chain in a hatted block by word category:
+    a coefficient free of normal variables (a section over C), one word of
+    the tag's categories, and an 'nhat' word only in the null complement."""
+    if any(gamma[model.n_wobs:]):
+        return False
+    cats = [word_category(model, w) for w in slots]
+    return (any(c in HAT_WORDS[tag] for c in cats)
+            and (tag is SubspaceTag.NULL_NOT_VAN or "nhat" not in cats))
 
 
 def function_slice_basis(model: FlatModel, tag: FunctionClass, degree: int) -> List[Poly]:

@@ -16,8 +16,8 @@ from conhoch.errors import UnsupportedTagError
 from conhoch.words import mv_members
 
 from conftest import all_models, frame_field, monomial_field, monomials_up_to, rand_poly, var
-from reference import (classify_function_by_definition, op_membership_functional,
-                       vf_membership_by_definition)
+from reference import (classify_function_by_definition, hatted_member_by_category,
+                       op_membership_functional, vf_membership_by_definition)
 
 
 # ---------------------------------------------------------------------------
@@ -318,23 +318,65 @@ def test_hatted_arity_two(m321):
     assert not chain_membership(d2_d2, SubspaceTag.NULL_NOT_VAN)
 
 
-def test_hatted_tags_limited_to_low_arity(m321):
-    chain3 = SymbolChain.from_term(m321, [(1,), (2,), (3,)])
-    with pytest.raises(UnsupportedTagError):
-        chain_membership(chain3, SubspaceTag.TOTAL_NOT_WOBS)
-    chain2 = SymbolChain.from_term(m321, [(2,), (2,)])
-    with pytest.raises(UnsupportedTagError):
-        chain_membership(chain2, SubspaceTag.WOBS_NOT_NULL)
-    # the zero chain has no monomial to test, and is refused all the same
-    with pytest.raises(UnsupportedTagError):
-        chain_membership(SymbolChain.zero(m321, 3), SubspaceTag.TOTAL_NOT_WOBS)
-    with pytest.raises(UnsupportedTagError):
-        chain_membership(SymbolChain.zero(m321, 2), SubspaceTag.WOBS_NOT_NULL)
-    assert chain_membership(SymbolChain.zero(m321, 2), SubspaceTag.NULL_NOT_VAN)
-
-
 _M321 = FlatModel(3, 2, 1)
 _HATTED = [tag for tag in SubspaceTag if tag not in (SubspaceTag.WOBS, SubspaceTag.NULL)]
+#: the arities at which each hatted tag is defined
+_HATTED_ARITIES = {SubspaceTag.NULL_NOT_VAN: (1, 2), SubspaceTag.TOTAL_NOT_WOBS: (1, 2),
+                   SubspaceTag.WOBS_NOT_NULL: (1,), SubspaceTag.TOTAL_NOT_NULL: (1,)}
+
+
+def _words(model, max_length):
+    letters = range(1, model.n_total + 1)
+    return [w for k in range(1, max_length + 1)
+            for w in itertools.combinations_with_replacement(letters, k)]
+
+
+def test_hatted_membership_matches_the_word_categories():
+    # on every model with n_total <= 5, every monomial with words of
+    # length <= 2 and a coefficient of degree <= 1, at each arity where the
+    # tag is defined: the window tests equal the category oracle
+    for model in all_models(5):
+        words = _words(model, 2)
+        for gamma in monomials_up_to(model.n_total, 1):
+            for tag, arities in _HATTED_ARITIES.items():
+                for arity in arities:
+                    for slots in itertools.product(words, repeat=arity):
+                        assert monomial_member(model, gamma, slots, tag) == \
+                            hatted_member_by_category(model, gamma, slots, tag), \
+                            (model, gamma, slots, tag)
+
+
+def test_hatted_blocks_split_the_sections_over_c_at_arity_one():
+    # a word with a coefficient free of normal variables lies in exactly
+    # one of the null, observable-not-null and not-observable complements,
+    # and the not-null complement is the union of the last two
+    for model in all_models(4):
+        sections = [g for g in monomials_up_to(model.n_total, 1) if not any(g[model.n_wobs:])]
+        for gamma, word in itertools.product(sections, _words(model, 3)):
+            nnv, wnn, tnw, tnn = (monomial_member(model, gamma, (word,), tag) for tag in (
+                SubspaceTag.NULL_NOT_VAN, SubspaceTag.WOBS_NOT_NULL,
+                SubspaceTag.TOTAL_NOT_WOBS, SubspaceTag.TOTAL_NOT_NULL))
+            assert nnv + wnn + tnw == 1, (model, gamma, word)
+            assert tnn == (wnn or tnw), (model, gamma, word)
+
+
+@pytest.mark.parametrize("tag", _HATTED, ids=[tag.value for tag in _HATTED])
+def test_hatted_tags_are_refused_outside_their_arities(tag):
+    # a monomial, a chain and the zero chain, which has no monomial to
+    # test, are all refused, with one message; where the tag is defined
+    # the zero chain is a member
+    for arity in (0, 1, 2, 3):
+        slots = ((2,),) * arity
+        if arity in _HATTED_ARITIES[tag]:
+            assert chain_membership(SymbolChain.zero(_M321, arity), tag)
+            continue
+        with pytest.raises(UnsupportedTagError) as error:
+            monomial_member(_M321, (0, 0, 0), slots, tag)
+        assert str(error.value) == f"tag {tag.value} is not defined at arity {arity}"
+        if arity:
+            for chain in (SymbolChain.from_term(_M321, slots), SymbolChain.zero(_M321, arity)):
+                with pytest.raises(UnsupportedTagError):
+                    chain_membership(chain, tag)
 
 
 @pytest.mark.parametrize("tag", _HATTED, ids=[tag.value for tag in _HATTED])

@@ -39,6 +39,11 @@ def test_partial_out_of_range():
         f.partial(0)
     with pytest.raises(IndexError):
         f.partial(4)
+    # a word is refused whatever its order: the derivative along 2 is
+    # already zero, and the letter 9 is out of range all the same
+    for word in ((2, 9), (9, 2)):
+        with pytest.raises(IndexError):
+            f.partial_word(word)
 
 
 def test_scalar_multiplication_and_subtraction():

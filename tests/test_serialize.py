@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conhoch import (FlatModel, MultiDiffOp, MultiVector, Poly, SymbolChain,
+from conhoch import (FlatModel, MultiDiffOp, MultiVector, Poly, SymbolChain, TruncatedStar,
                      VectorField, hkr, printer, serialize)
 from conhoch.serialize import (chain_from_json, chain_to_json,
                                field_from_json, field_to_json,
@@ -182,6 +182,20 @@ def test_repr_is_the_table_text_of_the_encoding(case):
     # a value is zero exactly when its encoding has no term
     parts = data["components"] if "components" in data else [data]
     assert (repr(value) == "0") == all(not part["terms"] for part in parts)
+
+
+def test_reprs_of_the_encoded_values_are_pinned():
+    # poly._Frozen prints every value whose class names an encoder; a star
+    # product names none and keeps the default repr
+    x1 = Poly.monomial((1, 0, 0))
+    chain = (SymbolChain.from_term(_M321, [(1,), (2, 3)], x1)
+             + SymbolChain.from_term(_M321, [(3,), (3,)], -2))
+    assert repr(chain) == "(x1) d1(x)d2vd3  +  (-2) d3(x)d3"
+    assert repr(SymbolChain.zero(_M321, 2)) == "0"
+    assert repr(MultiVector.wedge_of_frames(_M321, (1, 3)).scale(x1)) == "(x1) d1^d3"
+    field = VectorField(_M321, [x1, Poly.zero(3), Poly.constant(3, 2)])
+    assert repr(field) == "(x1) d1  +  (2) d3"
+    assert repr(TruncatedStar(_M321, [])).startswith("<conhoch.starprod.TruncatedStar object at ")
 
 
 @given(_polys3)

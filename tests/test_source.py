@@ -140,10 +140,11 @@ def test_only_the_checked_base_defines_new():
     assert found == ["model._Checked"]
 
 
-def test_only_the_frozen_base_defines_equality_or_hash():
+def test_only_the_frozen_base_defines_equality_hash_or_repr():
     # every value compares by its type and fields through poly._Frozen, and
     # no value is hashable; a second __eq__ or __hash__ would compare or
-    # hash some other way
+    # hash some other way.  _Frozen also prints every value whose class
+    # names an encoder; only Poly and MultiDiffOp print themselves
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -152,18 +153,24 @@ def test_only_the_frozen_base_defines_equality_or_hash():
             names |= {target.id for item in cls.body if isinstance(item, ast.Assign)
                       for target in item.targets if isinstance(target, ast.Name)}
             found.extend(f"{path.stem}.{cls.name}.{name}"
-                         for name in sorted(names & {"__eq__", "__hash__"}))
-    assert found == ["poly._Frozen.__eq__"]
+                         for name in sorted(names & {"__eq__", "__hash__", "__repr__"}))
+    assert sorted(found) == ["diffops.MultiDiffOp.__repr__", "poly.Poly.__repr__",
+                             "poly._Frozen.__eq__", "poly._Frozen.__repr__"]
 
 
 def test_only_the_model_defines_the_membership_rule():
     # the wobs/null decision of functions, vector fields, multivectors,
-    # chains, operators and slice counts has one owner: model defines the
-    # rule, and every reader imports it from there
+    # chains, operators and slice counts, and the hatted blocks of chains,
+    # has one owner: model defines the rule, and every reader imports it
+    # from there; no word category of a second rule is left
     rule = {"_slot_profile", "_window", "_member", "_monomial_rule"}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(f"{path.stem}.py:{node.lineno}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and node.value in ("that", "nhat", "wnhat")
+                     or "word_category" in {getattr(node, "id", None), getattr(node, "attr", None),
+                                            getattr(node, "name", None)})
         found.extend(f"{path.stem}.{node.name}" for node in ast.walk(tree)
                      if isinstance(node, ast.FunctionDef) and node.name in rule)
         found.extend(f"{path.stem} imports {alias.name} from {node.module}"
@@ -242,4 +249,4 @@ def test_encoders_are_reached_only_through_the_class_names():
                      "fields.VectorField": "field_to_json",
                      "symbols.SymbolChain": "chain_to_json",
                      "multivector.MultiVector": "multivector_to_json",
-                     "symbols._TermMap": ""}
+                     "poly._Frozen": ""}

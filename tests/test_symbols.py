@@ -33,7 +33,6 @@ def test_tensor_bookkeeping(m321):
     t = SymbolChain.from_term(m321, [(1,), (2, 2)])
     assert t.arity == 2
     assert list(t.terms) == [((1,), (2, 2))]
-    assert t.max_total_order() == 3
 
 
 def test_model_mismatch_rejected(m321):
