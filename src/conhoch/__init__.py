@@ -30,7 +30,7 @@ _EXPORTS = {
                   "decompose_tensor2", "matrix_of_D", "normal_class_basis", "pr1",
                   "pr1_top", "reduce_multivector", "slice_basis"),
     "diffops": ("MultiDiffOp",),
-    "hochschild": ("chain_map_check", "hochschild_delta", "op_membership"),
+    "hochschild": ("op_membership",),
     "cohomology": ("find_constraint_potential", "find_potential"),
     "slicecount": ("classified_hh2_dimension", "hh0_dimension", "hh2_slice_report",
                    "hh_dimension"),

@@ -19,10 +19,10 @@ table ``words._word_splits``), the symbol of a Gerstenhaber composition
 arguments by exponent arithmetic; ``MultiDiffOp.apply`` is its
 multilinear extension to polynomial arguments.  Each result is merged
 once by ``merge_terms``.
-The operator-level checks - the Hochschild coboundary, the chain-map
-check, operator membership - and the handlers of classify-operator and
-delta live in :mod:`conhoch.hochschild`, so no star-product command
-compiles them.
+An operator's Hochschild coboundary is the differential of its symbol
+(:func:`~conhoch.symbols.differential_d`).  Operator membership and the
+handlers of classify-operator and delta live in
+:mod:`conhoch.hochschild`, so no star-product command compiles them.
 """
 
 from __future__ import annotations

@@ -12,10 +12,11 @@ Implemented here: exact order-by-order associativity (the associator
 as a symbol chain built from Gerstenhaber compositions), the constraint
 property (every cochain observable), extraction of the first-order
 antisymmetric bracket, the order-(k+1) equivalence report (plain and
-constraint solves), and the classification of infinitesimal constraint star
-products by a bivector plus a normal-word class.  The compatibility of
-a bivector with the embedded submanifold (coisotropy) is a bivector
-condition and lives in :mod:`conhoch.multivector`.
+constraint solves for a map id + hbar^{k+1} S), and the classification
+of infinitesimal constraint star products by a bivector plus a
+normal-word class.  The compatibility of a bivector with the embedded
+submanifold (coisotropy) is a bivector condition and lives in
+:mod:`conhoch.multivector`.
 
 Convention: the usual bracket normalisation multiplies the
 antisymmetrised first cochain by -i.  Coefficients here are rational,
@@ -27,7 +28,7 @@ Associativity is decided on symbols alone, so this module imports
 cohomology (and with it the elimination kernel) only inside the
 equivalence report, and decompose (and with it the multivectors) only
 when a bracket is extracted or a class computed: star-check compiles
-none of them, and no star command compiles the operator-level checks of
+none of them, and no star command compiles the operator membership of
 :mod:`conhoch.hochschild`.  The handlers of the
 star-check, star-equiv and classify-star commands live here.
 """
@@ -182,10 +183,14 @@ def poisson_from_star(star: TruncatedStar) -> MultiVector:
 
 def equivalence_report(a: TruncatedStar, b: TruncatedStar, k: int) -> dict:
     """Plain and constraint order-(k+1) equivalence of two constraint
-    star products agreeing up to order k, in one record.  "S" is a map
-    whose coboundary is C_{k+1} - C'_{k+1}: an observable one when the
-    difference is constraint-exact, else a plain one, else None.  The
-    preconditions are checked once for both solves."""
+    star products agreeing up to order k, in one record, through a map
+    id + hbar^{k+1} S only: "plain_equivalent" and
+    "constraint_equivalent" say whether such an S (observable for the
+    latter) has coboundary C_{k+1} - C'_{k+1}.  A false verdict does not
+    rule out an equivalence whose map has lower-order terms, such as a
+    derivation at order 1.  "S" is an observable such map when one
+    exists, else a plain one, else None.  The preconditions are checked
+    once for both solves."""
     if k < 0:
         raise PreconditionError("agreement order must be non-negative")
     if a.model != b.model:
@@ -241,6 +246,8 @@ def cmd_star_check(model, args) -> dict:
 
 
 def cmd_star_equiv(model, args) -> dict:
+    """The star-equiv report: equivalence through id + hbar^{k+1} S only,
+    with k the input's agree_to (see :func:`equivalence_report`)."""
     from . import serialize
     data = serialize._load(args.infile)
     try:

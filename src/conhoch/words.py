@@ -5,13 +5,12 @@ A word is a sorted tuple of 1-based coordinate letters with repetition
 chain.  This leaf module holds what the slice kernel of
 :mod:`conhoch.cohomology` and :mod:`conhoch.slicecount` reads about
 words: the one splitting table (:func:`_word_splits`, which the Leibniz
-rule of :mod:`conhoch.diffops` and :mod:`conhoch.hochschild` reads too),
-the differential of one unit monomial chain, and :func:`mv_members`,
-the multivector monomials in a tagged class.  It imports only model,
-which owns the one membership rule of every monomial (``_window``,
-``_member`` and ``_slot_profile``).  The hatted complement blocks, which
-only the symbol calculus asks, test its windows in
-:mod:`conhoch.symbols` (``monomial_member``).
+rule of :mod:`conhoch.diffops` reads too), the differential of one unit
+monomial chain, and :func:`mv_members`, the multivector monomials in a
+tagged class.  It imports only model, which owns the one membership
+rule of every monomial (``_window``, ``_member`` and ``_slot_profile``).
+The hatted complement blocks, which only the symbol calculus asks, test
+its windows in :mod:`conhoch.symbols` (``monomial_member``).
 """
 
 from __future__ import annotations

@@ -33,7 +33,15 @@ that the library decides it with:
 * membership in the hatted complement blocks by the category of each
   slot word, 'that', 'nhat' or 'wnhat' (:func:`hatted_member_by_category`),
   where the library tests the words against fixed windows of the
-  monomial rule of :mod:`conhoch.model`.
+  monomial rule of :mod:`conhoch.model`;
+* the Hochschild coboundary of an operator from its operator-level
+  formula (:func:`hochschild_delta`) and the chain-map identity
+  Op(D phi) = delta(Op phi) (:func:`chain_map_check`), where the delta
+  command takes the symbol differential ``differential_d``;
+* the pullback of polynomials and chains along a linear change of
+  coordinates (:func:`pullback_poly`, :func:`pullback_chain`), where the
+  library decides membership monomial by monomial in the model's own
+  coordinates.
 
 It also holds test-only constructions that no command and no library
 routine calls: the monomial basis of a function class
@@ -49,14 +57,19 @@ observable chains (:func:`in_function_span_wobs`).
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 from typing import List, Sequence
 
 from conhoch import (FlatModel, FunctionClass, MultiDiffOp, Poly, SubspaceTag, SymbolChain,
-                     TruncatedStar, VectorField, monomial_member, vee)
+                     TruncatedStar, VectorField, differential_d, monomial_member, vee)
 from conhoch import starprod
+from conhoch.dense import RationalMatrix
 from conhoch.diffops import apply_to_monomials
-from conhoch.errors import UnsupportedTagError
+from conhoch.errors import InvariantError, UnsupportedTagError
 from conhoch.model import _member, _same_model, _slot_profile, _window, monomials_of_degree
+from conhoch.poly import merge_terms
+from conhoch.words import _word_splits
 
 
 def shuffle_pairs(word: Sequence[int]):
@@ -198,6 +211,48 @@ def bracket_by_partials(x: VectorField, y: VectorField) -> VectorField:
     return VectorField(x.model, comps)
 
 
+def hochschild_delta(op: MultiDiffOp) -> MultiDiffOp:
+    """The Hochschild coboundary of a multi-differential operator.
+
+    Computed from the operator-level formula
+
+        (delta D)(f_0, .., f_n) = f_0 D(f_1, .., f_n)
+            + sum_{i=0}^{n-1} (-1)^{i+1} D(f_0, .., f_i f_{i+1}, .., f_n)
+            + (-1)^{n+1} D(f_0, .., f_{n-1}) f_n
+
+    expanded on symbols via the Leibniz rule.  The expansion passes
+    through terms with an empty derivative slot (plain multiplication by
+    one argument); these cancel in the total because the operator
+    vanishes on constants (checked: InvariantError otherwise).
+    """
+    n = op.arity
+    pairs = []
+    for slots, coeff in op.symbol.terms.items():
+        pairs.append((((),) + slots, coeff))
+        sign_last = -1 if (n + 1) % 2 else 1
+        pairs.append((slots + ((),), coeff * sign_last))
+        for i in range(n):
+            sign = -1 if (i + 1) % 2 else 1
+            for left, right, mult in _word_splits(slots[i]):
+                key = slots[:i] + (left, right) + slots[i + 1:]
+                pairs.append((key, coeff * (sign * mult)))
+
+    terms = merge_terms(pairs)
+    for key in terms:
+        if any(len(w) == 0 for w in key):
+            raise InvariantError("hochschild_delta: coboundary of a normalized "
+                                 f"operator kept a constant slot: {key}")
+    return MultiDiffOp(op.symbol._like(terms, n + 1))
+
+
+def chain_map_check(phi: SymbolChain) -> bool:
+    """Verify Op(D phi) = delta(Op(phi)) exactly, on symbols: a normalized
+    multi-differential operator is determined by its symbol (Hochschild,
+    Kostant and Rosenberg 1962; Gerstenhaber 1963), and both sides are
+    symbols already."""
+    return differential_d(phi) == hochschild_delta(MultiDiffOp(phi)).symbol
+
+
 def sampled_window(star: TruncatedStar, order: int) -> int:
     """Evaluation window that separates order-r associators: the largest
     ord C_p + ord C_q over p + q = r, with ord C_0 = 0."""
@@ -337,3 +392,49 @@ def in_function_span_wobs(chain: SymbolChain) -> bool:
     return all(_member(_window("wobs", 0, model.unit_counts(gamma)[2]),
                        [_slot_profile(model, w) for w in slots])
                for gamma, slots, _ in chain.monomials())
+
+
+def pullback_poly(f: Poly, a: Sequence[Sequence[Fraction]]) -> Poly:
+    """f o A: each variable x_i becomes sum_j A_ij x_j."""
+    n = f.nvars
+    linear = [Poly(n, {tuple(int(k == j) for k in range(n)): a[i][j]
+                       for j in range(n) if a[i][j]}) for i in range(n)]
+    out = Poly.zero(n)
+    for exp, q in f.terms.items():
+        term = Poly.constant(n, q)
+        for i, e in enumerate(exp):
+            for _ in range(e):
+                term = term * linear[i]
+        out = out + term
+    return out
+
+
+def pullback_chain(chain: SymbolChain, a: Sequence[Sequence[Fraction]]) -> SymbolChain:
+    """The pullback of a chain along x -> Ax: each letter i of a slot word
+    becomes sum_j B_ji letter j with B = A^-1, expanded in the symmetric
+    product, and each coefficient gamma becomes gamma o A."""
+    n = chain.model.n_total
+    # B = A^-1 is the right half of the reduced row echelon form of [A | 1]
+    b = [row[n:] for row in RationalMatrix(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]).rref()[0]]
+    letters = range(1, n + 1)
+
+    def expand(word):
+        out = {(): Fraction(1)}
+        for i in word:
+            grown = {}
+            for w, q in out.items():
+                for j in letters:
+                    if b[j - 1][i - 1]:
+                        key = vee(w, (j,))
+                        grown[key] = grown.get(key, 0) + q * b[j - 1][i - 1]
+            out = grown
+        return out.items()
+
+    terms = []
+    for slots, coeff in chain.terms.items():
+        pulled = pullback_poly(coeff, a)
+        for parts in itertools.product(*map(expand, slots)):
+            words, qs = zip(*parts)
+            terms.append((words, pulled.scale(math.prod(qs))))
+    return SymbolChain(chain.model, chain.arity, terms)

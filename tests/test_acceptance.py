@@ -16,13 +16,12 @@ from conhoch import (FlatModel, FunctionClass, MultiDiffOp, MultiVector, Poly,
                      classified_hh2_dimension, classify_infinitesimal,
                      coisotropy_check, decompose_sym, decompose_tensor2,
                      differential_d, equivalence_report, find_constraint_potential,
-                     hh0_dimension, hh_dimension, hkr, hochschild_delta,
-                     normal_class_basis)
+                     hh0_dimension, hh_dimension, hkr, normal_class_basis)
 from conhoch.decompose import Slice, slice_basis
 
 from conftest import all_models, rand_chain, rand_tagged_chain, var
-from reference import (function_slice_basis, in_function_span_wobs, shuffle_coproduct,
-                       vee_collapse)
+from reference import (function_slice_basis, hochschild_delta, in_function_span_wobs,
+                       shuffle_coproduct, vee_collapse)
 
 GRID_MODELS = (FlatModel(3, 2, 1), FlatModel(4, 2, 1),
                FlatModel(4, 3, 1), FlatModel(4, 3, 2))

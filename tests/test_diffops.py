@@ -1,19 +1,23 @@
 """Operators, the symbol calculus normalisation, the coboundary and the
 chain-map identity between the two independent routes."""
 
+import json
+import os
 import random
+import tempfile
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conhoch import (FlatModel, MultiDiffOp, MultiVector, Poly, SubspaceTag, SymbolChain,
-                     VectorField, bracket, chain_map_check, differential_d,
-                     hochschild_delta, op_membership, vf_membership)
+                     VectorField, bracket, differential_d, op_membership, vf_membership)
+from conhoch import hochschild, serialize
 
 from conftest import all_models, polys, rand_chain, rand_field_in_class, var
-from reference import (apply_by_partials, bracket_by_partials, monomial_argument_tuples,
-                       op_membership_functional, operators_equal_on_window,
-                       sufficiency_degree)
+from reference import (apply_by_partials, bracket_by_partials, chain_map_check,
+                       hochschild_delta, monomial_argument_tuples, op_membership_functional,
+                       operators_equal_on_window, sufficiency_degree)
 
 
 def _nabla(x: VectorField, y: VectorField) -> VectorField:
@@ -152,6 +156,41 @@ def test_differentials_square_to_zero_and_commute(chain):
     op = MultiDiffOp(chain)
     assert hochschild_delta(hochschild_delta(op)).symbol.is_zero()
     assert chain_map_check(chain)
+
+
+@st.composite
+def operators(draw):
+    """An operator of arity 1..3 on (3,2,1), (4,3,2), (5,3,1) or (6,4,2):
+    up to three terms, slot words of length 1 or 2, and coefficients of
+    up to two monomials of degree at most 2."""
+    model = draw(st.sampled_from((FlatModel(3, 2, 1), FlatModel(4, 3, 2), FlatModel(5, 3, 1),
+                                  FlatModel(6, 4, 2))))
+    n = model.n_total
+    word = st.lists(st.integers(1, n), min_size=1, max_size=2).map(lambda w: tuple(sorted(w)))
+    exponent = st.lists(st.integers(0, n - 1), max_size=2).map(
+        lambda ls: tuple(ls.count(i) for i in range(n)))
+    scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coeff = st.lists(st.tuples(exponent, scalar), min_size=1, max_size=2).map(
+        lambda ts: Poly(n, ts))
+    arity = draw(st.integers(1, 3))
+    terms = draw(st.lists(st.tuples(st.tuples(*[word] * arity), coeff), max_size=3))
+    return MultiDiffOp(SymbolChain(model, arity, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(operators())
+def test_delta_command_is_the_operator_level_coboundary(op):
+    # the delta command takes the symbol differential of the operator; the
+    # coboundary from the operator-level formula is the same operator, and
+    # the two encode to the same JSON
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "op.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(serialize.op_to_json(op), fh)
+        delta = hochschild.cmd_delta(op.model, SimpleNamespace(infile=path))
+    expected = hochschild_delta(op)
+    assert delta == expected
+    assert json.dumps(serialize.op_to_json(delta)) == json.dumps(serialize.op_to_json(expected))
 
 
 @settings(max_examples=80, deadline=None)

@@ -9,15 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from conhoch import (FlatModel, FunctionClass, MultiDiffOp, MultiVector, Poly,
                      SubspaceTag, SymbolChain, VectorField, bivector_slice_basis, bracket,
-                     chain_membership, classified_hh2_dimension, hh0_dimension,
-                     hh_dimension, monomial_member, mv_membership, op_membership,
-                     vf_membership)
+                     chain_membership, classified_hh2_dimension, differential_d,
+                     hh0_dimension, hh_dimension, monomial_member, mv_membership,
+                     op_membership, vf_membership)
+from conhoch.decompose import Slice, slice_monomials
 from conhoch.errors import UnsupportedTagError
 from conhoch.words import mv_members
 
-from conftest import all_models, frame_field, monomial_field, monomials_up_to, rand_poly, var
+from conftest import (all_models, frame_field, monomial_field, monomials_up_to, rand_poly,
+                      rand_tagged_chain, var)
 from reference import (classify_function_by_definition, hatted_member_by_category,
-                       op_membership_functional, vf_membership_by_definition)
+                       op_membership_functional, pullback_chain, vf_membership_by_definition)
 
 
 # ---------------------------------------------------------------------------
@@ -427,3 +429,81 @@ def test_every_tag_gate_refuses_what_is_not_a_subspace_tag(check, tag):
     # chain x3 d1 (x) d3 is observable, so False would be wrong)
     with pytest.raises(UnsupportedTagError):
         check(tag)
+
+
+# ---------------------------------------------------------------------------
+# the structure group: linear changes of coordinates that keep C and D
+# ---------------------------------------------------------------------------
+
+#: the (arity, K, c) slices the pullback checks run on, for each tag
+_PULLBACK_SLICES = ((1, 2, 1), (2, 2, 1), (2, 3, 1), (1, 3, 2), (2, 2, 2))
+
+
+@st.composite
+def block_triangular_matrices(draw, model):
+    """An invertible integer matrix A, block upper triangular over the
+    coordinate blocks (D, D-perp, TC-perp), so that x -> Ax maps C to C
+    and D to D: L U, with U upper triangular with a nonzero diagonal and
+    L unit lower triangular inside the diagonal blocks."""
+    n = model.n_total
+    block = [(i > model.n_null) + (i > model.n_wobs) for i in range(1, n + 1)]
+    entry = st.integers(-2, 2)
+    upper = [[draw(st.sampled_from((-2, -1, 1, 2))) if i == j else draw(entry) if i < j else 0
+              for j in range(n)] for i in range(n)]
+    lower = [[1 if i == j else draw(entry) if j < i and block[i] == block[j] else 0
+              for j in range(n)] for i in range(n)]
+    return [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def _pullback_failures(model, a, rng):
+    """The checks of the pullback along x -> Ax that fail, for the tags
+    wobs and null on each slice of _PULLBACK_SLICES: the pullback of a
+    random combination of slice-basis chains leaves the tag, D does not
+    commute with the pullback, or a member plus one untagged basis
+    monomial is pulled back into the tag."""
+    failures = []
+    for tag in (SubspaceTag.WOBS, SubspaceTag.NULL):
+        for arity, K, c in _PULLBACK_SLICES:
+            where = (tag.value, arity, K, c)
+            member = rand_tagged_chain(rng, model, arity, K, c, tag.value)
+            pulled = pullback_chain(member, a)
+            if not chain_membership(pulled, tag):
+                failures.append(("leaves the tag", where))
+            if differential_d(pulled) != pullback_chain(differential_d(member), a):
+                failures.append(("D does not commute", where))
+            tagged = set(slice_monomials(Slice(model, arity, K, c, tag.value)))
+            outside = [m for m in slice_monomials(Slice(model, arity, K, c)) if m not in tagged]
+            if outside:
+                gamma, slots = rng.choice(outside)
+                untagged = SymbolChain.from_term(model, slots, Poly.monomial(gamma))
+                if chain_membership(pullback_chain(member + untagged, a), tag):
+                    failures.append(("enters the tag", where))
+    return failures
+
+
+@pytest.mark.parametrize("model", all_models(5),
+                         ids=lambda m: f"{m.n_total},{m.n_wobs},{m.n_null}")
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_pullbacks_along_the_structure_group_keep_each_tag(model, data):
+    # the tagged subspaces are defined without coordinates (the vanishing
+    # ideal of C, the functions constant along D), so every linear map
+    # that keeps C and D carries each of them onto itself, in bases that
+    # are no longer monomial
+    a = data.draw(block_triangular_matrices(model))
+    assert _pullback_failures(model, a, data.draw(st.randoms(use_true_random=False))) == []
+
+
+def test_pullback_checks_refuse_a_generic_linear_map():
+    # x -> Ax with every entry on and below the diagonal 1 moves C and D
+    model = FlatModel(4, 3, 2)
+    a = [[int(j <= i) for j in range(4)] for i in range(4)]
+    assert _pullback_failures(model, a, random.Random(930))
+
+
+def test_pullback_checks_refuse_a_map_of_d_into_d_perp():
+    # x -> Ax keeps C but sends the direction d1 of D to d1 + d3, out of D
+    model = FlatModel(4, 3, 2)
+    a = [[int(i == j or (i, j) == (2, 0)) for j in range(4)] for i in range(4)]
+    assert _pullback_failures(model, a, random.Random(931))

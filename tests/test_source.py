@@ -223,6 +223,27 @@ def test_operator_words_are_evaluated_by_the_monomial_kernel():
     assert "apply" in bracket and "partial" not in bracket
 
 
+def test_one_coboundary():
+    # an operator's Hochschild coboundary is the differential of its
+    # symbol: the delta command calls symbols.differential_d, and the
+    # splitting table and the unit differential have no reader but the
+    # differential, its integer columns, the content blocks and the
+    # Leibniz spread, so no module keeps a second coboundary
+    readers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                for name in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}:
+                    if name in ("_word_splits", "unit_differential"):
+                        readers.setdefault(name, set()).add(f"{path.stem}.{node.name}")
+    assert readers == {
+        "_word_splits": {"words.unit_differential", "cohomology._content_words",
+                         "diffops._leibniz_spread"},
+        "unit_differential": {"symbols.differential_d", "cohomology._image_columns"}}
+    assert "differential_d" in _called_names("hochschild", "cmd_delta")
+
+
 def test_encoders_are_reached_only_through_the_class_names():
     # handlers return the package's values and cli.emit_report encodes them
     # by the serialize encoder each class names in _encoder; outside

@@ -21,7 +21,7 @@ from conhoch.decompose import normal_class_basis
 from conhoch.errors import NotClosedError, NotConstraintError, PreconditionError
 
 from conftest import rand_fraction, rand_tagged_chain, var
-from reference import monomial_argument_tuples, sampled_defects
+from reference import hochschild_delta, monomial_argument_tuples, sampled_defects
 
 
 @pytest.fixture(autouse=True)
@@ -87,7 +87,6 @@ def test_first_order_bidifferential_operators_are_closed(m321):
 def test_order_one_defect_is_the_coboundary(m321):
     rng = random.Random(800)
     from conftest import rand_chain
-    from conhoch.hochschild import hochschild_delta
     for _ in range(20):
         c1 = MultiDiffOp(rand_chain(rng, m321, 2, 3, 1))
         star = TruncatedStar(m321, [c1])
