@@ -4,12 +4,13 @@
 eliminator, used for the differential, whose blocks are almost entirely
 zero.  A matrix is a sequence of columns, each a dict from row keys to
 int or Fraction entries.  Each column is scaled to integers and reduced
-against the pivot columns found so far by fraction-free integer
+in place against the pivot columns found so far by fraction-free integer
 cross-multiplication (in the style of Bareiss 1968, with the common
-content divided out instead of the previous pivot), so the pivots are
-exactly the earliest independent columns - the basic columns of the
-reduced row echelon form.  A solve sets every other variable to 0.  No
-step is modular or floating point.
+content divided out instead of the previous pivot, with the sign that
+makes the pivot entry positive), so the pivots are exactly the earliest
+independent columns - the basic columns of the reduced row echelon
+form.  A solve sets every other variable to 0.  No step is modular or
+floating point.
 
 The dense reference :class:`~conhoch.dense.RationalMatrix`, which the
 tests compare this kernel against, lives in :mod:`conhoch.dense`, so no
@@ -55,60 +56,57 @@ def _integer_column(col: SparseColumn) -> Tuple[Dict[Hashable, int], int]:
     return {k: int(x * scale) for k, x in col.items() if x}, scale
 
 
-def _combine(a: int, x: Dict, b: int, y: Dict) -> Dict:
-    """a * x + b * y without zero entries."""
-    out = {k: a * v for k, v in x.items()} if a != 1 else dict(x)
-    for k, v in y.items():
-        w = out.get(k, 0) + b * v
-        if w:
-            out[k] = w
-        else:
-            del out[k]
-    return out
-
-
 def _reduce(vec: Dict[Hashable, int], combo: Optional[Dict[int, int]],
-            pivots: List[_Pivot]) -> Tuple[Dict[Hashable, int], Optional[Dict[int, int]]]:
-    """Clear vec at every pivot row.  A pivot is zero at the rows of all
-    earlier pivots, so one pass in pivot order suffices; combo follows
-    every step of vec."""
+            pivots: List[_Pivot]) -> None:
+    """Clear vec at every pivot row in place: vec becomes a * vec - b * piv,
+    a and b the entries of piv and vec at its row over their gcd.  A pivot
+    is zero at the rows of all earlier pivots, so one pass in pivot order
+    suffices; combo follows every step of vec."""
     for row, piv, piv_combo in pivots:
         b = vec.get(row)
         if b:
             a = piv[row]
             g = gcd(a, b)
-            a, b = a // g, -(b // g)
-            vec = _combine(a, vec, b, piv)
-            if combo is not None:
-                combo = _combine(a, combo, b, piv_combo)
-    return vec, combo
+            a, b = a // g, b // g
+            for x, y in ((vec, piv), (combo, piv_combo)):
+                if x is None:
+                    break
+                if a != 1:
+                    for k in x:
+                        x[k] *= a
+                for k, v in y.items():
+                    w = x.get(k, 0) - b * v
+                    if w:
+                        x[k] = w
+                    else:
+                        del x[k]
 
 
 def _echelon(columns: Sequence[SparseColumn], track: bool) -> Tuple[List[_Pivot], List[int]]:
     """Pivots of the columns in input order, and each column's integer
-    scale.  With track, every pivot records its combination of the
-    scaled input columns."""
+    scale.  Each column is reduced in place against the pivots before it;
+    one left nonzero is stored over its content, signed so that its entry
+    at its pivot row is positive.  With track, every pivot records its
+    combination of the scaled input columns."""
     pivots: List[_Pivot] = []
     scales: List[int] = []
     for j, col in enumerate(columns):
         vec, scale = _integer_column(col)
         scales.append(scale)
-        vec, combo = _reduce(vec, {j: 1} if track else None, pivots)
+        combo = {j: 1} if track else None
+        _reduce(vec, combo, pivots)
         if not vec:
             continue
-        content = 0
-        for v in vec.values():
-            content = gcd(content, v)
-        if combo is not None:
-            for v in combo.values():
-                content = gcd(content, v)
-        if content != 1:
-            vec = {k: v // content for k, v in vec.items()}
-            if combo is not None:
-                combo = {k: v // content for k, v in combo.items()}
         # the smallest entry keeps the multipliers of later steps small;
         # ties go to the first such entry, so the choice is deterministic
         row = min(vec, key=lambda k: abs(vec[k]))
+        content = gcd(*vec.values(), *(combo or {}).values())
+        if vec[row] < 0:
+            content = -content
+        if content != 1:
+            for x in (vec, combo or {}):
+                for k in x:
+                    x[k] //= content
         pivots.append((row, vec, combo))
     return pivots, scales
 
@@ -128,7 +126,8 @@ def sparse_solve(columns: Sequence[SparseColumn], rhs: SparseColumn) -> Optional
     # the key -1 carries the multiple s of the right-hand side, so that
     # vec = s * rhs + sum_j combo[j] * column j throughout the reduction,
     # rhs and columns taken at their integer scales
-    vec, combo = _reduce(vec, {-1: 1}, pivots)
+    combo = {-1: 1}
+    _reduce(vec, combo, pivots)
     if vec:
         return None
     s = combo.pop(-1)

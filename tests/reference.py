@@ -38,8 +38,9 @@ that the library decides it with:
   formula (:func:`hochschild_delta`) and the chain-map identity
   Op(D phi) = delta(Op phi) (:func:`chain_map_check`), where the delta
   command takes the symbol differential ``differential_d``;
-* the pullback of polynomials and chains along a linear change of
-  coordinates (:func:`pullback_poly`, :func:`pullback_chain`), where the
+* the pullback of polynomials, chains and multivectors along a linear
+  change of coordinates (:func:`pullback_poly`, :func:`pullback_chain`,
+  :func:`pullback_multivector`, with :func:`inverse_matrix`), where the
   library decides membership monomial by monomial in the model's own
   coordinates.
 
@@ -56,18 +57,20 @@ observable chains (:func:`in_function_span_wobs`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
-from conhoch import (FlatModel, FunctionClass, MultiDiffOp, Poly, SubspaceTag, SymbolChain,
-                     TruncatedStar, VectorField, differential_d, monomial_member, vee)
+from conhoch import (FlatModel, FunctionClass, MultiDiffOp, MultiVector, Poly, SubspaceTag,
+                     SymbolChain, TruncatedStar, VectorField, differential_d, monomial_member, vee)
 from conhoch import starprod
 from conhoch.dense import RationalMatrix
 from conhoch.diffops import apply_to_monomials
 from conhoch.errors import InvariantError, UnsupportedTagError
 from conhoch.model import _member, _same_model, _slot_profile, _window, monomials_of_degree
+from conhoch.multivector import sort_with_sign
 from conhoch.poly import merge_terms
 from conhoch.words import _word_splits
 
@@ -409,15 +412,26 @@ def pullback_poly(f: Poly, a: Sequence[Sequence[Fraction]]) -> Poly:
     return out
 
 
+def inverse_matrix(a: Sequence[Sequence[Fraction]]) -> Tuple[Tuple[Fraction, ...], ...]:
+    """A^-1: the right half of the reduced row echelon form of [A | 1].
+    The pullback checks invert each drawn matrix many times, so the
+    inverse is kept per matrix."""
+    return _inverse(tuple(map(tuple, a)))
+
+
+@functools.lru_cache(maxsize=64)
+def _inverse(a: Tuple[Tuple[Fraction, ...], ...]) -> Tuple[Tuple[Fraction, ...], ...]:
+    n = len(a)
+    return tuple(tuple(row[n:]) for row in RationalMatrix(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]).rref()[0])
+
+
 def pullback_chain(chain: SymbolChain, a: Sequence[Sequence[Fraction]]) -> SymbolChain:
     """The pullback of a chain along x -> Ax: each letter i of a slot word
     becomes sum_j B_ji letter j with B = A^-1, expanded in the symmetric
     product, and each coefficient gamma becomes gamma o A."""
-    n = chain.model.n_total
-    # B = A^-1 is the right half of the reduced row echelon form of [A | 1]
-    b = [row[n:] for row in RationalMatrix(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]).rref()[0]]
-    letters = range(1, n + 1)
+    b = inverse_matrix(a)
+    letters = range(1, chain.model.n_total + 1)
 
     def expand(word):
         out = {(): Fraction(1)}
@@ -438,3 +452,19 @@ def pullback_chain(chain: SymbolChain, a: Sequence[Sequence[Fraction]]) -> Symbo
             words, qs = zip(*parts)
             terms.append((words, pulled.scale(math.prod(qs))))
     return SymbolChain(chain.model, chain.arity, terms)
+
+
+def pullback_multivector(x: MultiVector, a: Sequence[Sequence[Fraction]]) -> MultiVector:
+    """The pullback of a multivector along x -> Ax: each frame d_i of a
+    wedge becomes sum_j B_ji d_j with B = A^-1, and each coefficient gamma
+    becomes gamma o A."""
+    b = inverse_matrix(a)
+    terms = []
+    for idx, coeff in x.terms.items():
+        pulled = pullback_poly(coeff, a)
+        for frames in itertools.product(range(1, x.model.n_total + 1), repeat=x.degree):
+            q = math.prod(b[j - 1][i - 1] for i, j in zip(idx, frames))
+            key, sign = sort_with_sign(x.model, x.degree, frames)
+            if q and key:
+                terms.append((key, pulled.scale(q * sign)))
+    return MultiVector(x.model, x.degree, terms)

@@ -1,13 +1,14 @@
 """Exact rational matrices: ranks and solves, the sparse kernel against the
 dense reference."""
 
+import copy
 import random
 from fractions import Fraction
 
 from hypothesis import example, given, strategies as st
 
 from conhoch.dense import RationalMatrix
-from conhoch.linalg import sparse_rank, sparse_solve
+from conhoch.linalg import _echelon, sparse_rank, sparse_solve
 
 
 def F(a, b=1):
@@ -112,3 +113,42 @@ def test_sparse_solve_matches_dense(matrix, data):
     dense = RationalMatrix(entries, cols=cols).solve(rhs)
     sparse = sparse_solve(_sparse_columns(rows, cols, entries), dict(enumerate(rhs)))
     assert sparse == dense
+
+
+# ---------------------------------------------------------------------------
+# invariants of the in-place reduction
+# ---------------------------------------------------------------------------
+
+@given(small_matrices(denominators=(1, 2, 3)), st.data())
+def test_the_kernel_leaves_its_input_unchanged(matrix, data):
+    # the reduction writes in place, but only into dicts the kernel built
+    rows, cols, entries = matrix
+    columns = _sparse_columns(rows, cols, entries)
+    rhs = dict(enumerate(data.draw(st.lists(st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+                                            min_size=rows, max_size=rows))))
+    before = copy.deepcopy((columns, rhs))
+    sparse_rank(columns)
+    sparse_solve(columns, rhs)
+    assert (columns, rhs) == before
+
+
+@given(small_matrices(denominators=(1, 2, 3)))
+def test_pivots_are_positive_at_their_row_and_zero_at_earlier_rows(matrix):
+    pivots, _ = _echelon(_sparse_columns(*matrix), track=True)
+    for i, (row, vec, _) in enumerate(pivots):
+        assert vec[row] > 0
+        assert 0 not in vec.values()
+        assert not {earlier for earlier, _, _ in pivots[:i]} & vec.keys()
+
+
+@given(small_matrices(denominators=(1, 2, 3)))
+def test_each_pivot_combination_rebuilds_it(matrix):
+    # sum_j combo[j] * (column j at its integer scale) is the pivot vector
+    columns = _sparse_columns(*matrix)
+    pivots, scales = _echelon(columns, track=True)
+    for _, vec, combo in pivots:
+        rebuilt = {}
+        for j, c in combo.items():
+            for k, x in columns[j].items():
+                rebuilt[k] = rebuilt.get(k, 0) + c * scales[j] * x
+        assert {k: x for k, x in rebuilt.items() if x} == vec

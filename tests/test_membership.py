@@ -10,16 +10,17 @@ from hypothesis import given, settings, strategies as st
 from conhoch import (FlatModel, FunctionClass, MultiDiffOp, MultiVector, Poly,
                      SubspaceTag, SymbolChain, VectorField, bivector_slice_basis, bracket,
                      chain_membership, classified_hh2_dimension, differential_d,
-                     hh0_dimension, hh_dimension, monomial_member, mv_membership,
+                     hh0_dimension, hh_dimension, hkr, monomial_member, mv_membership,
                      op_membership, vf_membership)
 from conhoch.decompose import Slice, slice_monomials
 from conhoch.errors import UnsupportedTagError
 from conhoch.words import mv_members
 
-from conftest import (all_models, frame_field, monomial_field, monomials_up_to, rand_poly,
-                      rand_tagged_chain, var)
+from conftest import (all_models, frame_field, monomial_field, monomials_up_to, rand_fraction,
+                      rand_poly, rand_tagged_chain, var)
 from reference import (classify_function_by_definition, hatted_member_by_category,
-                       op_membership_functional, pullback_chain, vf_membership_by_definition)
+                       op_membership_functional, pullback_chain, pullback_multivector,
+                       vf_membership_by_definition)
 
 
 # ---------------------------------------------------------------------------
@@ -507,3 +508,62 @@ def test_pullback_checks_refuse_a_map_of_d_into_d_perp():
     model = FlatModel(4, 3, 2)
     a = [[int(i == j or (i, j) == (2, 0)) for j in range(4)] for i in range(4)]
     assert _pullback_failures(model, a, random.Random(931))
+
+
+#: the (degree, c) slices of multivectors the pullback checks run on:
+#: the wedge degree and the largest coefficient degree
+_MV_PULLBACK_SLICES = ((1, 1), (2, 1), (2, 2))
+
+
+def _mv_pullback_failures(model, a, rng):
+    """The checks of the multivector pullback along x -> Ax that fail, for
+    the tags wobs and null on each slice of _MV_PULLBACK_SLICES: the
+    pullback of a random combination of tagged monomials leaves the tag,
+    hkr does not commute with the pullback, or a member plus one untagged
+    monomial is pulled back into the tag."""
+    failures = []
+    letters = range(1, model.n_total + 1)
+    for degree, c in _MV_PULLBACK_SLICES:
+        monomials = [(gamma, idx) for gamma in monomials_up_to(model.n_total, c)
+                     for idx in itertools.combinations(letters, degree)]
+        if not monomials:
+            continue
+        for tag in (SubspaceTag.WOBS, SubspaceTag.NULL):
+            where = (tag.value, degree, c)
+            tagged = mv_members(model, tag, monomials)
+            member = MultiVector.zero(model, degree)
+            for gamma, idx in rng.sample(tagged, min(2, len(tagged))):
+                member = member + MultiVector(model, degree,
+                                              {idx: Poly.monomial(gamma, rand_fraction(rng))})
+            pulled = pullback_multivector(member, a)
+            if not mv_membership(pulled, tag):
+                failures.append(("leaves the tag", where))
+            if hkr(pulled) != pullback_chain(hkr(member), a):
+                failures.append(("hkr does not commute", where))
+            outside = [m for m in monomials if m not in tagged]
+            if outside:
+                gamma, idx = rng.choice(outside)
+                untagged = MultiVector(model, degree, {idx: Poly.monomial(gamma)})
+                if mv_membership(pullback_multivector(member + untagged, a), tag):
+                    failures.append(("enters the tag", where))
+    return failures
+
+
+@pytest.mark.parametrize("model", all_models(5),
+                         ids=lambda m: f"{m.n_total},{m.n_wobs},{m.n_null}")
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_multivector_pullbacks_along_the_structure_group_keep_each_tag(model, data):
+    # the tagged multivectors are spanned by monomials in the model's own
+    # coordinates, but defined without them, so a linear map that keeps C
+    # and D carries each tag onto itself and its complement off it; hkr is
+    # natural, so it commutes with the pullback
+    a = data.draw(block_triangular_matrices(model))
+    assert _mv_pullback_failures(model, a, data.draw(st.randoms(use_true_random=False))) == []
+
+
+def test_multivector_pullback_checks_refuse_a_generic_linear_map():
+    # x -> Ax with every entry on and below the diagonal 1 moves C and D
+    model = FlatModel(4, 3, 2)
+    a = [[int(j <= i) for j in range(4)] for i in range(4)]
+    assert _mv_pullback_failures(model, a, random.Random(932))
