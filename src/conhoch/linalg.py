@@ -3,14 +3,16 @@
 :func:`sparse_rank` and :func:`sparse_solve` form the library's only
 eliminator, used for the differential, whose blocks are almost entirely
 zero.  A matrix is a sequence of columns, each a dict from row keys to
-int or Fraction entries.  Each column is scaled to integers and reduced
-in place against the pivot columns found so far by fraction-free integer
-cross-multiplication (in the style of Bareiss 1968, with the common
-content divided out instead of the previous pivot, with the sign that
-makes the pivot entry positive), so the pivots are exactly the earliest
-independent columns - the basic columns of the reduced row echelon
-form.  A solve sets every other variable to 0.  No step is modular or
-floating point.
+int entries; a Fraction or float entry raises TypeError (from
+:func:`math.gcd`), and zero entries are ignored.  Each column is copied
+and reduced in place against the pivot columns found so far by
+fraction-free integer cross-multiplication (in the style of Bareiss
+1968, with the common content divided out instead of the previous pivot,
+with the sign that makes the pivot entry positive), so the pivots are
+exactly the earliest independent columns - the basic columns of the
+reduced row echelon form.  A solve scales only its rational right-hand
+side to integers, and sets every non-basic variable to 0.  No step is
+modular or floating point.
 
 The dense reference :class:`~conhoch.dense.RationalMatrix`, which the
 tests compare this kernel against, lives in :mod:`conhoch.dense`, so no
@@ -18,7 +20,6 @@ command compiles it.  ``conhoch.linalg.RationalMatrix`` still resolves
 to it on first access (the benchmark's tracer wraps its methods by name
 here); importing this module does not load that one.
 
-Ranks read entries only through ``.denominator``, which int has too, so
 :mod:`fractions` (and with it :mod:`decimal`) is imported only by the
 code that builds Fractions: :func:`sparse_solve`.  The slice count
 never loads it.
@@ -26,15 +27,14 @@ never loads it.
 
 from __future__ import annotations
 
-from math import gcd
-from typing import (TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from math import gcd, lcm
+from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # sparse_solve imports it on use
     from fractions import Fraction
 
     Vector = List[Fraction]
-    SparseColumn = Mapping[Hashable, Union[int, Fraction]]
+    SparseColumn = Mapping[Hashable, int]
 
 
 # ---------------------------------------------------------------------------
@@ -44,16 +44,6 @@ if TYPE_CHECKING:  # sparse_solve imports it on use
 #: a pivot: its row key, its reduced integer column and, when a solve
 #: needs it, that column as an integer combination of the input columns
 _Pivot = Tuple[Hashable, Dict[Hashable, int], Optional[Dict[int, int]]]
-
-
-def _integer_column(col: SparseColumn) -> Tuple[Dict[Hashable, int], int]:
-    """The nonzero entries of a column times the lcm of their
-    denominators, and that lcm."""
-    scale = 1
-    for x in col.values():
-        den = x.denominator
-        scale = scale * den // gcd(scale, den)
-    return {k: int(x * scale) for k, x in col.items() if x}, scale
 
 
 def _reduce(vec: Dict[Hashable, int], combo: Optional[Dict[int, int]],
@@ -82,24 +72,24 @@ def _reduce(vec: Dict[Hashable, int], combo: Optional[Dict[int, int]],
                         del x[k]
 
 
-def _echelon(columns: Sequence[SparseColumn], track: bool) -> Tuple[List[_Pivot], List[int]]:
-    """Pivots of the columns in input order, and each column's integer
-    scale.  Each column is reduced in place against the pivots before it;
-    one left nonzero is stored over its content, signed so that its entry
-    at its pivot row is positive.  With track, every pivot records its
-    combination of the scaled input columns."""
+def _echelon(columns: Sequence[SparseColumn], track: bool) -> List[_Pivot]:
+    """Pivots of the integer columns in input order; a Fraction or float
+    entry raises TypeError (from math.gcd), and no column is rescaled.  A
+    copy of each column's nonzero entries is reduced in place against
+    the pivots before it; one left nonzero is stored over its content,
+    signed so that its entry at its pivot row is positive.  With track,
+    every pivot records its combination of the input columns."""
     pivots: List[_Pivot] = []
-    scales: List[int] = []
     for j, col in enumerate(columns):
-        vec, scale = _integer_column(col)
-        scales.append(scale)
+        vec = {k: x for k, x in col.items() if x}
         combo = {j: 1} if track else None
         _reduce(vec, combo, pivots)
         if not vec:
             continue
         # the smallest entry keeps the multipliers of later steps small;
         # ties go to the first such entry, so the choice is deterministic
-        row = min(vec, key=lambda k: abs(vec[k]))
+        least = min(map(abs, vec.values()))
+        row = next(k for k, x in vec.items() if x == least or x == -least)
         content = gcd(*vec.values(), *(combo or {}).values())
         if vec[row] < 0:
             content = -content
@@ -108,24 +98,28 @@ def _echelon(columns: Sequence[SparseColumn], track: bool) -> Tuple[List[_Pivot]
                 for k in x:
                     x[k] //= content
         pivots.append((row, vec, combo))
-    return pivots, scales
+    return pivots
 
 
 def sparse_rank(columns: Sequence[SparseColumn]) -> int:
     """Rank of the matrix with the given sparse columns."""
-    return len(_echelon(columns, track=False)[0])
+    return len(_echelon(columns, track=False))
 
 
-def sparse_solve(columns: Sequence[SparseColumn], rhs: SparseColumn) -> Optional[Vector]:
+def sparse_solve(columns: Sequence[SparseColumn],
+                 rhs: Mapping[Hashable, Fraction]) -> Optional[Vector]:
     """One exact solution x of sum_j x[j] * columns[j] = rhs, with every
     non-basic variable set to 0, or None when the system is
-    inconsistent."""
+    inconsistent.  The columns are integer, as for :func:`_echelon`
+    (a Fraction or float entry raises TypeError); rhs may be rational,
+    and it is the one input scaled, once, by the lcm of its
+    denominators."""
     from fractions import Fraction
-    pivots, scales = _echelon(columns, track=True)
-    vec, rhs_scale = _integer_column(rhs)
-    # the key -1 carries the multiple s of the right-hand side, so that
-    # vec = s * rhs + sum_j combo[j] * column j throughout the reduction,
-    # rhs and columns taken at their integer scales
+    pivots = _echelon(columns, track=True)
+    scale = lcm(*(x.denominator for x in rhs.values()))
+    vec = {k: int(x * scale) for k, x in rhs.items() if x}
+    # the key -1 carries the multiple s of the scaled right-hand side, so
+    # that vec = s * scale * rhs + sum_j combo[j] * column j throughout
     combo = {-1: 1}
     _reduce(vec, combo, pivots)
     if vec:
@@ -133,7 +127,7 @@ def sparse_solve(columns: Sequence[SparseColumn], rhs: SparseColumn) -> Optional
     s = combo.pop(-1)
     solution = [Fraction(0)] * len(columns)
     for j, c in combo.items():
-        solution[j] = Fraction(-c * scales[j], s * rhs_scale)
+        solution[j] = Fraction(-c, s * scale)
     return solution
 
 

@@ -38,9 +38,10 @@ that the library decides it with:
   formula (:func:`hochschild_delta`) and the chain-map identity
   Op(D phi) = delta(Op phi) (:func:`chain_map_check`), where the delta
   command takes the symbol differential ``differential_d``;
-* the pullback of polynomials, chains and multivectors along a linear
-  change of coordinates (:func:`pullback_poly`, :func:`pullback_chain`,
-  :func:`pullback_multivector`, with :func:`inverse_matrix`), where the
+* the pullback of polynomials, chains, multivectors and vector fields
+  along a linear change of coordinates (:func:`pullback_poly`,
+  :func:`pullback_chain`, :func:`pullback_multivector`,
+  :func:`pullback_field`, with :func:`inverse_matrix`), where the
   library decides membership monomial by monomial in the model's own
   coordinates.
 
@@ -468,3 +469,12 @@ def pullback_multivector(x: MultiVector, a: Sequence[Sequence[Fraction]]) -> Mul
             if q and key:
                 terms.append((key, pulled.scale(q * sign)))
     return MultiVector(x.model, x.degree, terms)
+
+
+def pullback_field(x: VectorField, a: Sequence[Sequence[Fraction]]) -> VectorField:
+    """The pullback of a vector field along x -> Ax: that of the degree-1
+    multivector with the same components."""
+    letters = range(1, x.model.n_total + 1)
+    pulled = pullback_multivector(
+        MultiVector(x.model, 1, [((i,), c) for i, c in zip(letters, x.components)]), a)
+    return VectorField(x.model, [pulled.component((i,)) for i in letters])

@@ -208,10 +208,10 @@ def _compiled_nodes(modules):
 #: sheds nodes from a route lowers its budget by the same amount
 @pytest.mark.parametrize("args, bound", [
     (_STAR_CHECK, 9569),
-    (_STAR_EQUIV, 11314),
-    (_VERIFY_THEOREM, 6249),
-    (_FIND_POTENTIAL, 9046),
-    (_DECOMPOSE_COCYCLE, 11842),
+    (_STAR_EQUIV, 11251),
+    (_VERIFY_THEOREM, 6186),
+    (_FIND_POTENTIAL, 8983),
+    (_DECOMPOSE_COCYCLE, 11779),
 ], ids=["star-check", "star-equiv", "verify-theorem", "find-potential", "decompose-cocycle"])
 def test_command_compiles_within_its_node_budget(command_route, args, bound):
     # the solver and slice-count routes compile what they call and little

@@ -18,8 +18,9 @@ from conhoch.words import mv_members
 
 from conftest import (all_models, frame_field, monomial_field, monomials_up_to, rand_fraction,
                       rand_poly, rand_tagged_chain, var)
-from reference import (classify_function_by_definition, hatted_member_by_category,
-                       op_membership_functional, pullback_chain, pullback_multivector,
+from reference import (classify_function_by_definition, function_slice_basis,
+                       hatted_member_by_category, op_membership_functional, pullback_chain,
+                       pullback_field, pullback_multivector, pullback_poly,
                        vf_membership_by_definition)
 
 
@@ -567,3 +568,71 @@ def test_multivector_pullback_checks_refuse_a_generic_linear_map():
     model = FlatModel(4, 3, 2)
     a = [[int(j <= i) for j in range(4)] for i in range(4)]
     assert _mv_pullback_failures(model, a, random.Random(932))
+
+
+def _field_sum(model, fields):
+    """The field whose components are the sums of the fields' components."""
+    zero = Poly.zero(model.n_total)
+    return VectorField(model, [sum((x.components[i] for x in fields), zero)
+                               for i in range(model.n_total)])
+
+
+def _field_pullback_failures(model, a, rng):
+    """The checks of the pullback of functions and vector fields along x ->
+    Ax that fail: a random combination of the degree-1 and degree-2 basis
+    of a function class changes its finest class; a combination of tagged
+    monomial fields leaves the tag wobs or null, or that field plus one
+    untagged monomial field enters it; the pulled-back observable field
+    does not act on pulled-back functions as the pullback of its action;
+    or the bracket of the observable and the null field does not commute
+    with the pullback."""
+    failures = []
+    for cls in FunctionClass:
+        for degree in (1, 2):
+            basis = function_slice_basis(model, cls, degree)
+            f = sum((g.scale(rand_fraction(rng)) for g in rng.sample(basis, min(3, len(basis)))),
+                    Poly.zero(model.n_total))
+            if model.classify_function(pullback_poly(f, a)) is not model.classify_function(f):
+                failures.append(("function changes its class", cls.value, degree))
+    pairs = [(i, gamma) for i in range(1, model.n_total + 1)
+             for gamma in monomials_up_to(model.n_total, 2)]
+    members = []
+    for tag in (SubspaceTag.WOBS, SubspaceTag.NULL):
+        tagged = [p for p in pairs if vf_membership(monomial_field(model, *p), tag)]
+        member = _field_sum(model, [frame_field(model, i, Poly.monomial(gamma, rand_fraction(rng)))
+                                    for i, gamma in rng.sample(tagged, min(2, len(tagged)))])
+        members.append(member)
+        if not vf_membership(pullback_field(member, a), tag):
+            failures.append(("field leaves the tag", tag.value))
+        outside = [p for p in pairs if p not in tagged]
+        if outside:
+            moved = _field_sum(model, [member, monomial_field(model, *rng.choice(outside))])
+            if vf_membership(pullback_field(moved, a), tag):
+                failures.append(("field enters the tag", tag.value))
+    x, y = members
+    f = rand_poly(rng, model.n_total, 2)
+    if pullback_field(x, a).apply(pullback_poly(f, a)) != pullback_poly(x.apply(f), a):
+        failures.append(("the action does not commute",))
+    if bracket(pullback_field(x, a), pullback_field(y, a)) != pullback_field(bracket(x, y), a):
+        failures.append(("the bracket does not commute",))
+    return failures
+
+
+@pytest.mark.parametrize("model", all_models(5),
+                         ids=lambda m: f"{m.n_total},{m.n_wobs},{m.n_null}")
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_function_and_field_pullbacks_along_the_structure_group_keep_each_class(model, data):
+    # the function classes and the tagged fields are defined without
+    # coordinates, so a linear map that keeps C and D keeps each of them
+    # and its complement; the bracket is natural under every change of
+    # coordinates
+    a = data.draw(block_triangular_matrices(model))
+    assert _field_pullback_failures(model, a, data.draw(st.randoms(use_true_random=False))) == []
+
+
+def test_field_pullback_checks_refuse_a_generic_linear_map():
+    # x -> Ax with every entry on and below the diagonal 1 moves C and D
+    model = FlatModel(4, 3, 2)
+    a = [[int(j <= i) for j in range(4)] for i in range(4)]
+    assert _field_pullback_failures(model, a, random.Random(934))

@@ -16,11 +16,11 @@ from conhoch import (FlatModel, MultiDiffOp, MultiVector, Poly, SubspaceTag,
                      differential_d, equivalence_report, hkr,
                      is_constraint_star, poisson_from_star, vee)
 from conhoch import starprod
-from conhoch.diffops import apply_to_monomials
+from conhoch.diffops import apply_to_monomials, compose_symbols
 from conhoch.decompose import normal_class_basis
 from conhoch.errors import NotClosedError, NotConstraintError, PreconditionError
 
-from conftest import rand_fraction, rand_tagged_chain, var
+from conftest import rand_fraction, rand_poly, rand_tagged_chain, var
 from reference import hochschild_delta, monomial_argument_tuples, sampled_defects
 
 
@@ -497,3 +497,38 @@ def test_a_rescaled_moyal_cochain_fails_at_its_order_on_least_words(r):
         assert violation.arguments == (var(star.model, 1), Poly.monomial((3, 0, 0, 0)),
                                        Poly.monomial((0, 0, 4, 0)))
         assert violation.defect == Poly.constant(4, Fraction(3, 2))
+
+
+def test_a_derivation_gauge_is_outside_what_the_report_decides():
+    # the constraint Moyal star on (6,5,1) gauged by T = id + hbar X, X =
+    # x2 d2 an observable derivation: f *' g = T^-1(Tf * Tg) is associative
+    # and constraint with C'_1 = C_1, so the two stars are equivalent, yet
+    # no map id + hbar^2 S joins them, and that is all the report decides
+    model = FlatModel(6, 5, 1)
+    star = _moyal(model, [(2, 4), (3, 5)], 2)
+    c1, c2 = (c.symbol for c in star.cochains)
+    x = SymbolChain.from_term(model, [(2,)], var(model, 2))
+    # X(f) X(g) = x2^2 d2 f d2 g is the cross term of X o X on a product
+    x_times_x = differential_d(compose_symbols(x, x, 1)).scale(Fraction(-1, 2))
+    assert x_times_x == SymbolChain.from_term(model, [(2,), (2,)], var(model, 2) * var(model, 2))
+    c2_gauged = (c2 + compose_symbols(c1, x, 1) + compose_symbols(c1, x, 2)
+                 - compose_symbols(x, c1, 1) + x_times_x)
+    gauged = TruncatedStar(model, [MultiDiffOp(c1), MultiDiffOp(c2_gauged)])
+
+    rng = random.Random(34)
+    op = MultiDiffOp(x)
+    for _ in range(4):
+        f, g = (rand_poly(rng, model.n_total, 3, 3) for _ in range(2))
+        tf, tg = op.apply([f]), op.apply([g])
+        # the orders 0-2 of Tf * Tg, then T^-1 = id - hbar X + hbar^2 X^2
+        p0, p1, p2 = star.apply(f, g)
+        p1 = p1 + tf * g + f * tg
+        p2 = p2 + star.cochain(1).apply([tf, g]) + star.cochain(1).apply([f, tg]) + tf * tg
+        assert gauged.apply(f, g) == [p0, p1 - op.apply([p0]),
+                                      p2 - op.apply([p1]) + op.apply([op.apply([p0])])]
+
+    for s in (star, gauged):
+        assert is_constraint_star(s) and check_associativity(s) is None
+    report = equivalence_report(star, gauged, 1)
+    assert (report["plain_equivalent"], report["constraint_equivalent"], report["S"]) == \
+        (False, False, None)
